@@ -6,10 +6,10 @@ often each test rejects at the nominal 5% level. Longer horizons make
 the loss differential more autocorrelated and expose the normal-theory
 procedures; the fixed-smoothing ones hold their size.
 
-The grid here is deliberately small so it runs in about a minute. The
-full crossed design — both families, all window pairs, five sample
-sizes — is the same call with ``epatest.mc.experiment_grid()`` and
-5000 replications, and takes hours rather than minutes.
+The grid here is deliberately small so it runs in seconds. The full
+crossed design — both families, all window pairs, five sample sizes — is
+the same call with ``epatest.mc.experiment_grid()`` and 5000
+replications, and takes about 35 minutes (see the README).
 """
 
 import time

@@ -40,7 +40,6 @@ from .dmtests import (
 from .lrv import bandwidth
 from .mc import (
     DEFAULT_METHODS,
-    ExperimentResult,
     experiment_grid,
     run_experiment,
     size_corrected_power,
@@ -419,22 +418,14 @@ def cmd_mc(args) -> int:
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
     specs = experiment_grid(families, h_set, r_set, rt_set, p_set)
 
-    # One cell per call so progress is visible on long grids; the stream
-    # keying makes this identical to a single batched run.
-    result = ExperimentResult(
-        n_reps=args.n_reps, cl=args.cl, seed=args.seed,
-        methods=methods, specs=tuple(specs),
-    )
-    for i, spec in enumerate(specs, start=1):
+    def progress(i: int, n_cells: int, spec) -> None:
         print(
-            f"[{i}/{len(specs)}] family={spec.family} h={spec.h} R={spec.R} "
+            f"[{i}/{n_cells}] family={spec.family} h={spec.h} R={spec.R} "
             f"R_tilde={spec.R_tilde} P={spec.P}",
             file=sys.stderr, flush=True,
         )
-        part = run_experiment([spec], methods, args.n_reps, args.cl, args.seed)
-        result.rejection_rates.update(part.rejection_rates)
-        result.archives.update(part.archives)
-        result.degenerate_counts.update(part.degenerate_counts)
+
+    result = run_experiment(specs, methods, args.n_reps, args.cl, args.seed, progress)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,12 +19,16 @@ from scipy import stats
 from .lrv import (
     LrvEstimate,
     bandwidth,
-    lrv_bartlett,
-    lrv_ewc,
-    lrv_rectangular,
-    lrv_wpe,
+    bartlett_rows,
+    check_basis_size,
+    check_horizon,
+    check_lag_bandwidth,
+    check_ordinate_count,
+    ewc_rows,
+    rectangular_rows,
+    wpe_rows,
 )
-from .series import as_loss_series
+from .series import as_loss_series, autocovariance_rows
 
 __all__ = [
     "DegenerateVarianceError",
@@ -87,6 +91,183 @@ def _check_level(cl: float) -> None:
         raise ValueError(f"significance level must lie in (0, 1), got {cl}")
 
 
+@dataclass(frozen=True)
+class Procedure:
+    """One test at one sample size and level: everything that does not depend on the data.
+
+    Building a procedure checks the test's arguments and evaluates its
+    reference distribution once; :func:`evaluate` then applies it to any
+    number of series of that length. ``kernel`` names the variance
+    estimator (``rectangular``, ``bartlett``, ``ewc``, ``wpe`` or
+    ``block-means``) and ``bandwidth`` its size (h - 1, M, B, m or q).
+    ``reference`` is ``normal``, ``t`` (with ``df``) or ``fixed-b``, which
+    has no p-value. ``scale`` multiplies the statistic.
+    """
+
+    method: str
+    kernel: str
+    bandwidth: int
+    cl: float
+    critical_value: float
+    reference: str
+    df: float | None = None
+    scale: float = 1.0
+
+
+def _normal_procedure(method: str, kernel: str, bw: int, cl: float) -> Procedure:
+    crit = float(stats.norm.ppf(1.0 - cl / 2.0))
+    return Procedure(method, kernel, bw, cl, crit, "normal")
+
+
+def _student_procedure(
+    method: str, kernel: str, bw: int, cl: float, df, scale: float = 1.0
+) -> Procedure:
+    crit = float(stats.t.ppf(1.0 - cl / 2.0, df))
+    return Procedure(method, kernel, bw, cl, crit, "t", df, scale)
+
+
+def procedure_r(P: int, h: int, cl: float) -> Procedure:
+    """:func:`dm_test_r` at sample size ``P``."""
+    _check_level(cl)
+    check_horizon(h, P)
+    return _normal_procedure("dm_r", "rectangular", h - 1, cl)
+
+
+def procedure_m(P: int, h: int, cl: float) -> Procedure:
+    """:func:`dm_test_m` at sample size ``P``."""
+    _check_level(cl)
+    factor_sq = (P + 1.0 - 2.0 * h + h * (h - 1.0) / P) / P
+    if factor_sq <= 0.0:
+        raise ValueError(
+            f"small-sample correction factor is nonpositive at P={P}, h={h}; "
+            "the horizon is too large for this sample"
+        )
+    check_horizon(h, P)
+    return _student_procedure(
+        "dm_m", "rectangular", h - 1, cl, P - 1, scale=float(np.sqrt(factor_sq))
+    )
+
+
+def _resolve_lag_bandwidth(P: int, M: int | None, rule: str) -> int:
+    if M is None:
+        return bandwidth(rule, P)
+    check_lag_bandwidth(M, P)
+    return int(M)
+
+
+def procedure_bt(P: int, M: int | None, rule: str, cl: float) -> Procedure:
+    """:func:`dm_test_bt` at sample size ``P``."""
+    _check_level(cl)
+    resolved = _resolve_lag_bandwidth(P, M, rule)
+    method = "dm_nw_l" if (M is None and rule == "llsw") else "dm_nw"
+    return _normal_procedure(method, "bartlett", resolved, cl)
+
+
+def procedure_bt_fb(P: int, M: int | None, rule: str, cl: float) -> Procedure:
+    """:func:`dm_test_bt_fb` at sample size ``P``."""
+    if cl != 0.05:
+        raise UnsupportedLevelError(
+            f"fixed-b critical values are tabulated for cl=0.05 only, got cl={cl}"
+        )
+    resolved = _resolve_lag_bandwidth(P, M, rule)
+    crit = fixed_b_critical_value(resolved / P)
+    return Procedure("dm_fb", "bartlett", resolved, cl, crit, "fixed-b")
+
+
+def procedure_ewc(P: int, B: int | None, cl: float) -> Procedure:
+    """:func:`dm_test_ewc_fb` at sample size ``P``."""
+    _check_level(cl)
+    if B is None:
+        B = bandwidth("ewc_default", P)
+    check_basis_size(B, P)
+    return _student_procedure("dm_ewc", "ewc", B, cl, B)
+
+
+def procedure_wpe(P: int, m: int | None, cl: float) -> Procedure:
+    """:func:`dm_test_wpe_fb` at sample size ``P``."""
+    _check_level(cl)
+    if m is None:
+        m = bandwidth("wpe_default", P)
+    check_ordinate_count(m, P)
+    return _student_procedure("dm_wpe", "wpe", m, cl, 2 * m)
+
+
+def procedure_im(P: int, q: int, cl: float) -> Procedure:
+    """:func:`dm_test_im` at sample size ``P``."""
+    _check_level(cl)
+    im_partition(P, q)
+    return _student_procedure("dm_im", "block-means", q, cl, q - 1)
+
+
+def _studentize(means: np.ndarray, variance: np.ndarray, P: int) -> np.ndarray:
+    """sqrt(P) * mean / sqrt(variance) per row; NaN where the variance is nonpositive."""
+    return np.sqrt(P) * means / np.sqrt(np.where(variance > 0.0, variance, np.nan))
+
+
+def _block_means_rows(X: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    part = im_partition(X.shape[1], q)
+    starts = np.concatenate(([0], np.cumsum(part.block_sizes[:-1])))
+    means = np.add.reduceat(X, starts, axis=1) / np.asarray(part.block_sizes, dtype=float)
+    grand = means.mean(axis=1)
+    s2 = np.sum((means - grand[:, None]) ** 2, axis=1) / (q - 1)
+    stat = grand / np.sqrt(np.where(s2 > 0.0, s2, np.nan) / q)
+    return stat, s2
+
+
+def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Statistic and variance estimate of every procedure on every row of ``X``.
+
+    ``X`` holds one validated series per row, all of the length the
+    procedures were built for. Returns one (statistic, variance) pair of
+    arrays per procedure; the statistic is NaN on rows whose variance
+    estimate is nonpositive. The time-domain estimators share one
+    autocovariance array up to the largest lag any of them needs.
+    """
+    P = X.shape[1]
+    lags = [p.bandwidth if p.kernel == "rectangular" else p.bandwidth - 1
+            for p in procedures if p.kernel in ("rectangular", "bartlett")]
+    gamma = autocovariance_rows(X, max(lags)) if lags else None
+    means = X.mean(axis=1)
+    out = []
+    for p in procedures:
+        if p.kernel == "block-means":
+            out.append(_block_means_rows(X, p.bandwidth))
+            continue
+        if p.kernel == "rectangular":
+            variance = rectangular_rows(gamma, p.bandwidth + 1)
+        elif p.kernel == "bartlett":
+            variance = bartlett_rows(gamma, p.bandwidth)
+        elif p.kernel == "ewc":
+            variance = ewc_rows(X, p.bandwidth)
+        else:
+            variance = wpe_rows(X, p.bandwidth)
+        out.append((p.scale * _studentize(means, variance, P), variance))
+    return out
+
+
+def _one_row(procedure: Procedure, d: np.ndarray) -> TestOutcome:
+    """Run ``procedure`` on the single validated series ``d``."""
+    ((stat_row, variance_row),) = evaluate([procedure], d[None, :])
+    if not variance_row[0] > 0.0:
+        raise DegenerateVarianceError(procedure.kernel, procedure.bandwidth, float(variance_row[0]))
+    stat = float(stat_row[0])
+    pval = None
+    if procedure.reference == "normal":
+        pval = float(2.0 * stats.norm.sf(abs(stat)))
+    elif procedure.reference == "t":
+        pval = float(2.0 * stats.t.sf(abs(stat), procedure.df))
+    return TestOutcome(
+        method=procedure.method,
+        stat=stat,
+        rej=abs(stat) > procedure.critical_value,
+        cl=procedure.cl,
+        critical_value=procedure.critical_value,
+        pval=pval,
+        bandwidth=procedure.bandwidth,
+        df=procedure.df,
+    )
+
+
 def dm_statistic(d, lrv: LrvEstimate) -> float:
     """sqrt(P) * mean(d) / sqrt(lrv.value), the common studentized statistic.
 
@@ -96,36 +277,7 @@ def dm_statistic(d, lrv: LrvEstimate) -> float:
     d = as_loss_series(d)
     if lrv.value <= 0.0:
         raise DegenerateVarianceError(lrv.kernel, lrv.bandwidth, lrv.value)
-    return float(np.sqrt(d.size) * d.mean() / np.sqrt(lrv.value))
-
-
-def _normal_outcome(method: str, stat: float, cl: float, bw: int | None) -> TestOutcome:
-    pval = float(2.0 * stats.norm.sf(abs(stat)))
-    crit = float(stats.norm.ppf(1.0 - cl / 2.0))
-    return TestOutcome(
-        method=method,
-        stat=stat,
-        rej=abs(stat) > crit,
-        cl=cl,
-        critical_value=crit,
-        pval=pval,
-        bandwidth=bw,
-    )
-
-
-def _student_outcome(method: str, stat: float, cl: float, df: float, bw: int | None) -> TestOutcome:
-    pval = float(2.0 * stats.t.sf(abs(stat), df))
-    crit = float(stats.t.ppf(1.0 - cl / 2.0, df))
-    return TestOutcome(
-        method=method,
-        stat=stat,
-        rej=abs(stat) > crit,
-        cl=cl,
-        critical_value=crit,
-        pval=pval,
-        bandwidth=bw,
-        df=df,
-    )
+    return float(_studentize(np.array([d.mean()]), np.array([lrv.value]), d.size)[0])
 
 
 def dm_test_r(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
@@ -134,10 +286,8 @@ def dm_test_r(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
     For an h-step forecast the loss differential is treated as MA(h-1), so
     the variance sums the first h - 1 autocovariances with flat weights.
     """
-    _check_level(cl)
-    est = lrv_rectangular(d, h)
-    stat = dm_statistic(d, est)
-    return _normal_outcome("dm_r", stat, cl, est.bandwidth)
+    d = as_loss_series(d)
+    return _one_row(procedure_r(d.size, h, cl), d)
 
 
 def dm_test_m(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
@@ -147,26 +297,8 @@ def dm_test_m(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
     sqrt((P + 1 - 2h + h(h-1)/P) / P), which offsets the finite-sample bias
     of the truncated variance estimator under multi-step forecasting.
     """
-    _check_level(cl)
     d = as_loss_series(d)
-    P = d.size
-    factor_sq = (P + 1.0 - 2.0 * h + h * (h - 1.0) / P) / P
-    if factor_sq <= 0.0:
-        raise ValueError(
-            f"small-sample correction factor is nonpositive at P={P}, h={h}; "
-            "the horizon is too large for this sample"
-        )
-    est = lrv_rectangular(d, h)
-    stat = float(np.sqrt(factor_sq)) * dm_statistic(d, est)
-    return _student_outcome("dm_m", stat, cl, P - 1, est.bandwidth)
-
-
-def _resolve_lag_bandwidth(P: int, M: int | None, rule: str) -> int:
-    if M is None:
-        return bandwidth(rule, P)
-    if not 1 <= M <= P - 1:
-        raise ValueError(f"bandwidth must lie in [1, {P - 1}], got {M}")
-    return int(M)
+    return _one_row(procedure_m(d.size, h, cl), d)
 
 
 def dm_test_bt(d, M: int | None = None, rule: str = "nw1994", cl: float = 0.05) -> TestOutcome:
@@ -177,13 +309,8 @@ def dm_test_bt(d, M: int | None = None, rule: str = "nw1994", cl: float = 0.05) 
     labelled ``dm_nw_l`` when the wider ceil(1.3 sqrt(P)) rule is selected
     automatically, ``dm_nw`` otherwise.
     """
-    _check_level(cl)
     d = as_loss_series(d)
-    resolved = _resolve_lag_bandwidth(d.size, M, rule)
-    est = lrv_bartlett(d, resolved)
-    stat = dm_statistic(d, est)
-    method = "dm_nw_l" if (M is None and rule == "llsw") else "dm_nw"
-    return _normal_outcome(method, stat, cl, resolved)
+    return _one_row(procedure_bt(d.size, M, rule, cl), d)
 
 
 def fixed_b_critical_value(b: float) -> float:
@@ -206,24 +333,8 @@ def dm_test_bt_fb(d, M: int | None = None, rule: str = "llsw", cl: float = 0.05)
     size. Only the 5% level is tabulated; other levels raise
     :class:`UnsupportedLevelError`. No p-value is produced.
     """
-    if cl != 0.05:
-        raise UnsupportedLevelError(
-            f"fixed-b critical values are tabulated for cl=0.05 only, got cl={cl}"
-        )
     d = as_loss_series(d)
-    resolved = _resolve_lag_bandwidth(d.size, M, rule)
-    est = lrv_bartlett(d, resolved)
-    stat = dm_statistic(d, est)
-    crit = fixed_b_critical_value(resolved / d.size)
-    return TestOutcome(
-        method="dm_fb",
-        stat=stat,
-        rej=abs(stat) > crit,
-        cl=cl,
-        critical_value=crit,
-        pval=None,
-        bandwidth=resolved,
-    )
+    return _one_row(procedure_bt_fb(d.size, M, rule, cl), d)
 
 
 def dm_test_ewc_fb(d, B: int | None = None, cl: float = 0.05) -> TestOutcome:
@@ -234,16 +345,8 @@ def dm_test_ewc_fb(d, B: int | None = None, cl: float = 0.05) -> TestOutcome:
     statistic t-distributed with B degrees of freedom. Default
     B = floor(0.4 P^{2/3}).
     """
-    _check_level(cl)
     d = as_loss_series(d)
-    P = d.size
-    if B is None:
-        B = bandwidth("ewc_default", P)
-    elif not 1 <= B <= P - 1:
-        raise ValueError(f"number of basis functions must lie in [1, {P - 1}], got {B}")
-    est = lrv_ewc(d, B)
-    stat = dm_statistic(d, est)
-    return _student_outcome("dm_ewc", stat, cl, B, B)
+    return _one_row(procedure_ewc(d.size, B, cl), d)
 
 
 def dm_test_wpe_fb(d, m: int | None = None, cl: float = 0.05) -> TestOutcome:
@@ -252,16 +355,8 @@ def dm_test_wpe_fb(d, m: int | None = None, cl: float = 0.05) -> TestOutcome:
     Averaging m periodogram ordinates gives a variance estimate with 2m
     effective chi-squared degrees of freedom. Default m = floor(P^{1/3}).
     """
-    _check_level(cl)
     d = as_loss_series(d)
-    P = d.size
-    if m is None:
-        m = bandwidth("wpe_default", P)
-    elif not 1 <= m <= P // 2:
-        raise ValueError(f"number of ordinates must lie in [1, {P // 2}], got {m}")
-    est = lrv_wpe(d, m)
-    stat = dm_statistic(d, est)
-    return _student_outcome("dm_wpe", stat, cl, 2 * m, m)
+    return _one_row(procedure_wpe(d.size, m, cl), d)
 
 
 @dataclass(frozen=True)
@@ -296,14 +391,5 @@ def dm_test_im(d, q: int = 2, cl: float = 0.05) -> TestOutcome:
     t statistic with q - 1 degrees of freedom is applied. Exact under
     Gaussian independence for any q, robust to dependence for modest q.
     """
-    _check_level(cl)
     d = as_loss_series(d)
-    part = im_partition(d.size, q)
-    starts = np.concatenate(([0], np.cumsum(part.block_sizes[:-1])))
-    means = np.add.reduceat(d, starts) / np.asarray(part.block_sizes, dtype=float)
-    grand = means.mean()
-    s2 = float(np.sum((means - grand) ** 2) / (q - 1))
-    if s2 <= 0.0:
-        raise DegenerateVarianceError("block-means", q, s2)
-    stat = float(grand / np.sqrt(s2 / q))
-    return _student_outcome("dm_im", stat, cl, q - 1, q)
+    return _one_row(procedure_im(d.size, q, cl), d)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import as_loss_series, autocovariance, cosine_coefficient, periodogram
+from .series import (
+    as_loss_series,
+    autocovariance_rows,
+    cosine_coefficient_rows,
+    periodogram_rows,
+)
 
 __all__ = [
     "LrvEstimate",
@@ -90,6 +95,33 @@ def _make_estimate(value: float, kernel: str, bw: int) -> LrvEstimate:
     return LrvEstimate(value=value, kernel=kernel, bandwidth=bw, nonpositive=value <= 0.0)
 
 
+# Admissible bandwidths of each estimator at sample size P. Shared by the
+# estimators below and by the test procedures in dmtests, which check them
+# before any data is seen.
+
+
+def check_horizon(h: int, P: int) -> None:
+    if h < 1:
+        raise ValueError(f"forecast horizon must be at least 1, got {h}")
+    if h - 1 > P - 1:
+        raise ValueError(f"horizon {h} needs at least {h} observations, got {P}")
+
+
+def check_lag_bandwidth(M: int, P: int) -> None:
+    if not 1 <= M <= P - 1:
+        raise ValueError(f"bandwidth must lie in [1, {P - 1}], got {M}")
+
+
+def check_basis_size(B: int, P: int) -> None:
+    if not 1 <= B <= P - 1:
+        raise ValueError(f"number of basis functions must lie in [1, {P - 1}], got {B}")
+
+
+def check_ordinate_count(m: int, P: int) -> None:
+    if not 1 <= m <= P // 2:
+        raise ValueError(f"number of ordinates must lie in [1, {P // 2}], got {m}")
+
+
 def lrv_rectangular(d, h: int) -> LrvEstimate:
     """Truncated rectangular (flat-weight) estimator for an h-step loss differential.
 
@@ -98,12 +130,8 @@ def lrv_rectangular(d, h: int) -> LrvEstimate:
     come out nonpositive in finite samples; that is reported, not repaired.
     """
     d = as_loss_series(d)
-    if h < 1:
-        raise ValueError(f"forecast horizon must be at least 1, got {h}")
-    if h - 1 > d.size - 1:
-        raise ValueError(f"horizon {h} needs at least {h} observations, got {d.size}")
-    gamma = autocovariance(d, h - 1)
-    value = gamma[0] + 2.0 * np.sum(gamma[1:])
+    check_horizon(h, d.size)
+    value = rectangular_rows(autocovariance_rows(d[None, :], h - 1), h)[0]
     return _make_estimate(value, "rectangular", h - 1)
 
 
@@ -116,14 +144,8 @@ def lrv_bartlett(d, M: int) -> LrvEstimate:
     nonnegative up to rounding (tiny negative roundoff is clipped to zero).
     """
     d = as_loss_series(d)
-    P = d.size
-    if not 1 <= M <= P - 1:
-        raise ValueError(f"bandwidth must lie in [1, {P - 1}], got {M}")
-    gamma = autocovariance(d, M - 1)
-    lags = np.arange(1, M)
-    value = gamma[0] + 2.0 * np.sum((1.0 - lags / M) * gamma[1:])
-    if value < 0.0:
-        value = 0.0
+    check_lag_bandwidth(M, d.size)
+    value = bartlett_rows(autocovariance_rows(d[None, :], M - 1), M)[0]
     return _make_estimate(value, "bartlett", M)
 
 
@@ -135,11 +157,8 @@ def lrv_ewc(d, B: int) -> LrvEstimate:
     invariant to level shifts because the basis is orthogonal to constants.
     """
     d = as_loss_series(d)
-    P = d.size
-    if not 1 <= B <= P - 1:
-        raise ValueError(f"number of basis functions must lie in [1, {P - 1}], got {B}")
-    value = np.mean([cosine_coefficient(d, j) ** 2 for j in range(1, B + 1)])
-    return _make_estimate(value, "ewc", B)
+    check_basis_size(B, d.size)
+    return _make_estimate(ewc_rows(d[None, :], B)[0], "ewc", B)
 
 
 def lrv_wpe(d, m: int) -> LrvEstimate:
@@ -151,8 +170,29 @@ def lrv_wpe(d, m: int) -> LrvEstimate:
     ordinates at j >= 1 ignore the sample mean.
     """
     d = as_loss_series(d)
-    P = d.size
-    if not 1 <= m <= P // 2:
-        raise ValueError(f"number of ordinates must lie in [1, {P // 2}], got {m}")
-    value = (2.0 * np.pi / m) * np.sum([periodogram(d, j) for j in range(1, m + 1)])
-    return _make_estimate(value, "wpe", m)
+    check_ordinate_count(m, d.size)
+    return _make_estimate(wpe_rows(d[None, :], m)[0], "wpe", m)
+
+
+# Row kernels of the four estimators: one estimate per row of a 2-D input,
+# without validation. The time-domain ones read an autocovariance array
+# from series.autocovariance_rows holding at least lags 0..h-1 or 0..M-1,
+# so several bandwidths can share one array.
+
+
+def rectangular_rows(gamma: np.ndarray, h: int) -> np.ndarray:
+    return gamma[:, 0] + 2.0 * np.sum(gamma[:, 1:h], axis=1)
+
+
+def bartlett_rows(gamma: np.ndarray, M: int) -> np.ndarray:
+    lags = np.arange(1, M)
+    value = gamma[:, 0] + 2.0 * np.sum((1.0 - lags / M) * gamma[:, 1:M], axis=1)
+    return np.maximum(value, 0.0)
+
+
+def ewc_rows(X: np.ndarray, B: int) -> np.ndarray:
+    return np.mean(cosine_coefficient_rows(X, np.arange(1, B + 1)) ** 2, axis=1)
+
+
+def wpe_rows(X: np.ndarray, m: int) -> np.ndarray:
+    return (2.0 * np.pi / m) * np.sum(periodogram_rows(X, np.arange(1, m + 1)), axis=1)

@@ -18,19 +18,21 @@ size-corrected power can be computed against the matched null cell.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal
 
 from .dmtests import (
-    DegenerateVarianceError,
-    dm_test_bt,
-    dm_test_bt_fb,
-    dm_test_ewc_fb,
-    dm_test_im,
-    dm_test_m,
-    dm_test_r,
+    Procedure,
+    evaluate,
+    procedure_bt,
+    procedure_bt_fb,
+    procedure_ewc,
+    procedure_im,
+    procedure_m,
+    procedure_r,
 )
 
 __all__ = [
@@ -58,7 +60,7 @@ DEFAULT_R_SET = (25, 75, 125, 175)
 DEFAULT_P_SET = (25, 75, 125, 175, 1000)
 CR_BURN_IN = 10_000
 
-# Methods evaluated per replication. The periodogram test is a small-sample
+# Methods evaluated on every cell. The periodogram test is a small-sample
 # liability on short series and is excluded from the default battery.
 DEFAULT_METHODS = (
     "dm_r",
@@ -72,17 +74,26 @@ DEFAULT_METHODS = (
     "dm_im_q10",
 )
 
-_METHOD_RUNNERS = {
-    "dm_r": lambda d, h, cl: dm_test_r(d, h=h, cl=cl),
-    "dm_m": lambda d, h, cl: dm_test_m(d, h=h, cl=cl),
-    "dm_nw": lambda d, h, cl: dm_test_bt(d, cl=cl),
-    "dm_nw_l": lambda d, h, cl: dm_test_bt(d, rule="llsw", cl=cl),
-    "dm_fb": lambda d, h, cl: dm_test_bt_fb(d, cl=cl),
-    "dm_ewc": lambda d, h, cl: dm_test_ewc_fb(d, cl=cl),
-    "dm_im_q2": lambda d, h, cl: dm_test_im(d, q=2, cl=cl),
-    "dm_im_q5": lambda d, h, cl: dm_test_im(d, q=5, cl=cl),
-    "dm_im_q10": lambda d, h, cl: dm_test_im(d, q=10, cl=cl),
-}
+
+def _battery_procedure(method: str, P: int, h: int, cl: float) -> Procedure:
+    """The battery's test ``method`` for a cell of sample size P and horizon h."""
+    match method:
+        case "dm_r":
+            return procedure_r(P, h, cl)
+        case "dm_m":
+            return procedure_m(P, h, cl)
+        case "dm_nw":
+            return procedure_bt(P, None, "nw1994", cl)
+        case "dm_nw_l":
+            return procedure_bt(P, None, "llsw", cl)
+        case "dm_fb":
+            return procedure_bt_fb(P, None, "llsw", cl)
+        case "dm_ewc":
+            return procedure_ewc(P, None, cl)
+        case "dm_im_q2" | "dm_im_q5" | "dm_im_q10":
+            return procedure_im(P, int(method.removeprefix("dm_im_q")), cl)
+    raise ValueError(f"unknown method {method!r}")
+
 
 _FAMILY_CODES = {"ucr": 0, "cr": 1}
 
@@ -261,12 +272,33 @@ def _cell_key(spec: DgpSpec) -> tuple:
     return (spec.family, spec.R, spec.R_tilde, spec.h, spec.P)
 
 
+def _loss_differentials(spec: DgpSpec, n_reps: int, seed: int) -> np.ndarray:
+    """The cell's replications as an ``n_reps x P`` matrix, one loss differential per row.
+
+    Each row comes from its own stream keyed by (seed, family, h, R,
+    R_tilde, P, rep) and the family's one-replication simulator.
+    """
+    simulator = _SIMULATORS[spec.family]
+    famcode = _FAMILY_CODES[spec.family]
+    D = np.empty((n_reps, spec.P))
+    for rep in range(n_reps):
+        rng = np.random.default_rng(
+            [seed, famcode, spec.h, spec.R, spec.R_tilde, spec.P, rep]
+        )
+        target, f1, f2 = simulator(spec, rng)
+        e1 = target - f1
+        e2 = target - f2
+        D[rep] = e1 * e1 - e2 * e2
+    return D
+
+
 def run_experiment(
     specs,
     methods=DEFAULT_METHODS,
     n_reps: int = 5000,
     cl: float = 0.05,
     seed: int = 0,
+    progress: Callable[[int, int, DgpSpec], None] | None = None,
 ) -> ExperimentResult:
     """Run every method on ``n_reps`` replications of every cell in ``specs``.
 
@@ -274,12 +306,17 @@ def run_experiment(
     so each cell's draws are independent of which other cells are in the
     grid and of the method list; rerunning any subset reproduces the full
     run's numbers exactly.
+
+    Every argument, including each method's support for the level ``cl``
+    at each cell's sample size, is checked before anything is simulated.
+    ``progress``, if given, is called as ``progress(i, n_cells, spec)``
+    before the work of the i-th cell (1-based) starts.
     """
     specs = tuple(specs)
     methods = tuple(methods)
     for m in methods:
-        if m not in _METHOD_RUNNERS:
-            known = ", ".join(sorted(_METHOD_RUNNERS))
+        if m not in DEFAULT_METHODS:
+            known = ", ".join(sorted(DEFAULT_METHODS))
             raise ValueError(f"unknown method {m!r}; expected one of: {known}")
     if n_reps < 100:
         raise ValueError(
@@ -287,38 +324,30 @@ def run_experiment(
         )
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    # Reference distributions depend on the cell only through (P, h).
+    plans = {}
+    for spec in specs:
+        if (spec.P, spec.h) not in plans:
+            plans[spec.P, spec.h] = [
+                _battery_procedure(m, spec.P, spec.h, cl) for m in methods
+            ]
     result = ExperimentResult(
         n_reps=n_reps, cl=cl, seed=seed, methods=methods, specs=specs
     )
-    for spec in specs:
-        cell = _cell_key(spec)
-        simulator = _SIMULATORS[spec.family]
-        famcode = _FAMILY_CODES[spec.family]
-        stats_abs = {m: np.empty(n_reps) for m in methods}
-        rej_counts = dict.fromkeys(methods, 0)
-        degen = dict.fromkeys(methods, 0)
-        for rep in range(n_reps):
-            rng = np.random.default_rng(
-                [seed, famcode, spec.h, spec.R, spec.R_tilde, spec.P, rep]
+    for i, spec in enumerate(specs, start=1):
+        if progress is not None:
+            progress(i, len(specs), spec)
+        procedures = plans[spec.P, spec.h]
+        D = _loss_differentials(spec, n_reps, seed)
+        for m, proc, (stat, _) in zip(methods, procedures, evaluate(procedures, D)):
+            key = (m,) + _cell_key(spec)
+            degenerate = np.isnan(stat)
+            abs_stat = np.where(degenerate, 0.0, np.abs(stat))
+            result.rejection_rates[key] = (
+                np.count_nonzero(abs_stat > proc.critical_value) / n_reps
             )
-            target, f1, f2 = simulator(spec, rng)
-            e1 = target - f1
-            e2 = target - f2
-            d = e1 * e1 - e2 * e2
-            for m in methods:
-                try:
-                    out = _METHOD_RUNNERS[m](d, spec.h, cl)
-                except DegenerateVarianceError:
-                    stats_abs[m][rep] = 0.0
-                    degen[m] += 1
-                    continue
-                stats_abs[m][rep] = abs(out.stat)
-                rej_counts[m] += out.rej
-        for m in methods:
-            key = (m,) + cell
-            result.rejection_rates[key] = rej_counts[m] / n_reps
-            result.archives[key] = stats_abs[m]
-            result.degenerate_counts[key] = degen[m]
+            result.archives[key] = abs_stat
+            result.degenerate_counts[key] = int(np.count_nonzero(degenerate))
     return result
 
 

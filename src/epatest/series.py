@@ -81,11 +81,7 @@ def autocovariance(d, maxlag: int) -> np.ndarray:
     P = d.size
     if not 0 <= maxlag <= P - 1:
         raise ValueError(f"maxlag must lie in [0, {P - 1}], got {maxlag}")
-    x = d - d.mean()
-    gamma = np.empty(maxlag + 1)
-    for j in range(maxlag + 1):
-        gamma[j] = np.dot(x[: P - j], x[j:]) / P
-    return gamma
+    return autocovariance_rows(d[None, :], maxlag)[0]
 
 
 def periodogram(d, j: int) -> float:
@@ -99,10 +95,7 @@ def periodogram(d, j: int) -> float:
     P = d.size
     if not 1 <= j <= P // 2:
         raise ValueError(f"frequency index must lie in [1, {P // 2}], got {j}")
-    t = np.arange(1, P + 1)
-    lam = 2.0 * np.pi * j / P
-    z = np.sum(d * np.exp(-1j * lam * t))
-    return float(np.abs(z) ** 2 / (2.0 * np.pi * P))
+    return float(periodogram_rows(d[None, :], [j])[0, 0])
 
 
 def cosine_coefficient(d, j: int) -> float:
@@ -116,6 +109,44 @@ def cosine_coefficient(d, j: int) -> float:
     P = d.size
     if not 1 <= j <= P - 1:
         raise ValueError(f"basis index must lie in [1, {P - 1}], got {j}")
+    return float(cosine_coefficient_rows(d[None, :], [j])[0, 0])
+
+
+# Row kernels: each takes a 2-D array with one series per row and returns
+# one result row per series. They do no validation; the one-series
+# functions above check their input and call them on a single row.
+
+
+def autocovariance_rows(X: np.ndarray, maxlag: int) -> np.ndarray:
+    """Autocovariances at lags ``0..maxlag`` of every row of ``X``, shape (rows, maxlag + 1)."""
+    P = X.shape[1]
+    x = X - X.mean(axis=1, keepdims=True)
+    gamma = np.empty((X.shape[0], maxlag + 1))
+    for j in range(maxlag + 1):
+        gamma[:, j] = np.vecdot(x[:, : P - j], x[:, j:])
+    return gamma / P
+
+
+def periodogram_rows(X: np.ndarray, js) -> np.ndarray:
+    """Periodogram ordinates at the frequency indices ``js`` of every row of ``X``.
+
+    One real FFT per row; the transform's time origin at t = 0 instead of
+    t = 1 only rotates each coefficient's phase, so the modulus is the same.
+    """
+    P = X.shape[1]
+    z = np.fft.rfft(X, axis=1)[:, np.asarray(js)]
+    return np.abs(z) ** 2 / (2.0 * np.pi * P)
+
+
+def cosine_coefficient_rows(X: np.ndarray, js) -> np.ndarray:
+    """Type-II cosine coefficients at the basis indices ``js`` of every row of ``X``.
+
+    One product with the len(js) x P cosine basis, taken as a dot product
+    per (row, index) pair: a matrix product's summation order depends on
+    the number of rows, and a row's coefficients must not depend on which
+    other rows share the call.
+    """
+    P = X.shape[1]
     t = np.arange(1, P + 1)
-    basis = np.cos(np.pi * j * (t - 0.5) / P)
-    return float(np.sqrt(2.0 / P) * np.sum(d * basis))
+    basis = np.cos(np.pi * np.asarray(js)[:, None] * (t - 0.5) / P)
+    return np.sqrt(2.0 / P) * np.vecdot(X[:, None, :], basis)

@@ -23,8 +23,8 @@ from scipy import signal, stats
 
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
-from .dmtests import DegenerateVarianceError, dm_statistic, dm_test_bt_fb
-from .lrv import bandwidth, lrv_bartlett
+from .dmtests import dm_test_bt_fb, evaluate, procedure_bt_fb
+from .lrv import bandwidth
 from .mc import size_corrected_critical_value
 from .series import as_loss_series
 
@@ -165,6 +165,60 @@ def _null_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng([seed, rep])
 
 
+def _null_statistics(model: FittedArModel, P: int, grid, n_sim: int, seed: int):
+    """Fixed-b statistics at every bandwidth in ``grid`` on one set of null paths.
+
+    Simulates the ``n_sim`` null paths once, as rows of a matrix, and
+    evaluates the test at every bandwidth from one autocovariance array.
+    Returns the procedures and, per bandwidth, the (statistic, variance)
+    arrays over the paths; degenerate variance estimates give NaN
+    statistics (tallied in the debug log).
+    """
+    procedures = [procedure_bt_fb(P, M, "llsw", NOMINAL_LEVEL) for M in grid]
+    paths = np.stack([
+        simulate_from_model(model, P, 0.0, _null_rng(seed, rep)) for rep in range(n_sim)
+    ])
+    results = evaluate(procedures, paths)
+    for proc, (stat, _) in zip(procedures, results):
+        degenerate = np.count_nonzero(np.isnan(stat))
+        if degenerate:
+            logger.debug(
+                "fixed-b null statistics (P=%d, M=%d): %d of %d replications degenerate",
+                P, proc.bandwidth, degenerate, n_sim,
+            )
+    return procedures, results
+
+
+def _size_distortions(procedures, results, n_sim: int) -> list[float]:
+    return [
+        np.count_nonzero(np.abs(stat) > proc.critical_value) / n_sim - NOMINAL_LEVEL
+        for proc, (stat, _) in zip(procedures, results)
+    ]
+
+
+def _max_power_losses(model: FittedArModel, P: int, results, grid_size: int) -> list[float]:
+    sigma = math.sqrt(model.implied_lrv)
+    sqrt_p = math.sqrt(P)
+    z975 = float(stats.norm.ppf(0.975))
+    z99 = float(stats.norm.ppf(0.99))
+    delta_max = (z975 + z99) * sigma / sqrt_p
+    shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
+    envelope = np.array([oracle_power(model.implied_lrv, P, s) for s in shifts])
+    # Rows are bandwidths, columns replications; degenerate replications
+    # count as |statistic| = 0 under the null and never reject.
+    stat0 = np.array([stat for stat, _ in results])
+    variance = np.array([variance for _, variance in results])
+    sd = np.sqrt(np.where(variance > 0.0, variance, np.nan))
+    null_abs = np.where(np.isnan(stat0), 0.0, np.abs(stat0))
+    crit = np.array([size_corrected_critical_value(row) for row in null_abs])[:, None]
+    # Common random numbers: an alternative path is the null path plus the
+    # shift, and the Bartlett variance estimate is shift-invariant.
+    power = np.column_stack([
+        np.mean(np.abs(stat0 + sqrt_p * s / sd) > crit, axis=1) for s in shifts
+    ])
+    return [float(max(0.0, np.max(envelope - row))) for row in power]
+
+
 def size_distortion(
     model: FittedArModel, P: int, M: int, n_sim: int = 5000, seed: int = 0
 ) -> float:
@@ -173,24 +227,13 @@ def size_distortion(
     Simulates ``n_sim`` null paths from the fitted model and runs the
     actual test on each. Degenerate variance estimates count as
     non-rejections (and are tallied in the debug log). Positive values mean
-    the bandwidth leaves the test oversized in this fitted world.
+    the bandwidth leaves the test oversized in this fitted world. This is
+    the one-bandwidth case of :func:`build_tradeoff_curve`.
     """
     if n_sim < 1:
         raise ValueError(f"n_sim must be positive, got {n_sim}")
-    rejections = 0
-    degenerate = 0
-    for rep in range(n_sim):
-        path = simulate_from_model(model, P, 0.0, _null_rng(seed, rep))
-        try:
-            rejections += dm_test_bt_fb(path, M=M).rej
-        except DegenerateVarianceError:
-            degenerate += 1
-    if degenerate:
-        logger.debug(
-            "size_distortion(P=%d, M=%d): %d of %d replications degenerate",
-            P, M, degenerate, n_sim,
-        )
-    return rejections / n_sim - NOMINAL_LEVEL
+    procedures, results = _null_statistics(model, P, (M,), n_sim, seed)
+    return _size_distortions(procedures, results, n_sim)[0]
 
 
 def oracle_power(true_lrv: float, P: int, shift: float) -> float:
@@ -226,6 +269,7 @@ def max_power_loss(
     random numbers: an alternative path is the null path plus the shift,
     and the Bartlett variance estimate is shift-invariant). The reported
     loss is the largest oracle-minus-test gap on the grid, floored at zero.
+    This is the one-bandwidth case of :func:`build_tradeoff_curve`.
     """
     if n_sim < 1:
         raise ValueError(f"n_sim must be positive, got {n_sim}")
@@ -233,35 +277,8 @@ def max_power_loss(
         raise ValueError(f"grid_size must be positive, got {grid_size}")
     if model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
-    sigma = math.sqrt(model.implied_lrv)
-    sqrt_p = math.sqrt(P)
-    z975 = float(stats.norm.ppf(0.975))
-    z99 = float(stats.norm.ppf(0.99))
-    delta_max = (z975 + z99) * sigma / sqrt_p
-    shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
-    null_abs = np.empty(n_sim)
-    alt_abs = np.empty((n_sim, grid_size))
-    degenerate = 0
-    for rep in range(n_sim):
-        path = simulate_from_model(model, P, 0.0, _null_rng(seed, rep))
-        est = lrv_bartlett(path, M)
-        if est.value <= 0.0:
-            null_abs[rep] = 0.0
-            alt_abs[rep] = 0.0
-            degenerate += 1
-            continue
-        stat0 = dm_statistic(path, est)
-        null_abs[rep] = abs(stat0)
-        alt_abs[rep] = np.abs(stat0 + sqrt_p * shifts / math.sqrt(est.value))
-    if degenerate:
-        logger.debug(
-            "max_power_loss(P=%d, M=%d): %d of %d replications degenerate",
-            P, M, degenerate, n_sim,
-        )
-    crit = size_corrected_critical_value(null_abs)
-    corrected_power = np.mean(alt_abs > crit, axis=0)
-    envelope = np.array([oracle_power(model.implied_lrv, P, s) for s in shifts])
-    return float(max(0.0, np.max(envelope - corrected_power)))
+    _, results = _null_statistics(model, P, (M,), n_sim, seed)
+    return _max_power_losses(model, P, results, grid_size)[0]
 
 
 @dataclass(frozen=True)
@@ -315,12 +332,12 @@ def build_tradeoff_curve(
 
     ``forecast_data`` is a :class:`~epatest.data.ForecastDataset` (whose
     squared-error loss differential is the series under test) or a loss
-    differential directly. Fits the autoregressive model once, then for
-    every bandwidth in the grid computes the simulated size distortion, the
-    worst-case size-corrected power loss, and the test's actual decision on
-    the series. The same seed drives every bandwidth's replications, so
-    curves are deterministic given the config and smooth across adjacent
-    bandwidths.
+    differential directly. Fits the autoregressive model once and simulates
+    its null paths once, then for every bandwidth in the grid computes the
+    simulated size distortion, the worst-case size-corrected power loss, and
+    the test's actual decision on the series. Every bandwidth sees the same
+    replications, so curves are deterministic given the config and smooth
+    across adjacent bandwidths.
     """
     if config is None:
         config = TradeoffConfig()
@@ -341,16 +358,13 @@ def build_tradeoff_curve(
     for M in grid:
         if not 1 <= M <= P - 1:
             raise ValueError(f"bandwidth {M} outside [1, {P - 1}]")
-    points = []
-    for M in grid:
-        points.append(
-            TradeoffPoint(
-                M=M,
-                size_distortion=size_distortion(model, P, M, config.n_sim, config.seed),
-                max_power_loss=max_power_loss(
-                    model, P, M, config.n_sim, config.alternative_grid_size, config.seed
-                ),
-                rejected=dm_test_bt_fb(d, M=M).rej,
-            )
+    procedures, results = _null_statistics(model, P, grid, config.n_sim, config.seed)
+    return [
+        TradeoffPoint(M=M, size_distortion=sd, max_power_loss=loss,
+                      rejected=dm_test_bt_fb(d, M=M).rej)
+        for M, sd, loss in zip(
+            grid,
+            _size_distortions(procedures, results, config.n_sim),
+            _max_power_losses(model, P, results, config.alternative_grid_size),
         )
-    return points
+    ]

@@ -9,6 +9,14 @@ RGDP_SCHEMA_HINT = (
 )
 
 
+def _rgdp_location() -> Path:
+    """RGDP_CSV if set, else data/RGDP.csv under the repository root."""
+    env = os.environ.get("RGDP_CSV")
+    if env:
+        return Path(env)
+    return Path(__file__).resolve().parent.parent / "data" / "RGDP.csv"
+
+
 @pytest.fixture(scope="session")
 def rgdp_path():
     """Path to the external real-GDP dataset, or skip when it isn't available.
@@ -16,11 +24,7 @@ def rgdp_path():
     Looked up from the RGDP_CSV environment variable first, then from
     data/RGDP.csv under the repository root. The file is not bundled.
     """
-    env = os.environ.get("RGDP_CSV")
-    if env:
-        path = Path(env)
-    else:
-        path = Path(__file__).resolve().parent.parent / "data" / "RGDP.csv"
+    path = _rgdp_location()
     if not path.exists():
         pytest.skip(
             f"real-GDP dataset not found (set RGDP_CSV or add data/RGDP.csv): "
@@ -36,9 +40,5 @@ def rgdp_optional():
     For tests that mix an unconditional synthetic check with an extra
     real-data check that should only run when the file is present.
     """
-    env = os.environ.get("RGDP_CSV")
-    if env:
-        path = Path(env)
-    else:
-        path = Path(__file__).resolve().parent.parent / "data" / "RGDP.csv"
+    path = _rgdp_location()
     return path if path.exists() else None

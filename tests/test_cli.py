@@ -254,3 +254,25 @@ class TestMcCommand:
         )
         assert code == 1
         assert "unknown method" in err
+
+    def test_unsupported_level_fails_before_any_cell(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code, _, err = run(
+            ["mc", "--families", "ucr", "--h-set", "1", "--r-set", "25", "--rt-set", "25",
+             "--p-set", "25", "--methods", "dm_fb", "--cl", "0.1", "--n-reps", "100",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert "cl=0.05" in err
+        assert "[1/" not in err
+        assert not out_dir.exists()
+
+    def test_progress_line_per_cell(self, tmp_path, capsys):
+        code, _, err = run(self.ARGS + ["--out", str(tmp_path / "mc")], capsys)
+        assert code == 0
+        cells = [(R, Rt, P) for R in (25, 75) for Rt in (25, 75) for P in (25, 75)]
+        assert [ln for ln in err.splitlines() if ln.startswith("[")] == [
+            f"[{i}/8] family=ucr h=1 R={R} R_tilde={Rt} P={P}"
+            for i, (R, Rt, P) in enumerate(cells, start=1)
+        ]

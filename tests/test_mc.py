@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from epatest import mc
+from epatest.dmtests import UnsupportedLevelError
 from epatest.mc import (
     CR_BURN_IN,
     DEFAULT_H_SET,
@@ -171,6 +173,40 @@ class TestRunExperiment:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment([make_spec("ucr", 1, 25, 25, 25)], methods=("dm_x",), n_reps=100)
+
+    def test_arguments_checked_before_any_simulation(self, monkeypatch):
+        def fail(spec, rng):
+            raise AssertionError("simulated before the arguments were checked")
+
+        for family in ("ucr", "cr"):
+            monkeypatch.setitem(mc._SIMULATORS, family, fail)
+        cells = []
+        good = [make_spec("ucr", 1, 25, 25, 25), make_spec("cr", 3, 25, 25, 75)]
+
+        def run(specs=good, **kwargs):
+            return run_experiment(specs, progress=lambda *cell: cells.append(cell), **kwargs)
+
+        with pytest.raises(UnsupportedLevelError, match="cl=0.05"):
+            run(methods=("dm_r", "dm_fb"), n_reps=100, cl=0.10)
+        with pytest.raises(ValueError, match="significance level"):
+            run(methods=("dm_r",), n_reps=100, cl=1.5)
+        with pytest.raises(ValueError, match="unknown method"):
+            run(methods=("dm_r", "dm_x"), n_reps=100)
+        with pytest.raises(ValueError, match="100"):
+            run(n_reps=99)
+        with pytest.raises(ValueError, match="seed"):
+            run(n_reps=100, seed=-1)
+        # only the last cell's horizon is too long for its sample
+        with pytest.raises(ValueError, match="horizon 30"):
+            run(good + [make_spec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
+        assert cells == []
+
+    def test_progress_reports_each_cell(self):
+        specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("ucr", 1, 75, 25, 25)]
+        seen = []
+        run_experiment(specs, methods=("dm_r",), n_reps=100,
+                       progress=lambda *call: seen.append(call))
+        assert seen == [(1, 2, specs[0]), (2, 2, specs[1])]
 
     def test_bartlett_labels_share_statistics(self):
         # the llsw-rule Bartlett test and its fixed-b twin differ only in

@@ -251,3 +251,52 @@ class TestBuildTradeoffCurve:
     def test_degenerate_series(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_tradeoff_curve(np.zeros(50), TradeoffConfig(n_sim=100))
+
+
+class TestPinnedCurve:
+    """The demo AR(1) curve as the per-bandwidth implementation produced it.
+
+    Rejection counts must match exactly; power losses are counts over the
+    simulated replications too, so they are pinned to rounding only.
+    """
+
+    P = 96
+    N_SIM = 200
+    # (M, null rejections out of N_SIM, max power loss, rejects on the data)
+    PINNED = (
+        (1, 69, 0.05451127802038158, True),
+        (2, 40, 0.04951127802038158, True),
+        (3, 35, 0.059511278020381586, True),
+        (4, 27, 0.059511278020381586, True),
+        (5, 24, 0.049675532693731594, True),
+        (6, 22, 0.04951127802038158, True),
+        (7, 21, 0.059511278020381586, True),
+        (8, 21, 0.06467553269373161, True),
+        (9, 20, 0.0795112780203816, True),
+        (10, 20, 0.08451127802038161, True),
+    )
+
+    def _series(self):
+        # the loss differential of demos/bandwidth_tradeoff.py
+        eps = np.random.default_rng(9).standard_normal(500 + self.P)
+        return signal.lfilter([1.0], [1.0, -0.6], eps)[500:] * 0.8 + 0.18
+
+    def test_curve_matches_pinned_values(self):
+        cfg = TradeoffConfig(bandwidth_grid=tuple(range(1, 11)), n_sim=self.N_SIM, seed=0)
+        curve = build_tradeoff_curve(self._series(), cfg)
+        assert [p.M for p in curve] == [row[0] for row in self.PINNED]
+        for p, (M, rejections, loss, rejected) in zip(curve, self.PINNED):
+            assert round((p.size_distortion + 0.05) * self.N_SIM) == rejections, M
+            assert p.size_distortion == pytest.approx(rejections / self.N_SIM - 0.05, abs=1e-15)
+            assert p.max_power_loss == pytest.approx(loss, rel=1e-9), M
+            assert p.rejected is rejected
+
+    def test_one_bandwidth_functions_agree_with_the_curve(self):
+        d = self._series()
+        model = fit_ar(d)
+        cfg = TradeoffConfig(bandwidth_grid=(1, 4, 10), n_sim=self.N_SIM, seed=0)
+        for point in build_tradeoff_curve(d, cfg):
+            assert size_distortion(model, self.P, point.M, self.N_SIM, 0) == point.size_distortion
+            assert max_power_loss(model, self.P, point.M, self.N_SIM, seed=0) == pytest.approx(
+                point.max_power_loss, rel=1e-9
+            )
