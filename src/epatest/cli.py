@@ -27,15 +27,12 @@ import numpy as np
 from . import __version__
 from .data import CsvParseError, load_csv, loss_series
 from .dmtests import (
+    METHODS,
     DegenerateVarianceError,
+    TestOutcome,
     UnsupportedLevelError,
-    dm_test_bt,
-    dm_test_bt_fb,
-    dm_test_ewc_fb,
-    dm_test_im,
-    dm_test_m,
-    dm_test_r,
-    dm_test_wpe_fb,
+    outcomes,
+    procedure,
 )
 from .lrv import bandwidth
 from .mc import (
@@ -47,9 +44,6 @@ from .mc import (
 from .tradeoff import TradeoffConfig, build_tradeoff_curve
 
 __all__ = ["main", "build_parser"]
-
-TEST_CHOICES = ("dm_r", "dm_m", "dm_nw", "dm_nw_l", "dm_fb", "dm_ewc", "dm_wpe", "dm_im")
-
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="CSV file with forecasts and realizations")
@@ -84,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run equal-predictive-ability tests on CSV data")
     _add_data_arguments(p_test)
-    p_test.add_argument("--method", choices=TEST_CHOICES + ("all",), default="all",
+    p_test.add_argument("--method", choices=(*METHODS, "all"), default="all",
                         help="which test to run (default: all)")
     p_test.add_argument("--h", type=int, default=1, help="forecast horizon (default 1)")
     p_test.add_argument("--cl", type=float, default=0.05, help="significance level (default 0.05)")
@@ -178,54 +172,42 @@ def _manifest(command: str, parameters: dict, seed) -> dict:
     }
 
 
-def _run_named_test(name: str, d: np.ndarray, args):
-    if name == "dm_r":
-        return dm_test_r(d, h=args.h, cl=args.cl)
-    if name == "dm_m":
-        return dm_test_m(d, h=args.h, cl=args.cl)
-    if name == "dm_nw":
-        return dm_test_bt(d, M=args.M, cl=args.cl)
-    if name == "dm_nw_l":
-        return dm_test_bt(d, rule="llsw", cl=args.cl)
-    if name == "dm_fb":
-        return dm_test_bt_fb(d, M=args.M, cl=args.cl)
-    if name == "dm_ewc":
-        return dm_test_ewc_fb(d, B=args.B, cl=args.cl)
-    if name == "dm_wpe":
-        return dm_test_wpe_fb(d, m=args.m, cl=args.cl)
-    if name == "dm_im":
-        return dm_test_im(d, q=args.q, cl=args.cl)
-    raise ValueError(f"unknown method {name!r}")
-
-
-def _outcome_record(outcome) -> dict:
+def _outcome_record(proc, outcome) -> dict:
+    """One method's JSON record; a degenerate method has no ``stat``, ``pval`` or ``rej``."""
+    ok = isinstance(outcome, TestOutcome)
     return {
-        "method": outcome.method,
-        "stat": outcome.stat,
-        "pval": outcome.pval,
-        "rej": outcome.rej,
-        "cl": outcome.cl,
-        "critical_value": outcome.critical_value,
-        "bandwidth": outcome.bandwidth,
-        "df": outcome.df,
+        "method": proc.method,
+        "stat": outcome.stat if ok else None,
+        "pval": outcome.pval if ok else None,
+        "rej": outcome.rej if ok else None,
+        "cl": proc.cl,
+        "critical_value": proc.critical_value,
+        "bandwidth": proc.bandwidth,
+        "df": proc.df,
     }
 
 
 def cmd_test(args) -> int:
     d = _load_series(args)
-    names = TEST_CHOICES if args.method == "all" else (args.method,)
-    outcomes = [_run_named_test(name, d, args) for name in names]
+    names = tuple(METHODS) if args.method == "all" else (args.method,)
+    procedures = [
+        procedure(name, d.size, args.h, args.cl,
+                  getattr(args, METHODS[name].param) if METHODS[name].param else None)
+        for name in names
+    ]
+    results = outcomes(procedures, d, strict=False)
     print(f"n = {d.size} loss-differential observations")
     header = (f"{'method':<8} {'statistic':>10} {'critical':>9} {'p-value':>8} "
               f"{'bandwidth':>9} {'df':>4}  reject@{args.cl:g}")
     print(header)
     print("-" * len(header))
-    for o in outcomes:
-        pval = f"{o.pval:8.4f}" if o.pval is not None else f"{'-':>8}"
-        df = f"{o.df:4.0f}" if o.df is not None else f"{'-':>4}"
-        bw = f"{o.bandwidth:9d}" if o.bandwidth is not None else f"{'-':>9}"
-        print(f"{o.method:<8} {o.stat:10.4f} {o.critical_value:9.4f} {pval} "
-              f"{bw} {df}  {'yes' if o.rej else 'no'}")
+    for p, r in zip(procedures, results):
+        ok = isinstance(r, TestOutcome)
+        stat = f"{r.stat:10.4f}" if ok else f"{'degenerate':>10}"
+        pval = f"{r.pval:8.4f}" if ok and r.pval is not None else f"{'-':>8}"
+        df = f"{p.df:4.0f}" if p.df is not None else f"{'-':>4}"
+        rej = ("yes" if r.rej else "no") if ok else "-"
+        print(f"{p.method:<8} {stat} {p.critical_value:9.4f} {pval} {p.bandwidth:9d} {df}  {rej}")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,11 +218,14 @@ def cmd_test(args) -> int:
             seed=None,
         )
         payload["n_obs"] = int(d.size)
-        payload["results"] = [_outcome_record(o) for o in outcomes]
+        payload["results"] = [_outcome_record(p, r) for p, r in zip(procedures, results)]
         target = out_dir / "test_results.json"
         target.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {target}", file=sys.stderr)
-    return 0
+    degenerate = [r for r in results if isinstance(r, DegenerateVarianceError)]
+    for exc in degenerate:
+        print(f"warning: {exc}", file=sys.stderr)
+    return 3 if degenerate else 0
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:

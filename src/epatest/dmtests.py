@@ -11,6 +11,7 @@ Every test is two-sided.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from scipy import stats
 
 from .lrv import (
     LrvEstimate,
-    bandwidth,
     bartlett_rows,
     check_basis_size,
     check_horizon,
@@ -28,6 +28,7 @@ from .lrv import (
     rectangular_rows,
     wpe_rows,
 )
+from .lrv import bandwidth as rule_bandwidth
 from .series import as_loss_series, autocovariance_rows
 
 __all__ = [
@@ -86,19 +87,14 @@ class TestOutcome:
     df: float | None = None
 
 
-def _check_level(cl: float) -> None:
-    if not 0.0 < cl < 1.0:
-        raise ValueError(f"significance level must lie in (0, 1), got {cl}")
-
-
 @dataclass(frozen=True)
 class Procedure:
     """One test at one sample size and level: everything that does not depend on the data.
 
-    Building a procedure checks the test's arguments and evaluates its
-    reference distribution once; :func:`evaluate` then applies it to any
-    number of series of that length. ``kernel`` names the variance
-    estimator (``rectangular``, ``bartlett``, ``ewc``, ``wpe`` or
+    Built by :func:`procedure`, which checks the test's arguments and
+    evaluates its reference distribution once; :func:`evaluate` then
+    applies it to any number of series of that length. ``kernel`` names the
+    variance estimator (``rectangular``, ``bartlett``, ``ewc``, ``wpe`` or
     ``block-means``) and ``bandwidth`` its size (h - 1, M, B, m or q).
     ``reference`` is ``normal``, ``t`` (with ``df``) or ``fixed-b``, which
     has no p-value. ``scale`` multiplies the statistic.
@@ -114,89 +110,99 @@ class Procedure:
     scale: float = 1.0
 
 
-def _normal_procedure(method: str, kernel: str, bw: int, cl: float) -> Procedure:
-    crit = float(stats.norm.ppf(1.0 - cl / 2.0))
-    return Procedure(method, kernel, bw, cl, crit, "normal")
+@dataclass(frozen=True)
+class Method:
+    """One entry of the battery: how a label becomes a :class:`Procedure`.
+
+    ``kernel`` is the variance estimator. ``param`` names the argument that
+    sets its bandwidth (``M``, ``B``, ``m`` or ``q``; None when the label
+    fixes it), and ``default`` gives the bandwidth when that argument is
+    absent: a rule of :data:`epatest.lrv.BANDWIDTH_RULES`, a fixed count,
+    or None for the horizon's h - 1 lags. ``reference`` is ``normal``,
+    ``t`` with ``df(P, bandwidth)`` degrees of freedom, or ``fixed-b``.
+    ``scale(P, h)``, when given, multiplies the statistic.
+    """
+
+    kernel: str
+    param: str | None
+    default: str | int | None
+    reference: str
+    df: Callable[[int, int], float] | None = None
+    scale: Callable[[int, int], float] | None = None
 
 
-def _student_procedure(
-    method: str, kernel: str, bw: int, cl: float, df, scale: float = 1.0
-) -> Procedure:
-    crit = float(stats.t.ppf(1.0 - cl / 2.0, df))
-    return Procedure(method, kernel, bw, cl, crit, "t", df, scale)
-
-
-def procedure_r(P: int, h: int, cl: float) -> Procedure:
-    """:func:`dm_test_r` at sample size ``P``."""
-    _check_level(cl)
-    check_horizon(h, P)
-    return _normal_procedure("dm_r", "rectangular", h - 1, cl)
-
-
-def procedure_m(P: int, h: int, cl: float) -> Procedure:
-    """:func:`dm_test_m` at sample size ``P``."""
-    _check_level(cl)
+def _small_sample_factor(P: int, h: int) -> float:
     factor_sq = (P + 1.0 - 2.0 * h + h * (h - 1.0) / P) / P
     if factor_sq <= 0.0:
         raise ValueError(
             f"small-sample correction factor is nonpositive at P={P}, h={h}; "
             "the horizon is too large for this sample"
         )
-    check_horizon(h, P)
-    return _student_procedure(
-        "dm_m", "rectangular", h - 1, cl, P - 1, scale=float(np.sqrt(factor_sq))
-    )
+    return float(np.sqrt(factor_sq))
 
 
-def _resolve_lag_bandwidth(P: int, M: int | None, rule: str) -> int:
-    if M is None:
-        return bandwidth(rule, P)
-    check_lag_bandwidth(M, P)
-    return int(M)
+# The battery, in the order ``epatest test --method all`` reports it.
+METHODS = {
+    "dm_r": Method("rectangular", None, None, "normal"),
+    "dm_m": Method("rectangular", None, None, "t", lambda P, lags: P - 1, _small_sample_factor),
+    "dm_nw": Method("bartlett", "M", "nw1994", "normal"),
+    "dm_nw_l": Method("bartlett", None, "llsw", "normal"),
+    "dm_fb": Method("bartlett", "M", "llsw", "fixed-b"),
+    "dm_ewc": Method("ewc", "B", "ewc_default", "t", lambda P, B: B),
+    "dm_wpe": Method("wpe", "m", "wpe_default", "t", lambda P, m: 2 * m),
+    "dm_im": Method("block-means", "q", 2, "t", lambda P, q: q - 1),
+}
+
+# Admissible bandwidths of each variance estimator, checked as (bandwidth, P).
+_BANDWIDTH_CHECKS = {
+    "rectangular": lambda lags, P: check_horizon(lags + 1, P),
+    "bartlett": check_lag_bandwidth,
+    "ewc": check_basis_size,
+    "wpe": check_ordinate_count,
+    "block-means": lambda q, P: im_partition(P, q),
+}
 
 
-def procedure_bt(P: int, M: int | None, rule: str, cl: float) -> Procedure:
-    """:func:`dm_test_bt` at sample size ``P``."""
-    _check_level(cl)
-    resolved = _resolve_lag_bandwidth(P, M, rule)
-    method = "dm_nw_l" if (M is None and rule == "llsw") else "dm_nw"
-    return _normal_procedure(method, "bartlett", resolved, cl)
+def procedure(
+    label: str, P: int, h: int, cl: float, bandwidth: int | None = None, rule: str | None = None
+) -> Procedure:
+    """The test ``label`` at sample size ``P``, horizon ``h`` and level ``cl``.
 
-
-def procedure_bt_fb(P: int, M: int | None, rule: str, cl: float) -> Procedure:
-    """:func:`dm_test_bt_fb` at sample size ``P``."""
-    if cl != 0.05:
-        raise UnsupportedLevelError(
-            f"fixed-b critical values are tabulated for cl=0.05 only, got cl={cl}"
-        )
-    resolved = _resolve_lag_bandwidth(P, M, rule)
-    crit = fixed_b_critical_value(resolved / P)
-    return Procedure("dm_fb", "bartlett", resolved, cl, crit, "fixed-b")
-
-
-def procedure_ewc(P: int, B: int | None, cl: float) -> Procedure:
-    """:func:`dm_test_ewc_fb` at sample size ``P``."""
-    _check_level(cl)
-    if B is None:
-        B = bandwidth("ewc_default", P)
-    check_basis_size(B, P)
-    return _student_procedure("dm_ewc", "ewc", B, cl, B)
-
-
-def procedure_wpe(P: int, m: int | None, cl: float) -> Procedure:
-    """:func:`dm_test_wpe_fb` at sample size ``P``."""
-    _check_level(cl)
-    if m is None:
-        m = bandwidth("wpe_default", P)
-    check_ordinate_count(m, P)
-    return _student_procedure("dm_wpe", "wpe", m, cl, 2 * m)
-
-
-def procedure_im(P: int, q: int, cl: float) -> Procedure:
-    """:func:`dm_test_im` at sample size ``P``."""
-    _check_level(cl)
-    im_partition(P, q)
-    return _student_procedure("dm_im", "block-means", q, cl, q - 1)
+    ``label`` is a key of :data:`METHODS`, or ``dm_im_q<q>`` for the block
+    test with q blocks. ``bandwidth`` overrides the entry's default and
+    ``rule`` its bandwidth rule. Every argument is checked here, before any
+    data is seen; only the rectangular-kernel tests read ``h``.
+    """
+    blocks = label.removeprefix("dm_im_q")
+    if blocks != label and blocks.isdigit():
+        label, bandwidth = "dm_im", int(blocks)
+    if label not in METHODS:
+        raise ValueError(f"unknown method {label!r}; expected one of: {', '.join(METHODS)}")
+    method = METHODS[label]
+    if method.reference == "fixed-b":
+        if cl != 0.05:
+            raise UnsupportedLevelError(
+                f"fixed-b critical values are tabulated for cl=0.05 only, got cl={cl}"
+            )
+    elif not 0.0 < cl < 1.0:
+        raise ValueError(f"significance level must lie in (0, 1), got {cl}")
+    scale = 1.0 if method.scale is None else method.scale(P, h)
+    if bandwidth is None:
+        default = rule or method.default
+        if isinstance(default, str):
+            default = rule_bandwidth(default, P)
+        bandwidth = h - 1 if default is None else default
+    _BANDWIDTH_CHECKS[method.kernel](bandwidth, P)
+    bandwidth = int(bandwidth)
+    df = None
+    if method.reference == "normal":
+        crit = float(stats.norm.ppf(1.0 - cl / 2.0))
+    elif method.reference == "t":
+        df = method.df(P, bandwidth)
+        crit = float(stats.t.ppf(1.0 - cl / 2.0, df))
+    else:
+        crit = fixed_b_critical_value(bandwidth / P)
+    return Procedure(label, method.kernel, bandwidth, cl, crit, method.reference, df, scale)
 
 
 def _studentize(means: np.ndarray, variance: np.ndarray, P: int) -> np.ndarray:
@@ -245,27 +251,37 @@ def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _one_row(procedure: Procedure, d: np.ndarray) -> TestOutcome:
-    """Run ``procedure`` on the single validated series ``d``."""
-    ((stat_row, variance_row),) = evaluate([procedure], d[None, :])
-    if not variance_row[0] > 0.0:
-        raise DegenerateVarianceError(procedure.kernel, procedure.bandwidth, float(variance_row[0]))
-    stat = float(stat_row[0])
-    pval = None
-    if procedure.reference == "normal":
-        pval = float(2.0 * stats.norm.sf(abs(stat)))
-    elif procedure.reference == "t":
-        pval = float(2.0 * stats.t.sf(abs(stat), procedure.df))
-    return TestOutcome(
-        method=procedure.method,
-        stat=stat,
-        rej=abs(stat) > procedure.critical_value,
-        cl=procedure.cl,
-        critical_value=procedure.critical_value,
-        pval=pval,
-        bandwidth=procedure.bandwidth,
-        df=procedure.df,
-    )
+def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
+    """Every procedure on the single validated series ``d``: the one-row case of :func:`evaluate`.
+
+    A nonpositive variance estimate raises :class:`DegenerateVarianceError`;
+    with ``strict=False`` the error stands unraised in that procedure's place
+    instead, so one degenerate estimator leaves the other outcomes intact.
+    """
+    results = []
+    for p, (stat_row, variance_row) in zip(procedures, evaluate(procedures, d[None, :])):
+        if not variance_row[0] > 0.0:
+            error = DegenerateVarianceError(p.kernel, p.bandwidth, float(variance_row[0]))
+            if strict:
+                raise error
+            results.append(error)
+            continue
+        stat = float(stat_row[0])
+        pval = None
+        if p.reference == "normal":
+            pval = float(2.0 * stats.norm.sf(abs(stat)))
+        elif p.reference == "t":
+            pval = float(2.0 * stats.t.sf(abs(stat), p.df))
+        rej = abs(stat) > p.critical_value
+        results.append(
+            TestOutcome(p.method, stat, rej, p.cl, p.critical_value, pval, p.bandwidth, p.df)
+        )
+    return results
+
+
+def _one_row(label: str, d, h=1, cl=0.05, bandwidth=None, rule=None) -> TestOutcome:
+    d = as_loss_series(d)
+    return outcomes([procedure(label, d.size, h, cl, bandwidth, rule)], d)[0]
 
 
 def dm_statistic(d, lrv: LrvEstimate) -> float:
@@ -286,8 +302,7 @@ def dm_test_r(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
     For an h-step forecast the loss differential is treated as MA(h-1), so
     the variance sums the first h - 1 autocovariances with flat weights.
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_r(d.size, h, cl), d)
+    return _one_row("dm_r", d, h, cl)
 
 
 def dm_test_m(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
@@ -297,8 +312,7 @@ def dm_test_m(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
     sqrt((P + 1 - 2h + h(h-1)/P) / P), which offsets the finite-sample bias
     of the truncated variance estimator under multi-step forecasting.
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_m(d.size, h, cl), d)
+    return _one_row("dm_m", d, h, cl)
 
 
 def dm_test_bt(d, M: int | None = None, rule: str = "nw1994", cl: float = 0.05) -> TestOutcome:
@@ -309,8 +323,8 @@ def dm_test_bt(d, M: int | None = None, rule: str = "nw1994", cl: float = 0.05) 
     labelled ``dm_nw_l`` when the wider ceil(1.3 sqrt(P)) rule is selected
     automatically, ``dm_nw`` otherwise.
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_bt(d.size, M, rule, cl), d)
+    label = "dm_nw_l" if (M is None and rule == "llsw") else "dm_nw"
+    return _one_row(label, d, cl=cl, bandwidth=M, rule=rule)
 
 
 def fixed_b_critical_value(b: float) -> float:
@@ -333,8 +347,7 @@ def dm_test_bt_fb(d, M: int | None = None, rule: str = "llsw", cl: float = 0.05)
     size. Only the 5% level is tabulated; other levels raise
     :class:`UnsupportedLevelError`. No p-value is produced.
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_bt_fb(d.size, M, rule, cl), d)
+    return _one_row("dm_fb", d, cl=cl, bandwidth=M, rule=rule)
 
 
 def dm_test_ewc_fb(d, B: int | None = None, cl: float = 0.05) -> TestOutcome:
@@ -345,8 +358,7 @@ def dm_test_ewc_fb(d, B: int | None = None, cl: float = 0.05) -> TestOutcome:
     statistic t-distributed with B degrees of freedom. Default
     B = floor(0.4 P^{2/3}).
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_ewc(d.size, B, cl), d)
+    return _one_row("dm_ewc", d, cl=cl, bandwidth=B)
 
 
 def dm_test_wpe_fb(d, m: int | None = None, cl: float = 0.05) -> TestOutcome:
@@ -355,8 +367,7 @@ def dm_test_wpe_fb(d, m: int | None = None, cl: float = 0.05) -> TestOutcome:
     Averaging m periodogram ordinates gives a variance estimate with 2m
     effective chi-squared degrees of freedom. Default m = floor(P^{1/3}).
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_wpe(d.size, m, cl), d)
+    return _one_row("dm_wpe", d, cl=cl, bandwidth=m)
 
 
 @dataclass(frozen=True)
@@ -391,5 +402,4 @@ def dm_test_im(d, q: int = 2, cl: float = 0.05) -> TestOutcome:
     t statistic with q - 1 degrees of freedom is applied. Exact under
     Gaussian independence for any q, robust to dependence for modest q.
     """
-    d = as_loss_series(d)
-    return _one_row(procedure_im(d.size, q, cl), d)
+    return _one_row("dm_im", d, cl=cl, bandwidth=q)

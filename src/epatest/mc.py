@@ -24,16 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal
 
-from .dmtests import (
-    Procedure,
-    evaluate,
-    procedure_bt,
-    procedure_bt_fb,
-    procedure_ewc,
-    procedure_im,
-    procedure_m,
-    procedure_r,
-)
+from .dmtests import evaluate, procedure
 
 __all__ = [
     "DgpSpec",
@@ -60,8 +51,8 @@ DEFAULT_R_SET = (25, 75, 125, 175)
 DEFAULT_P_SET = (25, 75, 125, 175, 1000)
 CR_BURN_IN = 10_000
 
-# Methods evaluated on every cell. The periodogram test is a small-sample
-# liability on short series and is excluded from the default battery.
+# Methods evaluated on every cell, as dmtests.procedure labels (dm_im_q<q> is the
+# block test with q blocks); dm_wpe, a small-sample liability, is left out.
 DEFAULT_METHODS = (
     "dm_r",
     "dm_m",
@@ -73,27 +64,6 @@ DEFAULT_METHODS = (
     "dm_im_q5",
     "dm_im_q10",
 )
-
-
-def _battery_procedure(method: str, P: int, h: int, cl: float) -> Procedure:
-    """The battery's test ``method`` for a cell of sample size P and horizon h."""
-    match method:
-        case "dm_r":
-            return procedure_r(P, h, cl)
-        case "dm_m":
-            return procedure_m(P, h, cl)
-        case "dm_nw":
-            return procedure_bt(P, None, "nw1994", cl)
-        case "dm_nw_l":
-            return procedure_bt(P, None, "llsw", cl)
-        case "dm_fb":
-            return procedure_bt_fb(P, None, "llsw", cl)
-        case "dm_ewc":
-            return procedure_ewc(P, None, cl)
-        case "dm_im_q2" | "dm_im_q5" | "dm_im_q10":
-            return procedure_im(P, int(method.removeprefix("dm_im_q")), cl)
-    raise ValueError(f"unknown method {method!r}")
-
 
 _FAMILY_CODES = {"ucr": 0, "cr": 1}
 
@@ -314,10 +284,12 @@ def run_experiment(
     """
     specs = tuple(specs)
     methods = tuple(methods)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in DEFAULT_METHODS:
             known = ", ".join(sorted(DEFAULT_METHODS))
             raise ValueError(f"unknown method {m!r}; expected one of: {known}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed more than once")
     if n_reps < 100:
         raise ValueError(
             f"rejection rates need at least 100 replications, got {n_reps}"
@@ -328,9 +300,7 @@ def run_experiment(
     plans = {}
     for spec in specs:
         if (spec.P, spec.h) not in plans:
-            plans[spec.P, spec.h] = [
-                _battery_procedure(m, spec.P, spec.h, cl) for m in methods
-            ]
+            plans[spec.P, spec.h] = [procedure(m, spec.P, spec.h, cl) for m in methods]
     result = ExperimentResult(
         n_reps=n_reps, cl=cl, seed=seed, methods=methods, specs=specs
     )

@@ -23,7 +23,7 @@ from scipy import signal, stats
 
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
-from .dmtests import dm_test_bt_fb, evaluate, procedure_bt_fb
+from .dmtests import evaluate, outcomes, procedure
 from .lrv import bandwidth
 from .mc import size_corrected_critical_value
 from .series import as_loss_series
@@ -174,7 +174,7 @@ def _null_statistics(model: FittedArModel, P: int, grid, n_sim: int, seed: int):
     arrays over the paths; degenerate variance estimates give NaN
     statistics (tallied in the debug log).
     """
-    procedures = [procedure_bt_fb(P, M, "llsw", NOMINAL_LEVEL) for M in grid]
+    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
     paths = np.stack([
         simulate_from_model(model, P, 0.0, _null_rng(seed, rep)) for rep in range(n_sim)
     ])
@@ -348,23 +348,25 @@ def build_tradeoff_curve(
     P = d.size
     if P < 10:
         raise ValueError(f"need at least 10 observations for the diagnostic, got {P}")
-    model = fit_ar(d, config.max_ar_order)
-    if model.innovation_variance <= 0.0:
-        raise ValueError("fitted innovation variance is zero; series is degenerate")
     grid = config.bandwidth_grid
     if grid is None:
         grid = default_bandwidth_grid(P)
     grid = tuple(int(M) for M in grid)
+    if not grid:
+        raise ValueError("bandwidth grid is empty")
     for M in grid:
         if not 1 <= M <= P - 1:
             raise ValueError(f"bandwidth {M} outside [1, {P - 1}]")
+    model = fit_ar(d, config.max_ar_order)
+    if model.innovation_variance <= 0.0:
+        raise ValueError("fitted innovation variance is zero; series is degenerate")
     procedures, results = _null_statistics(model, P, grid, config.n_sim, config.seed)
     return [
-        TradeoffPoint(M=M, size_distortion=sd, max_power_loss=loss,
-                      rejected=dm_test_bt_fb(d, M=M).rej)
-        for M, sd, loss in zip(
+        TradeoffPoint(M=M, size_distortion=sd, max_power_loss=loss, rejected=outcome.rej)
+        for M, sd, loss, outcome in zip(
             grid,
             _size_distortions(procedures, results, config.n_sim),
             _max_power_losses(model, P, results, config.alternative_grid_size),
+            outcomes(procedures, d),
         )
     ]

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epatest import mc
+from epatest.cli import build_parser
 from epatest.dmtests import (
+    METHODS,
     DegenerateVarianceError,
     dm_test_bt,
     dm_test_bt_fb,
@@ -24,10 +26,11 @@ from epatest.dmtests import (
     dm_test_r,
     dm_test_wpe_fb,
     evaluate,
-    procedure_wpe,
+    procedure,
 )
 
-# Each battery label as a call of the one-series API at the cell's horizon.
+# Each registry label and each mc battery label as a call of the one-series
+# API at the cell's horizon.
 ONE_ROW = {
     "dm_r": lambda d, h, cl: dm_test_r(d, h=h, cl=cl),
     "dm_m": lambda d, h, cl: dm_test_m(d, h=h, cl=cl),
@@ -36,16 +39,19 @@ ONE_ROW = {
     "dm_fb": lambda d, h, cl: dm_test_bt_fb(d, cl=cl),
     "dm_ewc": lambda d, h, cl: dm_test_ewc_fb(d, cl=cl),
     "dm_wpe": lambda d, h, cl: dm_test_wpe_fb(d, cl=cl),
+    "dm_im": lambda d, h, cl: dm_test_im(d, cl=cl),
     "dm_im_q2": lambda d, h, cl: dm_test_im(d, q=2, cl=cl),
     "dm_im_q5": lambda d, h, cl: dm_test_im(d, q=5, cl=cl),
     "dm_im_q10": lambda d, h, cl: dm_test_im(d, q=10, cl=cl),
 }
 
 
-def _procedure(label, P, h, cl):
-    if label == "dm_wpe":  # not in the mc battery, but the same kernel
-        return procedure_wpe(P, None, cl)
-    return mc._battery_procedure(label, P, h, cl)
+def test_registry_labels_all_have_a_one_row_check_and_a_cli_choice():
+    assert set(METHODS) <= set(ONE_ROW)
+    assert set(mc.DEFAULT_METHODS) <= set(ONE_ROW)
+    (subcommands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    (method,) = [a for a in subcommands.choices["test"]._actions if a.dest == "method"]
+    assert tuple(method.choices) == (*METHODS, "all")
 
 
 def _rows(n_rows, P, seed):
@@ -61,7 +67,7 @@ def check_battery(X, h, cl=0.05):
     degenerate = dict.fromkeys(ONE_ROW, 0)
     for label, one_row in ONE_ROW.items():
         try:
-            proc = _procedure(label, P, h, cl)
+            proc = procedure(label, P, h, cl)
         except ValueError as planned:
             # An argument the procedure rejects is rejected on every row alike.
             for d in X:

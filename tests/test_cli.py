@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from epatest.cli import build_parser, main
-from epatest.dmtests import dm_test_r
+from epatest.dmtests import DegenerateVarianceError, dm_test_r
 from epatest.lrv import bandwidth
 
 
@@ -133,6 +134,56 @@ class TestTestCommand:
         assert "exactly two" in err
 
 
+class TestDegenerateMethod:
+    """An MA(1) loss differential with coefficient -0.95 at h = 4: the rectangular
+    estimate behind dm_r and dm_m comes out negative; the other six tests are defined."""
+
+    @pytest.fixture(scope="class")
+    def ma_csv(self, tmp_path_factory):
+        e = np.random.default_rng(0).standard_normal(31)
+        d = e[1:] - 0.95 * e[:-1]
+        # realization 0, so the squared-error differential is A^2 - B^2 = d
+        path = tmp_path_factory.mktemp("ma") / "ma.csv"
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["A", "B", "Y"])
+            for x in d:
+                w.writerow([repr(math.sqrt(max(x, 0.0))), repr(math.sqrt(max(-x, 0.0))), "0"])
+        return path
+
+    def test_reports_every_method_and_exits_3(self, ma_csv, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        code, out, err = run(
+            ["test", "--data", str(ma_csv)] + BASE + ["--h", "4", "--out", str(out_dir)], capsys
+        )
+        assert code == 3
+        rows = {ln.split()[0]: ln for ln in out.splitlines()[3:]}
+        assert list(rows) == ["dm_r", "dm_m", "dm_nw", "dm_nw_l", "dm_fb", "dm_ewc",
+                              "dm_wpe", "dm_im"]
+        for name, row in rows.items():
+            assert (row.split()[1] == "degenerate") == (name in ("dm_r", "dm_m"))
+        warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert warnings == [
+            "warning: nonpositive variance estimate -0.0590446 "
+            "(rectangular kernel, bandwidth 3); statistic undefined"
+        ] * 2
+        payload = json.loads((out_dir / "test_results.json").read_text())
+        assert [r["method"] for r in payload["results"]] == list(rows)
+        for rec in payload["results"]:
+            assert len(rec) == 8
+            undefined = rec["method"] in ("dm_r", "dm_m")
+            assert [rec[key] is None for key in ("stat", "rej")] == [undefined] * 2
+            assert (rec["pval"] is None) == (undefined or rec["method"] == "dm_fb")
+            assert rec["critical_value"] is not None and rec["bandwidth"] is not None
+
+    def test_library_still_raises(self, ma_csv):
+        from epatest.data import load_csv, loss_series
+
+        d = loss_series(load_csv(ma_csv, ("A", "B"), "Y"))
+        with pytest.raises(DegenerateVarianceError, match="-0.0590446"):
+            dm_test_r(d, h=4)
+
+
 class TestTradeoffCommand:
     def _run(self, data_csv, out_dir, capsys, extra=()):
         argv = (
@@ -182,6 +233,14 @@ class TestTradeoffCommand:
         out_dir = tmp_path / "t"
         self._run(data_csv, out_dir, capsys, extra=["--no-svg"])
         assert not (out_dir / "tradeoff.svg").exists()
+
+    def test_empty_grid_exits_1(self, data_csv, tmp_path, capsys):
+        out_dir = tmp_path / "t"
+        code, _, err = run(["tradeoff", "--data", str(data_csv)] + BASE
+                           + ["--grid", "5:2", "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert err == "error: bandwidth grid is empty\n"
+        assert not out_dir.exists()
 
     def test_svg_markers(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "t"

@@ -192,6 +192,8 @@ class TestRunExperiment:
             run(methods=("dm_r",), n_reps=100, cl=1.5)
         with pytest.raises(ValueError, match="unknown method"):
             run(methods=("dm_r", "dm_x"), n_reps=100)
+        with pytest.raises(ValueError, match="more than once"):
+            run(methods=("dm_r", "dm_fb", "dm_r"), n_reps=100)
         with pytest.raises(ValueError, match="100"):
             run(n_reps=99)
         with pytest.raises(ValueError, match="seed"):

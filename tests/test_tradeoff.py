@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
+from epatest import tradeoff
 from epatest.data import ForecastDataset
 from epatest.dmtests import dm_test_bt_fb
 from epatest.lrv import bandwidth
@@ -251,6 +252,14 @@ class TestBuildTradeoffCurve:
     def test_degenerate_series(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_tradeoff_curve(np.zeros(50), TradeoffConfig(n_sim=100))
+
+    def test_empty_grid_rejected_before_fitting(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fitted the model for an empty grid")
+
+        monkeypatch.setattr(tradeoff, "fit_ar", fail)
+        with pytest.raises(ValueError, match="grid is empty"):
+            build_tradeoff_curve(self._series(), TradeoffConfig(bandwidth_grid=(), n_sim=100))
 
 
 class TestPinnedCurve:
