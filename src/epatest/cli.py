@@ -12,17 +12,20 @@ Three subcommands over CSV forecast data:
 Human-readable tables go to standard output, progress and warnings to the
 error stream, and machine-readable results to files under ``--out``. Every
 file-producing run also writes a manifest recording the command, its
-parameters, the seed, and the package version.
+parameters, the seed, the package version, and the environment (Python,
+NumPy and SciPy versions, operating system and machine type).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .data import CsvParseError, load_csv, loss_series
@@ -44,6 +47,16 @@ from .mc import (
 from .tradeoff import TradeoffConfig, build_tradeoff_curve
 
 __all__ = ["main", "build_parser"]
+
+# Recorded in every manifest; no timestamp, so reruns stay byte-identical.
+_ENVIRONMENT = {
+    "python": platform.python_version(),
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+    "system": platform.system(),
+    "machine": platform.machine(),
+}
+
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="CSV file with forecasts and realizations")
@@ -169,45 +182,65 @@ def _manifest(command: str, parameters: dict, seed) -> dict:
         "parameters": parameters,
         "seed": seed,
         "software_version": __version__,
+        "environment": _ENVIRONMENT,
     }
 
 
-def _outcome_record(proc, outcome) -> dict:
-    """One method's JSON record; a degenerate method has no ``stat``, ``pval`` or ``rej``."""
+def _outcome_record(method: str, proc, outcome, cl: float) -> dict:
+    """One method's JSON record.
+
+    A degenerate method has no ``stat``, ``pval`` or ``rej``; a method that
+    refused the arguments (``proc`` is None) has none of the fields after ``cl``
+    either.
+    """
     ok = isinstance(outcome, TestOutcome)
     return {
-        "method": proc.method,
+        "method": method,
         "stat": outcome.stat if ok else None,
         "pval": outcome.pval if ok else None,
         "rej": outcome.rej if ok else None,
-        "cl": proc.cl,
-        "critical_value": proc.critical_value,
-        "bandwidth": proc.bandwidth,
-        "df": proc.df,
+        "cl": cl,
+        "critical_value": proc.critical_value if proc else None,
+        "bandwidth": proc.bandwidth if proc else None,
+        "df": proc.df if proc else None,
     }
 
 
 def cmd_test(args) -> int:
     d = _load_series(args)
     names = tuple(METHODS) if args.method == "all" else (args.method,)
-    procedures = [
-        procedure(name, d.size, args.h, args.cl,
-                  getattr(args, METHODS[name].param) if METHODS[name].param else None)
-        for name in names
-    ]
-    results = outcomes(procedures, d, strict=False)
+    planned, results = {}, {}
+    for name in names:
+        param = METHODS[name].param
+        try:
+            planned[name] = procedure(name, d.size, args.h, args.cl,
+                                      getattr(args, param) if param else None)
+        except ValueError as exc:
+            # Under --method all a method that refuses the arguments gets an
+            # "unsupported" row; a named method, or a battery of which no
+            # method applies, is an error.
+            if args.method != "all":
+                raise
+            results[name] = exc
+    if not planned:
+        raise results[names[0]]
+    results.update(zip(planned, outcomes(list(planned.values()), d, strict=False)))
     print(f"n = {d.size} loss-differential observations")
     header = (f"{'method':<8} {'statistic':>10} {'critical':>9} {'p-value':>8} "
               f"{'bandwidth':>9} {'df':>4}  reject@{args.cl:g}")
     print(header)
     print("-" * len(header))
-    for p, r in zip(procedures, results):
+    for name in names:
+        p, r = planned.get(name), results[name]
+        if p is None:
+            print(f"{name:<8} {'unsupported':>10} {'-':>9} {'-':>8} {'-':>9} {'-':>4}  -")
+            continue
         ok = isinstance(r, TestOutcome)
         stat = f"{r.stat:10.4f}" if ok else f"{'degenerate':>10}"
         pval = f"{r.pval:8.4f}" if ok and r.pval is not None else f"{'-':>8}"
         df = f"{p.df:4.0f}" if p.df is not None else f"{'-':>4}"
         rej = ("yes" if r.rej else "no") if ok else "-"
-        print(f"{p.method:<8} {stat} {p.critical_value:9.4f} {pval} {p.bandwidth:9d} {df}  {rej}")
+        print(f"{name:<8} {stat} {p.critical_value:9.4f} {pval} {p.bandwidth:9d} {df}  {rej}")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,14 +251,16 @@ def cmd_test(args) -> int:
             seed=None,
         )
         payload["n_obs"] = int(d.size)
-        payload["results"] = [_outcome_record(p, r) for p, r in zip(procedures, results)]
+        payload["results"] = [
+            _outcome_record(name, planned.get(name), results[name], args.cl) for name in names
+        ]
         target = out_dir / "test_results.json"
         target.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {target}", file=sys.stderr)
-    degenerate = [r for r in results if isinstance(r, DegenerateVarianceError)]
-    for exc in degenerate:
+    problems = [results[name] for name in names if not isinstance(results[name], TestOutcome)]
+    for exc in problems:
         print(f"warning: {exc}", file=sys.stderr)
-    return 3 if degenerate else 0
+    return 3 if problems else 0
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal
+from scipy import fft, signal
 
 from .dmtests import evaluate, procedure
 
@@ -168,16 +169,41 @@ def _ucr_series(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
 def _cr_series(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
     T_tot = spec.R_tilde + spec.P + spec.h - 1
     eps = rng.standard_normal(CR_BURN_IN + T_tot)
-    return _cr_recursion(eps, spec.h, spec.R)[CR_BURN_IN:]
+    return _cr_recursion(eps, spec.h, spec.R, T_tot)
 
 
-def _cr_recursion(eps: np.ndarray, h: int, R: int) -> np.ndarray:
-    """Run the conditional-rolling recursion from zero initial conditions."""
-    x = signal.lfilter(ma_weights(h), [1.0], eps)
+def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> np.ndarray:
+    """The last ``keep`` values (default all) of the conditional-rolling
+    recursion run over ``eps`` from zero initial conditions.
+
+    The recursion is a linear time-invariant filter started at rest, so each
+    output is the convolution of the innovations with the filter's impulse
+    response g. With g's spectrum cached per (h, R, T, keep), a replication
+    costs one real FFT of length n >= T + keep - 1 each way, instead of a
+    T-step recursion with h + R taps; at that n the circular wrap-around of
+    the product does not reach the ``keep`` values returned.
+    """
+    T = eps.size
+    keep = T if keep is None else keep
+    G, n = _cr_spectrum(h, R, T, keep)
+    return fft.irfft(fft.rfft(eps, n) * G, n)[T - keep : T]
+
+
+@lru_cache(maxsize=1)
+def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int]:
+    """Read-only spectrum of the recursion's impulse response over all T steps,
+    and its transform length n: the first fast length at which circular
+    convolution equals linear convolution on the last ``keep`` outputs."""
     a = np.zeros(h + R)
     a[0] = 1.0
     a[h:] = -1.0 / (2.0 * R)
-    return signal.lfilter([1.0], a, x)
+    impulse = np.zeros(T)
+    impulse[0] = 1.0
+    g = signal.lfilter(ma_weights(h), a, impulse)
+    n = fft.next_fast_len(T + keep - 1, real=True)
+    G = fft.rfft(g, n)
+    G.flags.writeable = False
+    return G, n
 
 
 def _forecasts_from_path(y: np.ndarray, spec: DgpSpec):

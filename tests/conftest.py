@@ -2,6 +2,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run (derandomize also turns
+# off the example database), so a tier-1 result does not depend on the run.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 RGDP_SCHEMA_HINT = (
     "quarterly real-GDP forecast file with columns X1 (dates 'YYYY:QQ', e.g. "

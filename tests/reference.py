@@ -8,7 +8,8 @@ evidence of correctness rather than of consistency.
 import cmath
 import math
 
-from scipy import integrate
+import numpy as np
+from scipy import integrate, signal
 
 
 def naive_autocovariance(d, j):
@@ -95,3 +96,14 @@ def normal_quantile(p):
 
 def t_quantile(p, df):
     return _bisect(lambda x: t_cdf(x, df), p, -400.0, 400.0)
+
+
+def cr_recursion_lfilter(eps, h, R):
+    """The conditional-rolling recursion as a direct filter: the MA(h-1) with
+    weights 0.5^k, then the autoregression with lag-h..lag-(h+R-1)
+    coefficients 1/(2R), both run over the whole path from rest."""
+    x = signal.lfilter(0.5 ** np.arange(h), [1.0], eps)
+    a = np.zeros(h + R)
+    a[0] = 1.0
+    a[h:] = -1.0 / (2.0 * R)
+    return signal.lfilter([1.0], a, x)

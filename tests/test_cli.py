@@ -184,6 +184,98 @@ class TestDegenerateMethod:
             dm_test_r(d, h=4)
 
 
+class TestUnsupportedMethod:
+    """Under --method all, a method that refuses the arguments keeps its row."""
+
+    ORDER = ["dm_r", "dm_m", "dm_nw", "dm_nw_l", "dm_fb", "dm_ewc", "dm_wpe", "dm_im"]
+
+    def _check(self, argv, unsupported, reason, tmp_path, capsys):
+        """Run ``argv``; return the rows the other methods computed, by method."""
+        out_dir = tmp_path / "res"
+        code, out, err = run(argv + ["--out", str(out_dir)], capsys)
+        assert code == 3
+        rows = {ln.split()[0]: ln.split() for ln in out.splitlines()[3:]}
+        assert list(rows) == self.ORDER
+        assert rows.pop(unsupported)[1:] == ["unsupported", "-", "-", "-", "-", "-"]
+        assert f"warning: {reason}" in err.splitlines()
+        payload = json.loads((out_dir / "test_results.json").read_text())
+        assert [r["method"] for r in payload["results"]] == self.ORDER
+        for rec in payload["results"]:
+            assert len(rec) == 8
+            assert rec["cl"] == payload["parameters"]["cl"]
+            fields = ("stat", "pval", "rej", "critical_value", "bandwidth", "df")
+            if rec["method"] == unsupported:
+                assert [rec[key] for key in fields] == [None] * 6
+            else:
+                assert rec["critical_value"] is not None and rec["bandwidth"] is not None
+        return rows
+
+    def test_level_without_fixed_b_table(self, data_csv, tmp_path, capsys):
+        reason = "fixed-b critical values are tabulated for cl=0.05 only, got cl=0.1"
+        rows = self._check(["test", "--data", str(data_csv)] + BASE + ["--cl", "0.1"],
+                           "dm_fb", reason, tmp_path, capsys)
+        for fields in rows.values():
+            float(fields[1])  # every other test is defined at 10%
+
+    @pytest.fixture(scope="class")
+    def short_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(12)
+        path = tmp_path_factory.mktemp("short") / "short.csv"
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["A", "B", "Y"])
+            for row in rng.standard_normal((12, 3)):
+                w.writerow([repr(float(x)) for x in row])
+        return path
+
+    def test_horizon_as_long_as_the_sample(self, short_csv, tmp_path, capsys):
+        reason = ("small-sample correction factor is nonpositive at P=12, h=12; "
+                  "the horizon is too large for this sample")
+        rows = self._check(["test", "--data", str(short_csv)] + BASE + ["--h", "12"],
+                           "dm_m", reason, tmp_path, capsys)
+        # the lag-window tests with their own bandwidths are defined
+        for name in ("dm_nw", "dm_nw_l", "dm_fb", "dm_ewc", "dm_wpe", "dm_im"):
+            float(rows[name][1])
+
+    def test_named_method_still_exits_1(self, short_csv, capsys):
+        code, out, err = run(
+            ["test", "--data", str(short_csv)] + BASE + ["--method", "dm_m", "--h", "12"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == ("error: small-sample correction factor is nonpositive at P=12, h=12; "
+                       "the horizon is too large for this sample\n")
+
+    def test_no_method_applies_exits_1(self, data_csv, capsys):
+        code, out, err = run(["test", "--data", str(data_csv)] + BASE + ["--cl", "1.5"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: significance level must lie in (0, 1), got 1.5\n"
+
+
+class TestEnvironmentRecord:
+    def test_every_manifest_records_the_environment(self, data_csv, tmp_path, capsys):
+        import platform
+
+        import scipy
+
+        runs = {
+            "test_results.json": ["test", "--data", str(data_csv)] + BASE,
+            "tradeoff.json": ["tradeoff", "--data", str(data_csv)] + BASE
+            + ["--grid", "2", "--n-sim", "100", "--no-svg"],
+            "manifest.json": TestMcCommand.ARGS[:-4] + ["--n-reps", "100"],
+        }
+        for name, argv in runs.items():
+            assert run(argv + ["--out", str(tmp_path / name)], capsys)[0] == 0
+            payload = json.loads((tmp_path / name / name).read_text())
+            assert payload["environment"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "system": platform.system(),
+                "machine": platform.machine(),
+            }, name
+
+
 class TestTradeoffCommand:
     def _run(self, data_csv, out_dir, capsys, extra=()):
         argv = (

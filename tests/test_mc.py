@@ -26,6 +26,7 @@ from epatest.mc import (
     size_corrected_critical_value,
     size_corrected_power,
 )
+from reference import cr_recursion_lfilter
 
 
 class TestMaStructure:
@@ -130,6 +131,37 @@ class TestSimulators:
             feedback = sum(y[t - h - j] for j in range(R) if t - h - j >= 0)
             y[t] = x[t] + feedback / (2.0 * R)
         np.testing.assert_allclose(_cr_recursion(eps, h, R), y, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [1, 3, 12])
+    @pytest.mark.parametrize("R", [25, 175])
+    def test_cr_recursion_matches_lfilter_oracle(self, h, R):
+        T_tot = 175 + 1000 + h - 1
+        eps = np.random.default_rng([h, R]).standard_normal(CR_BURN_IN + T_tot)
+        want = cr_recursion_lfilter(eps, h, R)
+        for keep in (T_tot, eps.size):
+            got = _cr_recursion(eps, h, R, keep)
+            assert got.shape == (keep,)
+            tail = want[eps.size - keep :]
+            np.testing.assert_allclose(got, tail, rtol=0, atol=1e-12 * np.abs(tail).max())
+
+    def test_cr_spectrum_is_read_only(self):
+        G, n = mc._cr_spectrum(3, 25, 60, 20)
+        assert n >= 60 + 20 - 1
+        with pytest.raises(ValueError, match="read-only"):
+            G[0] = 0.0
+
+    def test_cr_filter_runs_once_per_cell_not_per_replication(self, monkeypatch):
+        calls = []
+        lfilter = mc.signal.lfilter
+
+        def counting_lfilter(*args, **kwargs):
+            calls.append(1)
+            return lfilter(*args, **kwargs)
+
+        monkeypatch.setattr(mc.signal, "lfilter", counting_lfilter)
+        specs = [make_spec("cr", 3, 25, 25, 75), make_spec("cr", 3, 175, 25, 75)]
+        run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
+        assert 1 <= len(calls) <= len(specs)
 
     def test_cr_series_is_stable_and_centered(self):
         spec = make_spec("cr", h=3, R=25, R_tilde=25, P=100_000)
@@ -241,6 +273,55 @@ class TestRunExperiment:
     def test_default_method_list(self):
         assert "dm_r" in DEFAULT_METHODS and "dm_fb" in DEFAULT_METHODS
         assert len(DEFAULT_METHODS) == 9
+
+
+    def test_cr_rates_pinned(self):
+        # Recorded with the direct two-filter recursion: the FFT evaluation
+        # must not move any rejection or degenerate count on this grid.
+        specs = experiment_grid(("cr",), (1, 3, 12), (25, 175), (25, 175), (25, 1000))
+        res = run_experiment(specs, n_reps=500, seed=3)
+        for spec in specs:
+            cell = (spec.h, spec.R, spec.R_tilde, spec.P)
+            keys = [(m, "cr", spec.R, spec.R_tilde, spec.h, spec.P) for m in DEFAULT_METHODS]
+            rejections = tuple(round(res.rejection_rates[k] * 500) for k in keys)
+            assert rejections == CR_PINNED_REJECTIONS[cell], cell
+            degenerate = (0,) * 9
+            if spec.h == 12 and spec.P == 25:
+                # the rectangular estimate behind dm_r and dm_m
+                n = CR_PINNED_DEGENERATE[spec.R, spec.R_tilde]
+                degenerate = (n, n) + (0,) * 7
+            assert tuple(res.degenerate_counts[k] for k in keys) == degenerate, cell
+
+
+# Rejections out of 500 per (h, R, R_tilde, P) cell, in DEFAULT_METHODS order.
+CR_PINNED_REJECTIONS = {
+    (1, 25, 25, 25): (37, 24, 51, 85, 26, 26, 30, 25, 29),
+    (1, 25, 25, 1000): (22, 22, 28, 45, 35, 37, 22, 35, 36),
+    (1, 25, 175, 25): (71, 56, 95, 123, 45, 34, 29, 43, 54),
+    (1, 25, 175, 1000): (51, 51, 40, 19, 15, 19, 28, 35, 24),
+    (1, 175, 25, 25): (45, 33, 67, 102, 33, 37, 23, 35, 34),
+    (1, 175, 25, 1000): (381, 381, 393, 434, 420, 419, 103, 367, 406),
+    (1, 175, 175, 25): (37, 27, 41, 63, 24, 22, 26, 20, 23),
+    (1, 175, 175, 1000): (23, 23, 31, 37, 30, 29, 31, 48, 48),
+    (3, 25, 25, 25): (55, 35, 63, 77, 27, 17, 29, 25, 36),
+    (3, 25, 25, 1000): (30, 30, 38, 37, 30, 30, 29, 36, 42),
+    (3, 25, 175, 25): (112, 74, 126, 142, 61, 35, 22, 55, 83),
+    (3, 25, 175, 1000): (50, 50, 54, 20, 14, 19, 26, 32, 15),
+    (3, 175, 25, 25): (57, 33, 64, 75, 20, 18, 21, 20, 38),
+    (3, 175, 25, 1000): (360, 359, 393, 417, 403, 402, 110, 335, 379),
+    (3, 175, 175, 25): (57, 32, 66, 90, 26, 29, 26, 24, 37),
+    (3, 175, 175, 1000): (21, 21, 25, 32, 23, 23, 24, 39, 36),
+    (12, 25, 25, 25): (108, 37, 89, 92, 36, 18, 20, 23, 60),
+    (12, 25, 25, 1000): (32, 29, 46, 38, 31, 29, 31, 24, 32),
+    (12, 25, 175, 25): (131, 66, 116, 114, 48, 26, 24, 34, 86),
+    (12, 25, 175, 1000): (55, 51, 74, 33, 27, 39, 21, 29, 21),
+    (12, 175, 25, 25): (157, 63, 112, 121, 46, 28, 31, 49, 74),
+    (12, 175, 25, 1000): (304, 301, 341, 344, 326, 310, 79, 233, 291),
+    (12, 175, 175, 25): (116, 42, 98, 106, 39, 17, 23, 34, 67),
+    (12, 175, 175, 1000): (34, 30, 44, 36, 28, 25, 25, 49, 47),
+}
+# Degenerate replications of dm_r and dm_m at h = 12, P = 25, per (R, R_tilde).
+CR_PINNED_DEGENERATE = {(25, 25): 148, (25, 175): 137, (175, 25): 129, (175, 175): 130}
 
 
 class TestSizeCorrection:
