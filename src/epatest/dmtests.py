@@ -17,19 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .lrv import (
-    LrvEstimate,
-    bartlett_rows,
-    check_basis_size,
-    check_horizon,
-    check_lag_bandwidth,
-    check_ordinate_count,
-    ewc_rows,
-    rectangular_rows,
-    wpe_rows,
-)
+from .lrv import ESTIMATORS, LrvEstimate, variance_rows
 from .lrv import bandwidth as rule_bandwidth
-from .series import as_loss_series, autocovariance_rows
+from .series import as_loss_series
 
 __all__ = [
     "DegenerateVarianceError",
@@ -94,8 +84,8 @@ class Procedure:
     Built by :func:`procedure`, which checks the test's arguments and
     evaluates its reference distribution once; :func:`evaluate` then
     applies it to any number of series of that length. ``kernel`` names the
-    variance estimator (``rectangular``, ``bartlett``, ``ewc``, ``wpe`` or
-    ``block-means``) and ``bandwidth`` its size (h - 1, M, B, m or q).
+    variance estimator (a key of :data:`epatest.lrv.ESTIMATORS`, or
+    ``block-means``) and ``bandwidth`` its size (h - 1 lags, M, B, m or q).
     ``reference`` is ``normal``, ``t`` (with ``df``) or ``fixed-b``, which
     has no p-value. ``scale`` multiplies the statistic.
     """
@@ -153,15 +143,6 @@ METHODS = {
     "dm_im": Method("block-means", "q", 2, "t", lambda P, q: q - 1),
 }
 
-# Admissible bandwidths of each variance estimator, checked as (bandwidth, P).
-_BANDWIDTH_CHECKS = {
-    "rectangular": lambda lags, P: check_horizon(lags + 1, P),
-    "bartlett": check_lag_bandwidth,
-    "ewc": check_basis_size,
-    "wpe": check_ordinate_count,
-    "block-means": lambda q, P: im_partition(P, q),
-}
-
 
 def procedure(
     label: str, P: int, h: int, cl: float, bandwidth: int | None = None, rule: str | None = None
@@ -192,7 +173,10 @@ def procedure(
         if isinstance(default, str):
             default = rule_bandwidth(default, P)
         bandwidth = h - 1 if default is None else default
-    _BANDWIDTH_CHECKS[method.kernel](bandwidth, P)
+    if method.kernel == "block-means":
+        im_partition(P, bandwidth)
+    else:
+        ESTIMATORS[method.kernel].check(bandwidth, P)
     bandwidth = int(bandwidth)
     df = None
     if method.reference == "normal":
@@ -226,28 +210,19 @@ def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ``X`` holds one validated series per row, all of the length the
     procedures were built for. Returns one (statistic, variance) pair of
     arrays per procedure; the statistic is NaN on rows whose variance
-    estimate is nonpositive. The time-domain estimators share one
-    autocovariance array up to the largest lag any of them needs.
+    estimate is nonpositive.
     """
     P = X.shape[1]
-    lags = [p.bandwidth if p.kernel == "rectangular" else p.bandwidth - 1
-            for p in procedures if p.kernel in ("rectangular", "bartlett")]
-    gamma = autocovariance_rows(X, max(lags)) if lags else None
+    estimates = [(p.kernel, p.bandwidth) for p in procedures if p.kernel in ESTIMATORS]
+    variances = iter(variance_rows(estimates, X))
     means = X.mean(axis=1)
     out = []
     for p in procedures:
         if p.kernel == "block-means":
             out.append(_block_means_rows(X, p.bandwidth))
-            continue
-        if p.kernel == "rectangular":
-            variance = rectangular_rows(gamma, p.bandwidth + 1)
-        elif p.kernel == "bartlett":
-            variance = bartlett_rows(gamma, p.bandwidth)
-        elif p.kernel == "ewc":
-            variance = ewc_rows(X, p.bandwidth)
         else:
-            variance = wpe_rows(X, p.bandwidth)
-        out.append((p.scale * _studentize(means, variance, P), variance))
+            variance = next(variances)
+            out.append((p.scale * _studentize(means, variance, P), variance))
     return out
 
 

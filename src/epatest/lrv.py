@@ -5,11 +5,19 @@ loss-differential series, each paired elsewhere with its own reference
 distribution: truncated rectangular and Bartlett kernel estimators in the
 time domain, an equal-weighted cosine (orthonormal-series) estimator, and a
 Daniell weighted-periodogram estimator in the frequency domain.
+
+Each estimator is defined once, as an entry of :data:`ESTIMATORS` keyed by
+its kernel name: its bandwidth check, the largest autocovariance lag it
+reads, and its row kernel. :func:`variance_rows` evaluates any set of
+(kernel, bandwidth) pairs on a matrix of series from one shared
+autocovariance array; the tests in :mod:`epatest.dmtests` and the
+one-series ``lrv_*`` functions both call it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,36 +98,81 @@ class LrvEstimate:
     nonpositive: bool
 
 
-def _make_estimate(value: float, kernel: str, bw: int) -> LrvEstimate:
-    value = float(value)
-    return LrvEstimate(value=value, kernel=kernel, bandwidth=bw, nonpositive=value <= 0.0)
-
-
-# Admissible bandwidths of each estimator at sample size P. Shared by the
-# estimators below and by the test procedures in dmtests, which check them
-# before any data is seen.
-
-
-def check_horizon(h: int, P: int) -> None:
+def _check_lags(lags: int, P: int) -> None:
+    h = lags + 1
     if h < 1:
         raise ValueError(f"forecast horizon must be at least 1, got {h}")
-    if h - 1 > P - 1:
-        raise ValueError(f"horizon {h} needs at least {h} observations, got {P}")
+    if h >= P:
+        raise ValueError(f"horizon {h} needs at least {h + 1} observations, got {P}")
 
 
-def check_lag_bandwidth(M: int, P: int) -> None:
-    if not 1 <= M <= P - 1:
-        raise ValueError(f"bandwidth must lie in [1, {P - 1}], got {M}")
+def _check_range(what: str, upper: Callable[[int], int]) -> Callable[[int, int], None]:
+    def check(bw: int, P: int) -> None:
+        if not 1 <= bw <= upper(P):
+            raise ValueError(f"{what} must lie in [1, {upper(P)}], got {bw}")
+    return check
 
 
-def check_basis_size(B: int, P: int) -> None:
-    if not 1 <= B <= P - 1:
-        raise ValueError(f"number of basis functions must lie in [1, {P - 1}], got {B}")
+@dataclass(frozen=True)
+class Estimator:
+    """One long-run variance estimator, as an entry of :data:`ESTIMATORS`.
+
+    ``check(bandwidth, P)`` raises ValueError for an inadmissible bandwidth.
+    ``maxlag(bandwidth)`` is the largest autocovariance lag that
+    ``rows(gamma, bandwidth)`` reads, or None when ``rows(X, bandwidth)``
+    reads the series itself. ``rows`` does no validation.
+    """
+
+    check: Callable[[int, int], None]
+    maxlag: Callable[[int], int] | None
+    rows: Callable[[np.ndarray, int], np.ndarray]
 
 
-def check_ordinate_count(m: int, P: int) -> None:
-    if not 1 <= m <= P // 2:
-        raise ValueError(f"number of ordinates must lie in [1, {P // 2}], got {m}")
+# The estimators by kernel name. The rectangular bandwidth is its lag
+# count, h - 1 for an h-step forecast.
+ESTIMATORS = {
+    "rectangular": Estimator(
+        _check_lags,
+        lambda lags: lags,
+        lambda gamma, lags: gamma[:, 0] + 2.0 * np.sum(gamma[:, 1 : lags + 1], axis=1),
+    ),
+    "bartlett": Estimator(
+        _check_range("bandwidth", lambda P: P - 1),
+        lambda M: M - 1,
+        lambda gamma, M: np.maximum(gamma[:, 0] + 2.0 * np.sum(
+            (1.0 - np.arange(1, M) / M) * gamma[:, 1:M], axis=1), 0.0),
+    ),
+    "ewc": Estimator(
+        _check_range("number of basis functions", lambda P: P - 1),
+        None,
+        lambda X, B: np.mean(cosine_coefficient_rows(X, np.arange(1, B + 1)) ** 2, axis=1),
+    ),
+    "wpe": Estimator(
+        _check_range("number of ordinates", lambda P: P // 2),
+        None,
+        lambda X, m: (2.0 * np.pi / m) * np.sum(periodogram_rows(X, np.arange(1, m + 1)), axis=1),
+    ),
+}
+
+
+def variance_rows(estimates, X: np.ndarray) -> list[np.ndarray]:
+    """One estimate per row of ``X`` for each (kernel, bandwidth) pair in ``estimates``.
+
+    ``X`` holds one validated series per row and the bandwidths are
+    assumed admissible. The time-domain estimators share one
+    autocovariance array up to the largest lag any of them reads.
+    """
+    estimates = [(ESTIMATORS[kernel], bw) for kernel, bw in estimates]
+    lags = [est.maxlag(bw) for est, bw in estimates if est.maxlag is not None]
+    gamma = autocovariance_rows(X, max(lags)) if lags else None
+    return [est.rows(X if est.maxlag is None else gamma, bw) for est, bw in estimates]
+
+
+def _estimate(kernel: str, d, bw: int) -> LrvEstimate:
+    d = as_loss_series(d)
+    ESTIMATORS[kernel].check(bw, d.size)
+    value = float(variance_rows([(kernel, bw)], d[None, :])[0][0])
+    return LrvEstimate(value=value, kernel=kernel, bandwidth=bw, nonpositive=value <= 0.0)
 
 
 def lrv_rectangular(d, h: int) -> LrvEstimate:
@@ -128,11 +181,9 @@ def lrv_rectangular(d, h: int) -> LrvEstimate:
     sigma^2 = gamma_0 + 2 sum_{j=1}^{h-1} gamma_j, the exact long-run
     variance form when the differential is MA(h-1). The unweighted sum can
     come out nonpositive in finite samples; that is reported, not repaired.
+    Needs h < P: at h = P the sum is zero in exact arithmetic.
     """
-    d = as_loss_series(d)
-    check_horizon(h, d.size)
-    value = rectangular_rows(autocovariance_rows(d[None, :], h - 1), h)[0]
-    return _make_estimate(value, "rectangular", h - 1)
+    return _estimate("rectangular", d, h - 1)
 
 
 def lrv_bartlett(d, M: int) -> LrvEstimate:
@@ -143,10 +194,7 @@ def lrv_bartlett(d, M: int) -> LrvEstimate:
     Bartlett weights are positive semi-definite, hence the value is
     nonnegative up to rounding (tiny negative roundoff is clipped to zero).
     """
-    d = as_loss_series(d)
-    check_lag_bandwidth(M, d.size)
-    value = bartlett_rows(autocovariance_rows(d[None, :], M - 1), M)[0]
-    return _make_estimate(value, "bartlett", M)
+    return _estimate("bartlett", d, M)
 
 
 def lrv_ewc(d, B: int) -> LrvEstimate:
@@ -156,9 +204,7 @@ def lrv_ewc(d, B: int) -> LrvEstimate:
     cosine coefficients of the raw series. Nonnegative by construction and
     invariant to level shifts because the basis is orthogonal to constants.
     """
-    d = as_loss_series(d)
-    check_basis_size(B, d.size)
-    return _make_estimate(ewc_rows(d[None, :], B)[0], "ewc", B)
+    return _estimate("ewc", d, B)
 
 
 def lrv_wpe(d, m: int) -> LrvEstimate:
@@ -169,30 +215,4 @@ def lrv_wpe(d, m: int) -> LrvEstimate:
     origin. Nonnegative by construction; no demeaning is needed since the
     ordinates at j >= 1 ignore the sample mean.
     """
-    d = as_loss_series(d)
-    check_ordinate_count(m, d.size)
-    return _make_estimate(wpe_rows(d[None, :], m)[0], "wpe", m)
-
-
-# Row kernels of the four estimators: one estimate per row of a 2-D input,
-# without validation. The time-domain ones read an autocovariance array
-# from series.autocovariance_rows holding at least lags 0..h-1 or 0..M-1,
-# so several bandwidths can share one array.
-
-
-def rectangular_rows(gamma: np.ndarray, h: int) -> np.ndarray:
-    return gamma[:, 0] + 2.0 * np.sum(gamma[:, 1:h], axis=1)
-
-
-def bartlett_rows(gamma: np.ndarray, M: int) -> np.ndarray:
-    lags = np.arange(1, M)
-    value = gamma[:, 0] + 2.0 * np.sum((1.0 - lags / M) * gamma[:, 1:M], axis=1)
-    return np.maximum(value, 0.0)
-
-
-def ewc_rows(X: np.ndarray, B: int) -> np.ndarray:
-    return np.mean(cosine_coefficient_rows(X, np.arange(1, B + 1)) ** 2, axis=1)
-
-
-def wpe_rows(X: np.ndarray, m: int) -> np.ndarray:
-    return (2.0 * np.pi / m) * np.sum(periodogram_rows(X, np.arange(1, m + 1)), axis=1)
+    return _estimate("wpe", d, m)

@@ -316,6 +316,11 @@ def run_experiment(
             raise ValueError(f"unknown method {m!r}; expected one of: {known}")
         if m in methods[:i]:
             raise ValueError(f"method {m!r} is listed more than once")
+    cells = [_cell_key(spec) for spec in specs]
+    for i, spec in enumerate(specs):
+        if cells[i] in cells[:i]:
+            raise ValueError(f"cell family={spec.family} h={spec.h} R={spec.R} "
+                             f"R_tilde={spec.R_tilde} P={spec.P} is listed more than once")
     if n_reps < 100:
         raise ValueError(
             f"rejection rates need at least 100 replications, got {n_reps}"

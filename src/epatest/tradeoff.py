@@ -165,16 +165,15 @@ def _null_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng([seed, rep])
 
 
-def _null_statistics(model: FittedArModel, P: int, grid, n_sim: int, seed: int):
-    """Fixed-b statistics at every bandwidth in ``grid`` on one set of null paths.
+def _null_statistics(model: FittedArModel, P: int, procedures, n_sim: int, seed: int):
+    """Statistics of the fixed-b ``procedures`` on one set of null paths.
 
     Simulates the ``n_sim`` null paths once, as rows of a matrix, and
     evaluates the test at every bandwidth from one autocovariance array.
-    Returns the procedures and, per bandwidth, the (statistic, variance)
-    arrays over the paths; degenerate variance estimates give NaN
-    statistics (tallied in the debug log).
+    Returns, per procedure, the (statistic, variance) arrays over the
+    paths; degenerate variance estimates give NaN statistics (tallied in
+    the debug log).
     """
-    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
     paths = np.stack([
         simulate_from_model(model, P, 0.0, _null_rng(seed, rep)) for rep in range(n_sim)
     ])
@@ -186,7 +185,7 @@ def _null_statistics(model: FittedArModel, P: int, grid, n_sim: int, seed: int):
                 "fixed-b null statistics (P=%d, M=%d): %d of %d replications degenerate",
                 P, proc.bandwidth, degenerate, n_sim,
             )
-    return procedures, results
+    return results
 
 
 def _size_distortions(procedures, results, n_sim: int) -> list[float]:
@@ -232,7 +231,8 @@ def size_distortion(
     """
     if n_sim < 1:
         raise ValueError(f"n_sim must be positive, got {n_sim}")
-    procedures, results = _null_statistics(model, P, (M,), n_sim, seed)
+    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
+    results = _null_statistics(model, P, procedures, n_sim, seed)
     return _size_distortions(procedures, results, n_sim)[0]
 
 
@@ -277,7 +277,8 @@ def max_power_loss(
         raise ValueError(f"grid_size must be positive, got {grid_size}")
     if model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
-    _, results = _null_statistics(model, P, (M,), n_sim, seed)
+    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
+    results = _null_statistics(model, P, procedures, n_sim, seed)
     return _max_power_losses(model, P, results, grid_size)[0]
 
 
@@ -354,13 +355,11 @@ def build_tradeoff_curve(
     grid = tuple(int(M) for M in grid)
     if not grid:
         raise ValueError("bandwidth grid is empty")
-    for M in grid:
-        if not 1 <= M <= P - 1:
-            raise ValueError(f"bandwidth {M} outside [1, {P - 1}]")
+    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
     model = fit_ar(d, config.max_ar_order)
     if model.innovation_variance <= 0.0:
         raise ValueError("fitted innovation variance is zero; series is degenerate")
-    procedures, results = _null_statistics(model, P, grid, config.n_sim, config.seed)
+    results = _null_statistics(model, P, procedures, config.n_sim, config.seed)
     return [
         TradeoffPoint(M=M, size_distortion=sd, max_power_loss=loss, rejected=outcome.rej)
         for M, sd, loss, outcome in zip(

@@ -28,6 +28,7 @@ from epatest.dmtests import (
     evaluate,
     procedure,
 )
+from epatest.lrv import ESTIMATORS
 
 # Each registry label and each mc battery label as a call of the one-series
 # API at the cell's horizon.
@@ -52,6 +53,7 @@ def test_registry_labels_all_have_a_one_row_check_and_a_cli_choice():
     (subcommands,) = [a for a in build_parser()._actions if a.dest == "command"]
     (method,) = [a for a in subcommands.choices["test"]._actions if a.dest == "method"]
     assert tuple(method.choices) == (*METHODS, "all")
+    assert {m.kernel for m in METHODS.values()} - {"block-means"} <= set(ESTIMATORS)
 
 
 def _rows(n_rows, P, seed):
@@ -95,21 +97,39 @@ def check_battery(X, h, cl=0.05):
     return degenerate
 
 
-@pytest.mark.parametrize(
+SHAPES = pytest.mark.parametrize(
     "n_rows, P, h, seed",
     [
         (40, 75, 12, 0),
         (25, 1000, 3, 1),
         (60, 12, 10, 2),  # short P, large h: the rectangular estimate often comes out <= 0
-        (60, 10, 10, 3),  # h = P: the flat-weight sum is zero up to rounding
-        (30, 25, 26, 4),  # h > P: dm_r and dm_m reject the horizon on every row
+        (60, 10, 10, 3),  # h = P: dm_r and dm_m reject the horizon on every row
+        (30, 25, 26, 4),  # h > P: likewise
         (5, 2, 1, 5),     # shortest admissible series: several procedures reject P
     ],
 )
+
+
+@SHAPES
 def test_batched_battery_matches_one_row(n_rows, P, h, seed):
     degenerate = check_battery(_rows(n_rows, P, seed), h)
     if (P, h) == (12, 10):
         assert degenerate["dm_r"] > 0 and degenerate["dm_m"] > 0
+
+
+@SHAPES
+def test_one_shared_autocovariance_array_changes_nothing(n_rows, P, h, seed):
+    X = _rows(n_rows, P, seed)
+    procedures = []
+    for label in ONE_ROW:
+        try:
+            procedures.append(procedure(label, P, h, 0.05))
+        except ValueError:
+            pass
+    for proc, (stat, variance) in zip(procedures, evaluate(procedures, X)):
+        ((alone_stat, alone_variance),) = evaluate([proc], X)
+        assert stat.tobytes() == alone_stat.tobytes(), proc
+        assert variance.tobytes() == alone_variance.tobytes(), proc
 
 
 @settings(max_examples=60, deadline=None)

@@ -189,22 +189,27 @@ class TestUnsupportedMethod:
 
     ORDER = ["dm_r", "dm_m", "dm_nw", "dm_nw_l", "dm_fb", "dm_ewc", "dm_wpe", "dm_im"]
 
-    def _check(self, argv, unsupported, reason, tmp_path, capsys):
-        """Run ``argv``; return the rows the other methods computed, by method."""
+    def _check(self, argv, unsupported, tmp_path, capsys):
+        """Run ``argv``; return the rows the other methods computed, by method.
+
+        ``unsupported`` maps each method expected to refuse the arguments
+        to its reason.
+        """
         out_dir = tmp_path / "res"
         code, out, err = run(argv + ["--out", str(out_dir)], capsys)
         assert code == 3
         rows = {ln.split()[0]: ln.split() for ln in out.splitlines()[3:]}
         assert list(rows) == self.ORDER
-        assert rows.pop(unsupported)[1:] == ["unsupported", "-", "-", "-", "-", "-"]
-        assert f"warning: {reason}" in err.splitlines()
+        for method, reason in unsupported.items():
+            assert rows.pop(method)[1:] == ["unsupported", "-", "-", "-", "-", "-"]
+            assert f"warning: {reason}" in err.splitlines()
         payload = json.loads((out_dir / "test_results.json").read_text())
         assert [r["method"] for r in payload["results"]] == self.ORDER
         for rec in payload["results"]:
             assert len(rec) == 8
             assert rec["cl"] == payload["parameters"]["cl"]
             fields = ("stat", "pval", "rej", "critical_value", "bandwidth", "df")
-            if rec["method"] == unsupported:
+            if rec["method"] in unsupported:
                 assert [rec[key] for key in fields] == [None] * 6
             else:
                 assert rec["critical_value"] is not None and rec["bandwidth"] is not None
@@ -213,7 +218,7 @@ class TestUnsupportedMethod:
     def test_level_without_fixed_b_table(self, data_csv, tmp_path, capsys):
         reason = "fixed-b critical values are tabulated for cl=0.05 only, got cl=0.1"
         rows = self._check(["test", "--data", str(data_csv)] + BASE + ["--cl", "0.1"],
-                           "dm_fb", reason, tmp_path, capsys)
+                           {"dm_fb": reason}, tmp_path, capsys)
         for fields in rows.values():
             float(fields[1])  # every other test is defined at 10%
 
@@ -229,10 +234,14 @@ class TestUnsupportedMethod:
         return path
 
     def test_horizon_as_long_as_the_sample(self, short_csv, tmp_path, capsys):
-        reason = ("small-sample correction factor is nonpositive at P=12, h=12; "
-                  "the horizon is too large for this sample")
+        # at h = P the flat-weight sum behind dm_r is zero in exact arithmetic
+        unsupported = {
+            "dm_r": "horizon 12 needs at least 13 observations, got 12",
+            "dm_m": "small-sample correction factor is nonpositive at P=12, h=12; "
+                    "the horizon is too large for this sample",
+        }
         rows = self._check(["test", "--data", str(short_csv)] + BASE + ["--h", "12"],
-                           "dm_m", reason, tmp_path, capsys)
+                           unsupported, tmp_path, capsys)
         # the lag-window tests with their own bandwidths are defined
         for name in ("dm_nw", "dm_nw_l", "dm_fb", "dm_ewc", "dm_wpe", "dm_im"):
             float(rows[name][1])
@@ -417,6 +426,18 @@ class TestMcCommand:
         assert code == 1
         assert "cl=0.05" in err
         assert "[1/" not in err
+        assert not out_dir.exists()
+
+    def test_repeated_cell_fails_before_any_cell(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code, _, err = run(
+            ["mc", "--families", "ucr", "--h-set", "1,1", "--r-set", "25", "--rt-set", "25",
+             "--p-set", "25", "--methods", "dm_r", "--n-reps", "100", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err == ("error: cell family=ucr h=1 R=25 R_tilde=25 P=25 "
+                       "is listed more than once\n")
         assert not out_dir.exists()
 
     def test_progress_line_per_cell(self, tmp_path, capsys):

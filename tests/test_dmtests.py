@@ -81,6 +81,13 @@ class TestDmR:
         with pytest.raises(ValueError, match="significance level"):
             dm_test_r(_series(3), cl=1.5)
 
+    def test_horizon_as_long_as_the_sample(self):
+        # the flat-weight sum of every autocovariance is zero at h = P
+        d = _series(6, n=12)
+        with pytest.raises(ValueError, match="^horizon 12 needs at least 13 observations, got 12$"):
+            dm_test_r(d, h=d.size)
+        assert dm_test_r(d, h=d.size - 1).bandwidth == 10
+
 
 class TestDmM:
     def test_scaled_identity_with_dm_r(self):

@@ -83,6 +83,13 @@ class TestRectangular:
         with pytest.raises(ValueError, match="at least 1"):
             lrv_rectangular([1.0, 2.0], 0)
 
+    def test_horizon_as_long_as_the_sample(self):
+        # every autocovariance with full weight sums to zero about the mean
+        d = np.random.default_rng(19).standard_normal(16)
+        with pytest.raises(ValueError, match="^horizon 16 needs at least 17 observations, got 16$"):
+            lrv_rectangular(d, d.size)
+        assert lrv_rectangular(d, d.size - 1).bandwidth == 14
+
 
 class TestBartlett:
     def test_matches_naive(self):

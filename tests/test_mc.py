@@ -226,6 +226,8 @@ class TestRunExperiment:
             run(methods=("dm_r", "dm_x"), n_reps=100)
         with pytest.raises(ValueError, match="more than once"):
             run(methods=("dm_r", "dm_fb", "dm_r"), n_reps=100)
+        with pytest.raises(ValueError, match="cell family=cr h=3 .* more than once"):
+            run(good + [make_spec("cr", 3, 25, 25, 75)], methods=("dm_r",), n_reps=100)
         with pytest.raises(ValueError, match="100"):
             run(n_reps=99)
         with pytest.raises(ValueError, match="seed"):

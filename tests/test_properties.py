@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from epatest.dmtests import evaluate, procedure
 from epatest.mc import DEFAULT_METHODS
 
-# The battery plus dm_wpe, so that every lrv.*_rows estimator is covered.
+# The battery plus dm_wpe, so that every lrv.ESTIMATORS entry is covered.
 LABELS = (*DEFAULT_METHODS, "dm_wpe")
 
 shapes = {
@@ -37,8 +37,7 @@ def _battery(P, h, labels=DEFAULT_METHODS):
 
 
 def _draw(n_rows, P, h_frac, seed):
-    # h < P: at h = P the rectangular estimate is zero in exact arithmetic,
-    # so its sign, and whether the row is degenerate, is rounding noise.
+    # h < P: at h = P dm_r and dm_m refuse the horizon.
     h = 1 + math.floor(h_frac * (P - 1))
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n_rows, P + 1))

@@ -244,7 +244,7 @@ class TestBuildTradeoffCurve:
             build_tradeoff_curve(np.arange(9.0), TradeoffConfig(n_sim=100))
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[1, 19\], got 25$"):
             build_tradeoff_curve(
                 self._series(n=20), TradeoffConfig(bandwidth_grid=(25,), n_sim=100)
             )
