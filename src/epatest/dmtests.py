@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .lrv import ESTIMATORS, LrvEstimate, variance_rows
+from .lrv import ESTIMATORS, LrvEstimate, as_integer, variance_rows
 from .lrv import bandwidth as rule_bandwidth
 from .series import as_loss_series
 
@@ -174,10 +174,9 @@ def procedure(
             default = rule_bandwidth(default, P)
         bandwidth = h - 1 if default is None else default
     if method.kernel == "block-means":
-        im_partition(P, bandwidth)
+        bandwidth = im_partition(P, bandwidth).q
     else:
-        ESTIMATORS[method.kernel].check(bandwidth, P)
-    bandwidth = int(bandwidth)
+        bandwidth = ESTIMATORS[method.kernel].check(bandwidth, P)
     df = None
     if method.reference == "normal":
         crit = float(stats.norm.ppf(1.0 - cl / 2.0))
@@ -358,8 +357,9 @@ def im_partition(P: int, q: int) -> ImPartition:
 
     With P = q*b0 + r, the first r blocks get b0 + 1 observations and the
     remaining q - r blocks get b0, so sizes differ by at most one and sum
-    to P exactly.
+    to P exactly. ``q`` may be any integral number (3.0 gives 3 blocks).
     """
+    q = as_integer(q)
     if q < 2:
         raise ValueError(f"need at least 2 blocks, got {q}")
     if q > P:

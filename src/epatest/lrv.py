@@ -98,18 +98,36 @@ class LrvEstimate:
     nonpositive: bool
 
 
-def _check_lags(lags: int, P: int) -> None:
-    h = lags + 1
+def as_integer(value, what: str = "bandwidth") -> int:
+    """``value`` as an int if it is integral: 3, ``np.int64(3)`` and 3.0 all give 3.
+
+    Anything else raises ValueError("<what> must be an integer, got <value>"),
+    the one message every bandwidth argument of the package gives.
+    """
+    try:
+        integer = int(value)
+    except (TypeError, ValueError, OverflowError):
+        integer = None
+    if integer is None or integer != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return integer
+
+
+def _check_lags(lags: int, P: int) -> int:
+    h = as_integer(lags + 1, "forecast horizon")
     if h < 1:
         raise ValueError(f"forecast horizon must be at least 1, got {h}")
     if h >= P:
         raise ValueError(f"horizon {h} needs at least {h + 1} observations, got {P}")
+    return h - 1
 
 
-def _check_range(what: str, upper: Callable[[int], int]) -> Callable[[int, int], None]:
-    def check(bw: int, P: int) -> None:
+def _check_range(what: str, upper: Callable[[int], int]) -> Callable[[int, int], int]:
+    def check(bw, P: int) -> int:
+        bw = as_integer(bw)
         if not 1 <= bw <= upper(P):
             raise ValueError(f"{what} must lie in [1, {upper(P)}], got {bw}")
+        return bw
     return check
 
 
@@ -117,13 +135,14 @@ def _check_range(what: str, upper: Callable[[int], int]) -> Callable[[int, int],
 class Estimator:
     """One long-run variance estimator, as an entry of :data:`ESTIMATORS`.
 
-    ``check(bandwidth, P)`` raises ValueError for an inadmissible bandwidth.
-    ``maxlag(bandwidth)`` is the largest autocovariance lag that
-    ``rows(gamma, bandwidth)`` reads, or None when ``rows(X, bandwidth)``
-    reads the series itself. ``rows`` does no validation.
+    ``check(bandwidth, P)`` returns an admissible bandwidth as an int and
+    raises ValueError for any other. ``maxlag(bandwidth)`` is the largest
+    autocovariance lag that ``rows(gamma, bandwidth)`` reads, or None when
+    ``rows(X, bandwidth)`` reads the series itself. ``rows`` does no
+    validation.
     """
 
-    check: Callable[[int, int], None]
+    check: Callable[[int, int], int]
     maxlag: Callable[[int], int] | None
     rows: Callable[[np.ndarray, int], np.ndarray]
 
@@ -170,7 +189,7 @@ def variance_rows(estimates, X: np.ndarray) -> list[np.ndarray]:
 
 def _estimate(kernel: str, d, bw: int) -> LrvEstimate:
     d = as_loss_series(d)
-    ESTIMATORS[kernel].check(bw, d.size)
+    bw = ESTIMATORS[kernel].check(bw, d.size)
     value = float(variance_rows([(kernel, bw)], d[None, :])[0][0])
     return LrvEstimate(value=value, kernel=kernel, bandwidth=bw, nonpositive=value <= 0.0)
 

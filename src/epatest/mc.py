@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft, signal
 
+from ._streams import check_seed, keyed_rows
 from .dmtests import evaluate, procedure
 
 __all__ = [
@@ -157,24 +158,39 @@ def experiment_grid(
     ]
 
 
-def _ucr_series(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
+def _width(spec: DgpSpec) -> int:
+    """Innovations one replication draws: the path the forecasts use plus its presample."""
     T_tot = spec.R_tilde + spec.P + spec.h - 1
-    theta = ma_weights(spec.h)
-    # h-1 presample innovations so the first retained value already has the
-    # full MA window behind it.
-    eps = rng.standard_normal(T_tot + spec.h - 1)
-    return spec.mu + np.convolve(eps, theta, mode="valid")
+    return T_tot + (spec.h - 1 if spec.family == "ucr" else CR_BURN_IN)
 
 
-def _cr_series(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
-    T_tot = spec.R_tilde + spec.P + spec.h - 1
-    eps = rng.standard_normal(CR_BURN_IN + T_tot)
-    return _cr_recursion(eps, spec.h, spec.R, T_tot)
+def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and rolling-mean forecasts along the path each row of innovations drives.
+
+    ``E`` holds one replication's ``_width(spec)`` standard normals per row.
+    Forecast origins are the ``P`` dates with a full ``R_tilde`` window of
+    past values; each targets the value ``h`` steps ahead. The competing
+    forecast, identically zero, is left implicit. Every replication of the
+    package, batched or not, is simulated here.
+    """
+    Rt, P, h = spec.R_tilde, spec.P, spec.h
+    T_tot = Rt + P + h - 1
+    if spec.family == "ucr":
+        # h-1 presample innovations so the first retained value already has
+        # the full MA window behind it.
+        Y = spec.mu + signal.lfilter(ma_weights(h), [1.0], E, axis=1)[:, h - 1 :]
+    else:
+        Y = _cr_recursion(E, h, spec.R, T_tot)
+    csum = np.zeros((Y.shape[0], T_tot + 1))
+    np.cumsum(Y, axis=1, out=csum[:, 1:])
+    rolling_mean = (csum[:, Rt : Rt + P] - csum[:, :P]) / Rt
+    return Y[:, Rt + h - 1 : Rt + h - 1 + P], rolling_mean
 
 
 def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> np.ndarray:
     """The last ``keep`` values (default all) of the conditional-rolling
-    recursion run over ``eps`` from zero initial conditions.
+    recursion run over each row of ``eps`` (or over a 1-D ``eps``) from zero
+    initial conditions.
 
     The recursion is a linear time-invariant filter started at rest, so each
     output is the convolution of the innovations with the filter's impulse
@@ -183,10 +199,10 @@ def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> n
     T-step recursion with h + R taps; at that n the circular wrap-around of
     the product does not reach the ``keep`` values returned.
     """
-    T = eps.size
+    T = eps.shape[-1]
     keep = T if keep is None else keep
     G, n = _cr_spectrum(h, R, T, keep)
-    return fft.irfft(fft.rfft(eps, n) * G, n)[T - keep : T]
+    return fft.irfft(fft.rfft(eps, n) * G, n)[..., T - keep : T]
 
 
 @lru_cache(maxsize=1)
@@ -206,42 +222,28 @@ def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int]:
     return G, n
 
 
-def _forecasts_from_path(y: np.ndarray, spec: DgpSpec):
-    """Targets and the two competing forecasts along one simulated path.
+def simulate(spec: DgpSpec, rng):
+    """One replication of the spec's family: (target, forecast1, forecast2).
 
-    Forecast origins are the ``P`` dates with a full ``R_tilde`` window of
-    past values; each targets the value ``h`` steps ahead. Forecast 1 is
-    identically zero, forecast 2 the rolling mean of the window.
+    ``rng`` is a generator or anything ``np.random.default_rng`` accepts.
     """
-    Rt, P, h = spec.R_tilde, spec.P, spec.h
-    csum = np.concatenate(([0.0], np.cumsum(y)))
-    rolling_mean = (csum[Rt : Rt + P] - csum[:P]) / Rt
-    target = y[Rt + h - 1 : Rt + h - 1 + P]
-    return target, np.zeros(P), rolling_mean
+    E = np.random.default_rng(rng).standard_normal((1, _width(spec)))
+    target, rolling_mean = _simulate_rows(spec, E)
+    return target[0], np.zeros(spec.P), rolling_mean[0]
 
 
 def simulate_ucr(spec: DgpSpec, rng):
     """One unconditional-rolling replication: (target, forecast1, forecast2)."""
     if spec.family != "ucr":
         raise ValueError(f"spec has family {spec.family!r}, expected 'ucr'")
-    rng = np.random.default_rng(rng)
-    return _forecasts_from_path(_ucr_series(spec, rng), spec)
+    return simulate(spec, rng)
 
 
 def simulate_cr(spec: DgpSpec, rng):
     """One conditional-rolling replication: (target, forecast1, forecast2)."""
     if spec.family != "cr":
         raise ValueError(f"spec has family {spec.family!r}, expected 'cr'")
-    rng = np.random.default_rng(rng)
-    return _forecasts_from_path(_cr_series(spec, rng), spec)
-
-
-_SIMULATORS = {"ucr": simulate_ucr, "cr": simulate_cr}
-
-
-def simulate(spec: DgpSpec, rng):
-    """Dispatch to the family's simulator."""
-    return _SIMULATORS[spec.family](spec, rng)
+    return simulate(spec, rng)
 
 
 @dataclass
@@ -271,20 +273,18 @@ def _cell_key(spec: DgpSpec) -> tuple:
 def _loss_differentials(spec: DgpSpec, n_reps: int, seed: int) -> np.ndarray:
     """The cell's replications as an ``n_reps x P`` matrix, one loss differential per row.
 
-    Each row comes from its own stream keyed by (seed, family, h, R,
-    R_tilde, P, rep) and the family's one-replication simulator.
+    Row ``rep`` is simulated from the stream of
+    ``np.random.default_rng([seed, family code, h, R, R_tilde, P, rep])``.
     """
-    simulator = _SIMULATORS[spec.family]
-    famcode = _FAMILY_CODES[spec.family]
+    def loss_rows(E):
+        # The zero forecast errs by the target itself.
+        target, rolling_mean = _simulate_rows(spec, E)
+        e2 = target - rolling_mean
+        return target * target - e2 * e2
+
     D = np.empty((n_reps, spec.P))
-    for rep in range(n_reps):
-        rng = np.random.default_rng(
-            [seed, famcode, spec.h, spec.R, spec.R_tilde, spec.P, rep]
-        )
-        target, f1, f2 = simulator(spec, rng)
-        e1 = target - f1
-        e2 = target - f2
-        D[rep] = e1 * e1 - e2 * e2
+    key = [seed, _FAMILY_CODES[spec.family], spec.h, spec.R, spec.R_tilde, spec.P]
+    keyed_rows(D, key, _width(spec), loss_rows)
     return D
 
 
@@ -325,8 +325,7 @@ def run_experiment(
         raise ValueError(
             f"rejection rates need at least 100 replications, got {n_reps}"
         )
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = check_seed(seed)
     # Reference distributions depend on the cell only through (P, h).
     plans = {}
     for spec in specs:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal, stats
 
+from ._streams import check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import evaluate, outcomes, procedure
@@ -139,6 +140,20 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
     )
 
 
+def _model_paths(model: FittedArModel, E: np.ndarray, shift: float) -> np.ndarray:
+    """The fitted autoregression driven by each row of standard normals ``E``.
+
+    The rows are scaled to the fitted innovation variance and filtered from
+    zero initial conditions; the first ``SIMULATION_BURN_IN`` values of each
+    path are dropped and ``shift`` is added to the rest.
+    """
+    eps = E * math.sqrt(max(model.innovation_variance, 0.0))
+    if model.order:
+        a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
+        eps = signal.lfilter([1.0], a, eps, axis=1)
+    return eps[:, SIMULATION_BURN_IN:] + shift
+
+
 def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.ndarray:
     """Draw a length-P path from the fitted autoregression, plus a mean shift.
 
@@ -149,19 +164,14 @@ def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.n
     """
     if P < 1:
         raise ValueError(f"path length must be positive, got {P}")
-    rng = np.random.default_rng(rng)
-    eps = rng.standard_normal(SIMULATION_BURN_IN + P) * math.sqrt(
-        max(model.innovation_variance, 0.0)
-    )
-    if model.order:
-        a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-        path = signal.lfilter([1.0], a, eps)
-    else:
-        path = eps
-    return path[SIMULATION_BURN_IN:] + shift
+    E = np.random.default_rng(rng).standard_normal((1, SIMULATION_BURN_IN + P))
+    return _model_paths(model, E, shift)[0]
 
 
 def _null_rng(seed: int, rep: int) -> np.random.Generator:
+    """The generator of null path ``rep``: :func:`_null_statistics` draws
+    ``simulate_from_model(model, P, 0.0, _null_rng(seed, rep))`` as that
+    path, without constructing the generator."""
     return np.random.default_rng([seed, rep])
 
 
@@ -174,9 +184,8 @@ def _null_statistics(model: FittedArModel, P: int, procedures, n_sim: int, seed:
     paths; degenerate variance estimates give NaN statistics (tallied in
     the debug log).
     """
-    paths = np.stack([
-        simulate_from_model(model, P, 0.0, _null_rng(seed, rep)) for rep in range(n_sim)
-    ])
+    paths = np.empty((n_sim, P))
+    keyed_rows(paths, [seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(model, E, 0.0))
     results = evaluate(procedures, paths)
     for proc, (stat, _) in zip(procedures, results):
         degenerate = np.count_nonzero(np.isnan(stat))
@@ -301,8 +310,7 @@ class TradeoffConfig:
             raise ValueError(
                 f"alternative_grid_size must be positive, got {self.alternative_grid_size}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -352,7 +360,6 @@ def build_tradeoff_curve(
     grid = config.bandwidth_grid
     if grid is None:
         grid = default_bandwidth_grid(P)
-    grid = tuple(int(M) for M in grid)
     if not grid:
         raise ValueError("bandwidth grid is empty")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
@@ -361,9 +368,10 @@ def build_tradeoff_curve(
         raise ValueError("fitted innovation variance is zero; series is degenerate")
     results = _null_statistics(model, P, procedures, config.n_sim, config.seed)
     return [
-        TradeoffPoint(M=M, size_distortion=sd, max_power_loss=loss, rejected=outcome.rej)
-        for M, sd, loss, outcome in zip(
-            grid,
+        TradeoffPoint(M=proc.bandwidth, size_distortion=sd, max_power_loss=loss,
+                      rejected=outcome.rej)
+        for proc, sd, loss, outcome in zip(
+            procedures,
             _size_distortions(procedures, results, config.n_sim),
             _max_power_losses(model, P, results, config.alternative_grid_size),
             outcomes(procedures, d),

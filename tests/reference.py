@@ -107,3 +107,18 @@ def cr_recursion_lfilter(eps, h, R):
     a[0] = 1.0
     a[h:] = -1.0 / (2.0 * R)
     return signal.lfilter([1.0], a, x)
+
+
+def ucr_loss_differential(eps, mu, h, R_tilde, P):
+    """One unconditional-rolling replication's loss differential, built one
+    path at a time: the MA(h-1) path by ``np.convolve`` over the innovations
+    (the first h-1 of them presample), the rolling means from one cumulative
+    sum, then the squared error of the zero forecast minus that of the
+    rolling mean at each of the P origins."""
+    y = mu + np.convolve(eps, 0.5 ** np.arange(h), mode="valid")
+    csum = np.concatenate(([0.0], np.cumsum(y)))
+    rolling_mean = (csum[R_tilde : R_tilde + P] - csum[:P]) / R_tilde
+    target = y[R_tilde + h - 1 : R_tilde + h - 1 + P]
+    e1 = target - np.zeros(P)
+    e2 = target - rolling_mean
+    return e1 * e1 - e2 * e2

@@ -174,3 +174,61 @@ class TestEstimateRecord:
         est = lrv_bartlett(np.arange(20.0), 4)
         with pytest.raises(AttributeError):
             est.value = 1.0
+
+
+class TestIntegerBandwidths:
+    """Every bandwidth argument goes through one check: integral values are
+    taken as ints, anything else is refused with one message."""
+
+    D = np.random.default_rng(19).standard_normal(40)
+    MESSAGE = "bandwidth must be an integer, got 3.5"
+
+    @staticmethod
+    def _entry_points(d, value):
+        from epatest import dmtests, tradeoff
+
+        model = tradeoff.FittedArModel(1, (0.5,), 1.0, 0.0, 4.0)
+        return {
+            "lrv_bartlett": lambda: lrv_bartlett(d, value),
+            "lrv_ewc": lambda: lrv_ewc(d, value),
+            "lrv_wpe": lambda: lrv_wpe(d, value),
+            "dm_test_bt": lambda: dmtests.dm_test_bt(d, M=value),
+            "dm_test_bt_fb": lambda: dmtests.dm_test_bt_fb(d, M=value),
+            "dm_test_ewc_fb": lambda: dmtests.dm_test_ewc_fb(d, B=value),
+            "dm_test_wpe_fb": lambda: dmtests.dm_test_wpe_fb(d, m=value),
+            "dm_test_im": lambda: dmtests.dm_test_im(d, q=value),
+            "im_partition": lambda: dmtests.im_partition(d.size, value),
+            "procedure": lambda: dmtests.procedure("dm_fb", d.size, 1, 0.05, value),
+            "size_distortion": lambda: tradeoff.size_distortion(model, d.size, value, 100),
+            "max_power_loss": lambda: tradeoff.max_power_loss(model, d.size, value, 100),
+            "build_tradeoff_curve": lambda: tradeoff.build_tradeoff_curve(
+                d, tradeoff.TradeoffConfig(bandwidth_grid=(2, value), n_sim=100)),
+        }
+
+    @pytest.mark.parametrize("name", sorted(_entry_points(D, 3.5)))
+    def test_fractional_bandwidth_refused_with_one_message(self, name):
+        with pytest.raises(ValueError) as err:
+            self._entry_points(self.D, 3.5)[name]()
+        assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("value", ["3", None, float("nan"), float("inf"), 3 + 0j])
+    def test_non_numbers_refused(self, value):
+        with pytest.raises(ValueError, match="bandwidth must be an integer"):
+            lrv_ewc(self.D, value)
+
+    @pytest.mark.parametrize("name", sorted(_entry_points(D, 3.5)))
+    def test_integral_values_equal_the_int(self, name):
+        want = self._entry_points(self.D, 3)[name]()
+        for value in (3.0, np.int64(3), np.float64(3.0)):
+            got = self._entry_points(self.D, value)[name]()
+            assert got == want, (name, value)
+
+    def test_estimates_record_an_int(self):
+        for fn in (lrv_bartlett, lrv_ewc, lrv_wpe):
+            est = fn(self.D, 3.0)
+            assert type(est.bandwidth) is int and est.bandwidth == 3
+
+    def test_horizon_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="forecast horizon must be an integer, got 3.5"):
+            lrv_rectangular(self.D, 3.5)
+        assert lrv_rectangular(self.D, 3.0) == lrv_rectangular(self.D, 3)

@@ -207,11 +207,10 @@ class TestRunExperiment:
             run_experiment([make_spec("ucr", 1, 25, 25, 25)], methods=("dm_x",), n_reps=100)
 
     def test_arguments_checked_before_any_simulation(self, monkeypatch):
-        def fail(spec, rng):
+        def fail(spec, E):
             raise AssertionError("simulated before the arguments were checked")
 
-        for family in ("ucr", "cr"):
-            monkeypatch.setitem(mc._SIMULATORS, family, fail)
+        monkeypatch.setattr(mc, "_simulate_rows", fail)
         cells = []
         good = [make_spec("ucr", 1, 25, 25, 25), make_spec("cr", 3, 25, 25, 75)]
 
@@ -232,6 +231,8 @@ class TestRunExperiment:
             run(n_reps=99)
         with pytest.raises(ValueError, match="seed"):
             run(n_reps=100, seed=-1)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got 1.5"):
+            run(n_reps=100, seed=1.5)
         # only the last cell's horizon is too long for its sample
         with pytest.raises(ValueError, match="horizon 30"):
             run(good + [make_spec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)

@@ -126,6 +126,20 @@ class TestSizeDistortion:
         assert a == b
 
 
+class TestSeedChecks:
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_refused_by_simulating_functions(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            size_distortion(AR0, P=60, M=5, n_sim=300, seed=seed)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            max_power_loss(AR0, P=60, M=5, n_sim=300, seed=seed)
+
+    def test_integral_float_seed_is_that_integer(self):
+        assert size_distortion(AR0, P=60, M=5, n_sim=300, seed=2.0) == size_distortion(
+            AR0, P=60, M=5, n_sim=300, seed=2
+        )
+
+
 class TestOraclePower:
     def test_nominal_level_at_zero_shift(self):
         assert oracle_power(1.0, 100, 0.0) == pytest.approx(0.05, abs=1e-10)
@@ -181,6 +195,14 @@ class TestTradeoffConfig:
     def test_positive_alt_grid(self):
         with pytest.raises(ValueError, match="alternative_grid_size"):
             TradeoffConfig(alternative_grid_size=0)
+
+    def test_integer_seed(self):
+        # refused when the config is made, before any model is fitted
+        for seed in (1.5, "3", -1):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                TradeoffConfig(seed=seed)
+        assert TradeoffConfig(seed=np.int64(2**40)).seed == 2**40
+        TradeoffConfig(seed=2.0)
 
     def test_defaults(self):
         cfg = TradeoffConfig()
