@@ -22,21 +22,16 @@ import argparse
 import json
 import platform
 import sys
+from dataclasses import asdict, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .data import CsvParseError, load_csv, loss_series
-from .dmtests import (
-    METHODS,
-    DegenerateVarianceError,
-    TestOutcome,
-    UnsupportedLevelError,
-    outcomes,
-    procedure,
-)
+from .data import load_csv, loss_series
+from .dmtests import METHODS, DegenerateVarianceError, TestOutcome, outcomes, procedure
 from .lrv import bandwidth
 from .mc import (
     DEFAULT_METHODS,
@@ -44,7 +39,7 @@ from .mc import (
     run_experiment,
     size_corrected_power,
 )
-from .tradeoff import TradeoffConfig, build_tradeoff_curve
+from .tradeoff import TradeoffConfig, TradeoffPoint, build_tradeoff_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -56,6 +51,10 @@ _ENVIRONMENT = {
     "system": platform.system(),
     "machine": platform.machine(),
 }
+
+# The data-loading options of ``test`` and ``tradeoff``, in manifest order.
+_DATA_OPTIONS = ("data", "forecast_cols", "realization_col", "na_policy", "date_col",
+                 "date_from", "date_to", "loss")
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
@@ -145,45 +144,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _comma_list(text: str, kind=str.strip) -> tuple:
+    """The nonblank items of a comma list, each converted by ``kind``."""
+    return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+
+
 def _load_series(args) -> np.ndarray:
-    cols = tuple(c.strip() for c in args.forecast_cols.split(",") if c.strip())
+    cols = _comma_list(args.forecast_cols)
     if len(cols) != 2:
         raise ValueError(f"--forecast-cols needs exactly two names, got {args.forecast_cols!r}")
-    date_range = None
-    if args.date_from is not None or args.date_to is not None:
-        date_range = (args.date_from, args.date_to)
-    ds = load_csv(
-        args.data,
-        forecast_cols=cols,
-        realization_col=args.realization_col,
-        na_policy=args.na_policy,
-        date_col=args.date_col,
-        date_range=date_range,
-    )
+    date_range = (args.date_from, args.date_to)
+    ds = load_csv(args.data, cols, args.realization_col, na_policy=args.na_policy,
+                  date_col=args.date_col,
+                  date_range=None if date_range == (None, None) else date_range)
     return loss_series(ds, args.loss)
 
 
-def _data_parameters(args) -> dict:
-    return {
-        "data": str(args.data),
-        "forecast_cols": args.forecast_cols,
-        "realization_col": args.realization_col,
-        "na_policy": args.na_policy,
-        "date_col": args.date_col,
-        "date_from": args.date_from,
-        "date_to": args.date_to,
-        "loss": args.loss,
-    }
+def _options(args, *names) -> dict:
+    return {name: getattr(args, name) for name in names}
 
 
-def _manifest(command: str, parameters: dict, seed) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "software_version": __version__,
-        "environment": _ENVIRONMENT,
-    }
+def _write(path: Path, text: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
+def _write_manifest(path: Path, command: str, parameters: dict, seed, **results) -> Path:
+    """A JSON record of the run, then the command's own ``results`` in the order given."""
+    payload = {"command": command, "parameters": parameters, "seed": seed,
+               "software_version": __version__, "environment": _ENVIRONMENT, **results}
+    return _write(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _csv_field(value) -> str:
+    """Booleans as true/false, floats by repr (exact round trip), None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(bool(value)).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    lines = (",".join(map(_csv_field, row)) + "\n" for row in [header, *rows])
+    return _write(path, "".join(lines))
 
 
 def _outcome_record(method: str, proc, outcome, cl: float) -> dict:
@@ -242,20 +249,14 @@ def cmd_test(args) -> int:
         rej = ("yes" if r.rej else "no") if ok else "-"
         print(f"{name:<8} {stat} {p.critical_value:9.4f} {pval} {p.bandwidth:9d} {df}  {rej}")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = _manifest(
-            "test",
-            {**_data_parameters(args), "method": args.method, "h": args.h, "cl": args.cl,
-             "M": args.M, "B": args.B, "m": args.m, "q": args.q},
+        target = _write_manifest(
+            Path(args.out) / "test_results.json", "test",
+            _options(args, *_DATA_OPTIONS, "method", "h", "cl", "M", "B", "m", "q"),
             seed=None,
+            n_obs=int(d.size),
+            results=[_outcome_record(name, planned.get(name), results[name], args.cl)
+                     for name in names],
         )
-        payload["n_obs"] = int(d.size)
-        payload["results"] = [
-            _outcome_record(name, planned.get(name), results[name], args.cl) for name in names
-        ]
-        target = out_dir / "test_results.json"
-        target.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {target}", file=sys.stderr)
     problems = [results[name] for name in names if not isinstance(results[name], TestOutcome)]
     for exc in problems:
@@ -267,69 +268,41 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     if ":" in text:
         lo, hi = text.split(":", 1)
         return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
+    return _comma_list(text, int)
 
 
 def cmd_tradeoff(args) -> int:
     d = _load_series(args)
     grid = _parse_grid(args.grid) if args.grid is not None else None
-    config = TradeoffConfig(
-        bandwidth_grid=grid,
-        n_sim=args.n_sim,
-        alternative_grid_size=args.alt_grid_size,
-        seed=args.seed,
-        max_ar_order=args.max_ar_order,
-    )
+    config = TradeoffConfig(bandwidth_grid=grid, n_sim=args.n_sim,
+                            alternative_grid_size=args.alt_grid_size, seed=args.seed,
+                            max_ar_order=args.max_ar_order)
     points = build_tradeoff_curve(d, config)
     default_M = bandwidth("llsw", d.size)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    csv_path = out_dir / "tradeoff.csv"
-    lines = ["M,size_distortion,max_power_loss,rejected"]
-    for p in points:
-        lines.append(
-            f"{p.M},{_format_float(p.size_distortion)},{_format_float(p.max_power_loss)},"
-            f"{str(p.rejected).lower()}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n")
-
-    payload = _manifest(
-        "tradeoff",
-        {**_data_parameters(args), "grid": [p.M for p in points], "n_sim": args.n_sim,
-         "alt_grid_size": args.alt_grid_size, "max_ar_order": args.max_ar_order},
-        seed=args.seed,
-    )
-    payload["n_obs"] = int(d.size)
-    payload["default_bandwidth"] = default_M
-    payload["points"] = [
-        {"M": p.M, "size_distortion": p.size_distortion,
-         "max_power_loss": p.max_power_loss, "rejected": p.rejected}
-        for p in points
+    records = [asdict(p) for p in points]
+    written = [
+        _write_csv(out_dir / "tradeoff.csv", [f.name for f in fields(TradeoffPoint)],
+                   [r.values() for r in records]),
+        _write_manifest(
+            out_dir / "tradeoff.json", "tradeoff",
+            {**_options(args, *_DATA_OPTIONS), "grid": [p.M for p in points],
+             **_options(args, "n_sim", "alt_grid_size", "max_ar_order")},
+            seed=args.seed,
+            n_obs=int(d.size),
+            default_bandwidth=default_M,
+            points=records,
+        ),
     ]
-    json_path = out_dir / "tradeoff.json"
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
-    written = [csv_path, json_path]
-
     if not args.no_svg:
-        svg_path = out_dir / "tradeoff.svg"
         try:
-            svg_path.write_text(_tradeoff_svg(points, default_M))
-            written.append(svg_path)
+            written.append(_write(out_dir / "tradeoff.svg", _tradeoff_svg(points, default_M)))
         except Exception as exc:  # plot failure must not invalidate the data files
             print(f"warning: SVG rendering failed: {exc}", file=sys.stderr)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0
-
-
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [float(v) for v in np.linspace(lo, hi, n)]
 
 
 def _tradeoff_svg(points, default_M: int) -> str:
@@ -364,7 +337,7 @@ def _tradeoff_svg(points, default_M: int) -> str:
         "Size-power tradeoff across bandwidths</text>",
     ]
     axis = "#333"
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5):
         px = sx(tx)
         parts.append(f'<line x1="{px:.1f}" y1="{mt}" x2="{px:.1f}" y2="{mt + plot_h}" '
                      'stroke="#ddd" stroke-width="1"/>')
@@ -372,7 +345,7 @@ def _tradeoff_svg(points, default_M: int) -> str:
                      f'y2="{mt + plot_h + 5}" stroke="{axis}"/>')
         parts.append(f'<text x="{px:.1f}" y="{mt + plot_h + 19}" text-anchor="middle" '
                      f'font-size="11" fill="#111">{tx:.3g}</text>')
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5):
         py = sy(ty)
         parts.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + plot_w}" y2="{py:.1f}" '
                      'stroke="#ddd" stroke-width="1"/>')
@@ -425,17 +398,23 @@ def _tradeoff_svg(points, default_M: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _mc_cell(result, metric: str, method: str, cell: tuple):
+    """One matrix entry: the cell's rejection rate, or its size-corrected power
+    (None when the run lacks the cell's diagonal null)."""
+    if metric == "size":
+        return result.rejection_rates[(method, *cell)]
+    try:
+        return size_corrected_power(result, cell, method)
+    except KeyError:
+        return None
 
 
 def cmd_mc(args) -> int:
-    families = tuple(tok.strip() for tok in args.families.split(",") if tok.strip())
-    h_set = _parse_int_list(args.h_set)
-    r_set = _parse_int_list(args.r_set)
-    rt_set = _parse_int_list(args.rt_set)
-    p_set = _parse_int_list(args.p_set)
-    methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
+    families = _comma_list(args.families)
+    h_set, r_set, rt_set, p_set = (
+        _comma_list(text, int) for text in (args.h_set, args.r_set, args.rt_set, args.p_set)
+    )
+    methods = _comma_list(args.methods)
     specs = experiment_grid(families, h_set, r_set, rt_set, p_set)
 
     def progress(i: int, n_cells: int, spec) -> None:
@@ -448,55 +427,31 @@ def cmd_mc(args) -> int:
     result = run_experiment(specs, methods, args.n_reps, args.cl, args.seed, progress)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     # One matrix per (family, method, metric): rows are (R, R_tilde) pairs
     # with a diagonal flag, columns are the h x P groups.
-    col_keys = [(h, P) for h in h_set for P in p_set]
-    header = ",".join(
-        ["R", "R_tilde", "diagonal"] + [f"h={h}:P={P}" for h, P in col_keys]
-    )
-    for family in families:
-        for method in methods:
-            for metric in ("size", "power"):
-                path = out_dir / f"{family}_{method}_{metric}.csv"
-                rows = [header]
-                for R in r_set:
-                    for Rt in rt_set:
-                        cells = []
-                        for h, P in col_keys:
-                            if metric == "size":
-                                rate = result.rejection_rates[
-                                    (method, family, R, Rt, h, P)
-                                ]
-                                cells.append(_format_float(rate))
-                            else:
-                                try:
-                                    cells.append(_format_float(size_corrected_power(
-                                        result, (family, R, Rt, h, P), method
-                                    )))
-                                except KeyError:
-                                    cells.append("")
-                        rows.append(",".join(
-                            [str(R), str(Rt), str(R == Rt).lower()] + cells
-                        ))
-                path.write_text("\n".join(rows) + "\n")
-                outputs.append(path.name)
+    columns = list(product(h_set, p_set))
+    header = ["R", "R_tilde", "diagonal", *(f"h={h}:P={P}" for h, P in columns)]
+    outputs = []
+    for family, method, metric in product(families, methods, ("size", "power")):
+        rows = (
+            [R, Rt, R == Rt,
+             *(_mc_cell(result, metric, method, (family, R, Rt, h, P)) for h, P in columns)]
+            for R, Rt in product(r_set, rt_set)
+        )
+        outputs.append(_write_csv(out_dir / f"{family}_{method}_{metric}.csv", header, rows).name)
 
     degenerate_totals = {}
     for (method, *_rest), count in result.degenerate_counts.items():
         degenerate_totals[method] = degenerate_totals.get(method, 0) + count
-    manifest = _manifest(
-        "mc",
+    manifest_path = _write_manifest(
+        out_dir / "manifest.json", "mc",
         {"families": list(families), "h_set": list(h_set), "r_set": list(r_set),
          "rt_set": list(rt_set), "p_set": list(p_set), "methods": list(methods),
          "n_reps": args.n_reps, "cl": args.cl},
         seed=args.seed,
+        outputs=outputs,
+        degenerate_counts=degenerate_totals,
     )
-    manifest["outputs"] = outputs
-    manifest["degenerate_counts"] = degenerate_totals
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(outputs)} matrices and {manifest_path}", file=sys.stderr)
     return 0
 
@@ -506,13 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CsvParseError,
-        DegenerateVarianceError,
-        UnsupportedLevelError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (DegenerateVarianceError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,7 @@ from scipy import fft, signal
 
 from ._streams import check_seed, keyed_rows
 from .dmtests import evaluate, procedure
+from .lrv import as_integer
 
 __all__ = [
     "DgpSpec",
@@ -310,6 +311,10 @@ def run_experiment(
     """
     specs = tuple(specs)
     methods = tuple(methods)
+    if not specs:
+        raise ValueError("the experiment grid has no cells")
+    if not methods:
+        raise ValueError("the method list is empty")
     for i, m in enumerate(methods):
         if m not in DEFAULT_METHODS:
             known = ", ".join(sorted(DEFAULT_METHODS))
@@ -321,10 +326,9 @@ def run_experiment(
         if cells[i] in cells[:i]:
             raise ValueError(f"cell family={spec.family} h={spec.h} R={spec.R} "
                              f"R_tilde={spec.R_tilde} P={spec.P} is listed more than once")
+    n_reps = as_integer(n_reps, "n_reps")
     if n_reps < 100:
-        raise ValueError(
-            f"rejection rates need at least 100 replications, got {n_reps}"
-        )
+        raise ValueError(f"rejection rates need at least 100 replications, got {n_reps}")
     seed = check_seed(seed)
     # Reference distributions depend on the cell only through (P, h).
     plans = {}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from ._streams import check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import evaluate, outcomes, procedure
-from .lrv import bandwidth
+from .lrv import as_integer, bandwidth
 from .mc import size_corrected_critical_value
 from .series import as_loss_series
 
@@ -100,8 +99,7 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
     """
     d = as_loss_series(d)
     P = d.size
-    if max_order is None:
-        max_order = min(10, P // 4)
+    max_order = min(10, P // 4) if max_order is None else as_integer(max_order, "max_order")
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     if P < 2 * max_order + 2:
@@ -110,26 +108,19 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
             "need at least 2 * max_order + 2 observations"
         )
     x = d - d.mean()
-    best: tuple | None = None
-    n_sel = P - max_order
+    aics = {}
     for p in range(max_order + 1):
         coefs, rss, n = _conditional_ls(x, p, max_order)
-        if p and not _is_stationary(coefs):
-            continue
-        resid_var = rss / (n - p) if n > p else 0.0
-        aic = n_sel * math.log(resid_var) + 2.0 * p if resid_var > 0.0 else -math.inf
-        if best is None or aic < best[0]:
-            best = (aic, p)
-    if best is None:  # pragma: no cover
-        warnings.warn("no stationary autoregressive fit; falling back to white noise")
-        best = (0.0, 0)
-    order = best[1]
+        if p == 0 or _is_stationary(coefs):
+            resid_var = rss / (n - p)
+            aics[p] = n * math.log(resid_var) + 2.0 * p if resid_var > 0.0 else -math.inf
+    order = min(aics, key=aics.get)  # the lowest order among equal AICs
     coefs, rss, n = _conditional_ls(x, order, order)
     if order and not _is_stationary(coefs):
         # The refit widened the sample into nonstationarity; keep the
         # selection-sample fit, which is stationary by construction.
         coefs, rss, n = _conditional_ls(x, order, max_order)
-    resid_var = rss / (n - order) if n > order else 0.0
+    resid_var = rss / (n - order)
     implied = resid_var / (1.0 - sum(coefs)) ** 2 if order else resid_var
     return FittedArModel(
         order=order,
@@ -207,11 +198,10 @@ def _size_distortions(procedures, results, n_sim: int) -> list[float]:
 def _max_power_losses(model: FittedArModel, P: int, results, grid_size: int) -> list[float]:
     sigma = math.sqrt(model.implied_lrv)
     sqrt_p = math.sqrt(P)
-    z975 = float(stats.norm.ppf(0.975))
-    z99 = float(stats.norm.ppf(0.99))
+    z975, z99 = stats.norm.ppf([0.975, 0.99]).tolist()
     delta_max = (z975 + z99) * sigma / sqrt_p
     shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
-    envelope = np.array([oracle_power(model.implied_lrv, P, s) for s in shifts])
+    envelope = oracle_power(model.implied_lrv, P, shifts)
     # Rows are bandwidths, columns replications; degenerate replications
     # count as |statistic| = 0 under the null and never reject.
     stat0 = np.array([stat for stat, _ in results])
@@ -227,6 +217,13 @@ def _max_power_losses(model: FittedArModel, P: int, results, grid_size: int) -> 
     return [float(max(0.0, np.max(envelope - row))) for row in power]
 
 
+def _positive_count(value, name: str) -> int:
+    value = as_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 def size_distortion(
     model: FittedArModel, P: int, M: int, n_sim: int = 5000, seed: int = 0
 ) -> float:
@@ -238,8 +235,7 @@ def size_distortion(
     the bandwidth leaves the test oversized in this fitted world. This is
     the one-bandwidth case of :func:`build_tradeoff_curve`.
     """
-    if n_sim < 1:
-        raise ValueError(f"n_sim must be positive, got {n_sim}")
+    n_sim = _positive_count(n_sim, "n_sim")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
     results = _null_statistics(model, P, procedures, n_sim, seed)
     return _size_distortions(procedures, results, n_sim)[0]
@@ -252,12 +248,15 @@ def oracle_power(true_lrv: float, P: int, shift: float) -> float:
     u = shift sqrt(P) / sigma, so two-sided power is
     Phi(-z_{0.975} + u) + Phi(-z_{0.975} - u). Symmetric in the sign of
     ``shift`` and nondecreasing in its magnitude; equals 0.05 at shift 0.
+    ``shift`` may also be an array of shifts, which gives the array of
+    powers.
     """
     if true_lrv <= 0.0:
         raise ValueError(f"long-run variance must be positive, got {true_lrv}")
     z = stats.norm.ppf(0.975)
-    u = shift * math.sqrt(P) / math.sqrt(true_lrv)
-    return float(stats.norm.cdf(-z + u) + stats.norm.cdf(-z - u))
+    u = np.asarray(shift) * math.sqrt(P) / math.sqrt(true_lrv)
+    power = stats.norm.cdf(-z + u) + stats.norm.cdf(-z - u)
+    return float(power) if power.ndim == 0 else power
 
 
 def max_power_loss(
@@ -280,10 +279,8 @@ def max_power_loss(
     loss is the largest oracle-minus-test gap on the grid, floored at zero.
     This is the one-bandwidth case of :func:`build_tradeoff_curve`.
     """
-    if n_sim < 1:
-        raise ValueError(f"n_sim must be positive, got {n_sim}")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be positive, got {grid_size}")
+    n_sim = _positive_count(n_sim, "n_sim")
+    grid_size = _positive_count(grid_size, "grid_size")
     if model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
@@ -302,15 +299,20 @@ class TradeoffConfig:
     max_ar_order: int | None = None
 
     def __post_init__(self):
-        if self.n_sim < 100:
-            raise ValueError(
-                f"rejection rates need at least 100 simulations, got {self.n_sim}"
-            )
-        if self.alternative_grid_size < 1:
-            raise ValueError(
-                f"alternative_grid_size must be positive, got {self.alternative_grid_size}"
-            )
-        check_seed(self.seed)
+        # Integral floats are stored as ints (150.0 -> 150); other values are refused.
+        n_sim = as_integer(self.n_sim, "n_sim")
+        if n_sim < 100:
+            raise ValueError(f"rejection rates need at least 100 simulations, got {n_sim}")
+        checked = {
+            "n_sim": n_sim,
+            "alternative_grid_size": _positive_count(self.alternative_grid_size,
+                                                     "alternative_grid_size"),
+            "seed": check_seed(self.seed),
+        }
+        if self.max_ar_order is not None:
+            checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

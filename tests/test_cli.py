@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import platform
+from pathlib import Path
 
 import numpy as np
+import scipy
 import pytest
 
 from epatest.cli import build_parser, main
@@ -27,6 +30,9 @@ def data_csv(tmp_path_factory):
     return path
 
 
+GOLDEN = Path(__file__).parent / "cli_golden"
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -34,6 +40,17 @@ def run(argv, capsys):
 
 
 BASE = ["--forecast-cols", "A,B", "--realization-col", "Y"]
+
+
+def environment() -> dict:
+    """The environment record every manifest should carry on this interpreter."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "system": platform.system(),
+        "machine": platform.machine(),
+    }
 
 
 class TestParser:
@@ -263,10 +280,6 @@ class TestUnsupportedMethod:
 
 class TestEnvironmentRecord:
     def test_every_manifest_records_the_environment(self, data_csv, tmp_path, capsys):
-        import platform
-
-        import scipy
-
         runs = {
             "test_results.json": ["test", "--data", str(data_csv)] + BASE,
             "tradeoff.json": ["tradeoff", "--data", str(data_csv)] + BASE
@@ -276,13 +289,51 @@ class TestEnvironmentRecord:
         for name, argv in runs.items():
             assert run(argv + ["--out", str(tmp_path / name)], capsys)[0] == 0
             payload = json.loads((tmp_path / name / name).read_text())
-            assert payload["environment"] == {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "system": platform.system(),
-                "machine": platform.machine(),
-            }, name
+            assert payload["environment"] == environment(), name
+
+
+class TestPinnedOutput:
+    """Three small runs give exactly the bytes stored under tests/cli_golden/<run>/.
+
+    Every file a run writes is compared byte for byte, and so are its
+    standard output (``stdout.txt``) and error stream (``stderr.txt``). This
+    pins float formatting, column and key order and trailing newlines. The
+    only substitutions: in JSON files the environment record reads
+    "ENVIRONMENT" and the data path "DATA", and in the error stream the
+    output directory reads OUT.
+    """
+
+    RUNS = {
+        "test": (3, ["test", "--data", "DATA"] + BASE
+                 + ["--method", "all", "--cl", "0.1", "--h", "3"]),
+        "tradeoff": (0, ["tradeoff", "--data", "DATA"] + BASE
+                     + ["--grid", "2,4", "--n-sim", "120"]),
+        # R = 75 has no diagonal cell, so its power cells are empty
+        "mc": (0, ["mc", "--families", "ucr", "--h-set", "1", "--r-set", "25,75",
+                   "--rt-set", "25,125", "--p-set", "25", "--methods", "dm_r,dm_fb",
+                   "--n-reps", "100"]),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_output_bytes(self, name, data_csv, tmp_path, capsys):
+        code, argv = self.RUNS[name]
+        out_dir = tmp_path / name
+        argv = [str(data_csv) if a == "DATA" else a for a in argv] + ["--out", str(out_dir)]
+        assert run(argv, capsys) == (
+            code,
+            (GOLDEN / name / "stdout.txt").read_text(),
+            (GOLDEN / name / "stderr.txt").read_text().replace("OUT", str(out_dir)),
+        )
+        env = json.dumps(environment(), indent=2).replace("\n", "\n  ")
+        written = sorted(path.name for path in out_dir.iterdir())
+        expected = sorted(path.name for path in (GOLDEN / name).iterdir())
+        assert written == [f for f in expected if f not in ("stdout.txt", "stderr.txt")]
+        for file in written:
+            text = (out_dir / file).read_bytes().decode()
+            if file.endswith(".json"):
+                text = text.replace(env, '"ENVIRONMENT"').replace(
+                    json.dumps(str(data_csv)), '"DATA"')
+            assert text == (GOLDEN / name / file).read_bytes().decode(), file
 
 
 class TestTradeoffCommand:
@@ -438,6 +489,19 @@ class TestMcCommand:
         assert code == 1
         assert err == ("error: cell family=ucr h=1 R=25 R_tilde=25 P=25 "
                        "is listed more than once\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("option, message", [
+        ("--methods", "the method list is empty"),
+        ("--families", "the experiment grid has no cells"),
+        ("--p-set", "the experiment grid has no cells"),
+    ])
+    def test_empty_list_fails_before_any_cell(self, option, message, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        argv = self.ARGS + ["--out", str(out_dir)]
+        argv[argv.index(option) + 1] = " , "
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_dir.exists()
 
     def test_progress_line_per_cell(self, tmp_path, capsys):

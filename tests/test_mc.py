@@ -229,6 +229,12 @@ class TestRunExperiment:
             run(good + [make_spec("cr", 3, 25, 25, 75)], methods=("dm_r",), n_reps=100)
         with pytest.raises(ValueError, match="100"):
             run(n_reps=99)
+        with pytest.raises(ValueError, match="n_reps must be an integer, got 150.5"):
+            run(n_reps=150.5)
+        with pytest.raises(ValueError, match="the method list is empty"):
+            run(methods=(), n_reps=100)
+        with pytest.raises(ValueError, match="the experiment grid has no cells"):
+            run((), n_reps=100)
         with pytest.raises(ValueError, match="seed"):
             run(n_reps=100, seed=-1)
         with pytest.raises(ValueError, match="seed must be a nonnegative integer, got 1.5"):
@@ -237,6 +243,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="horizon 30"):
             run(good + [make_spec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
         assert cells == []
+
+    def test_integral_float_replication_count(self):
+        specs = [make_spec("ucr", 1, 25, 25, 25)]
+        whole = run_experiment(specs, methods=("dm_r",), n_reps=150.0, seed=1)
+        exact = run_experiment(specs, methods=("dm_r",), n_reps=150, seed=1)
+        assert whole.n_reps == 150 and isinstance(whole.n_reps, int)
+        key = ("dm_r", "ucr", 25, 25, 1, 25)
+        np.testing.assert_array_equal(whole.archives[key], exact.archives[key])
 
     def test_progress_reports_each_cell(self):
         specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("ucr", 1, 75, 25, 25)]

@@ -140,7 +140,36 @@ class TestSeedChecks:
         )
 
 
+class TestIntegerCounts:
+    def test_size_distortion(self):
+        with pytest.raises(ValueError, match="n_sim must be an integer, got 100.5"):
+            size_distortion(AR0, P=60, M=5, n_sim=100.5)
+        assert size_distortion(AR0, P=60, M=5, n_sim=100.0) == size_distortion(
+            AR0, P=60, M=5, n_sim=100)
+
+    def test_max_power_loss(self):
+        with pytest.raises(ValueError, match="grid_size must be an integer, got 2.5"):
+            max_power_loss(AR0, P=60, M=5, n_sim=300, grid_size=2.5)
+        with pytest.raises(ValueError, match="n_sim must be an integer, got 300.5"):
+            max_power_loss(AR0, P=60, M=5, n_sim=300.5)
+        assert max_power_loss(AR0, P=60, M=5, n_sim=300.0, grid_size=3.0) == max_power_loss(
+            AR0, P=60, M=5, n_sim=300, grid_size=3)
+
+    def test_fit_ar(self):
+        d = simulate_from_model(ar1_model(0.5), 80, 0.0, 3)
+        with pytest.raises(ValueError, match="max_order must be an integer, got 1.5"):
+            fit_ar(d, max_order=1.5)
+        assert fit_ar(d, max_order=2.0) == fit_ar(d, max_order=2)
+
+
 class TestOraclePower:
+    def test_array_of_shifts(self):
+        shifts = np.linspace(-0.3, 0.5, 7)
+        powers = oracle_power(2.0, 50, shifts)
+        assert isinstance(powers, np.ndarray) and powers.shape == (7,)
+        assert powers.tolist() == [oracle_power(2.0, 50, float(s)) for s in shifts]
+        assert type(oracle_power(2.0, 50, 0.1)) is float
+
     def test_nominal_level_at_zero_shift(self):
         assert oracle_power(1.0, 100, 0.0) == pytest.approx(0.05, abs=1e-10)
 
@@ -203,6 +232,23 @@ class TestTradeoffConfig:
                 TradeoffConfig(seed=seed)
         assert TradeoffConfig(seed=np.int64(2**40)).seed == 2**40
         TradeoffConfig(seed=2.0)
+
+    def test_integer_counts(self):
+        # refused when the config is made, before any model is fitted
+        for field, value in [("n_sim", 150.5), ("alternative_grid_size", 2.5),
+                             ("max_ar_order", 1.5)]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+                TradeoffConfig(**{field: value})
+        cfg = TradeoffConfig(n_sim=150.0, alternative_grid_size=4.0, max_ar_order=2.0)
+        assert (cfg.n_sim, cfg.alternative_grid_size, cfg.max_ar_order) == (150, 4, 2)
+        assert all(isinstance(v, int) for v in (cfg.n_sim, cfg.alternative_grid_size,
+                                                cfg.max_ar_order))
+
+    def test_integral_float_counts_give_the_integer_curve(self):
+        d = simulate_from_model(ar1_model(0.5), 60, 0.0, 9)
+        whole = build_tradeoff_curve(d, TradeoffConfig((2, 5), n_sim=150.0, max_ar_order=2.0))
+        assert whole == build_tradeoff_curve(d, TradeoffConfig((2, 5), n_sim=150,
+                                                               max_ar_order=2))
 
     def test_defaults(self):
         cfg = TradeoffConfig()
