@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lrv import as_integer
+from .series import as_integer
 
 # O'Neill's seed_seq hash as NumPy's SeedSequence runs it (pool of four
 # 32-bit words, numpy/random/bit_generator.pyx), and PCG64's 128-bit LCG
@@ -35,7 +35,7 @@ STATE_BLOCK = 1024
 
 def check_seed(seed) -> int:
     """``seed`` as an int if it is a nonnegative integer (by the rule of
-    :func:`lrv.as_integer`); anything else raises ValueError."""
+    :func:`series.as_integer`); anything else raises ValueError."""
     try:
         value = as_integer(seed, "seed")
     except ValueError:

@@ -12,14 +12,14 @@ Every test is two-sided.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .lrv import ESTIMATORS, LrvEstimate, as_integer, variance_rows
+from .lrv import ESTIMATORS, LrvEstimate, variance_rows
 from .lrv import bandwidth as rule_bandwidth
-from .series import as_loss_series
+from .series import as_integer, as_loss_series
 
 __all__ = [
     "DegenerateVarianceError",
@@ -346,10 +346,16 @@ def dm_test_wpe_fb(d, m: int | None = None, cl: float = 0.05) -> TestOutcome:
 
 @dataclass(frozen=True)
 class ImPartition:
-    """Balanced partition of P observations into q contiguous blocks."""
+    """Balanced partition of P observations into q contiguous blocks.
 
-    q: int
+    ``q`` is computed, not passed: it is the number of blocks.
+    """
+
+    q: int = field(init=False)
     block_sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", len(self.block_sizes))
 
 
 def im_partition(P: int, q: int) -> ImPartition:
@@ -366,7 +372,7 @@ def im_partition(P: int, q: int) -> ImPartition:
         raise ValueError(f"cannot split {P} observations into {q} blocks")
     b0, r = divmod(P, q)
     sizes = (b0 + 1,) * r + (b0,) * (q - r)
-    return ImPartition(q=q, block_sizes=sizes)
+    return ImPartition(block_sizes=sizes)
 
 
 def dm_test_im(d, q: int = 2, cl: float = 0.05) -> TestOutcome:

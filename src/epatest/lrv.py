@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .series import (
+    as_integer,
     as_loss_series,
     autocovariance_rows,
     cosine_coefficient_rows,
@@ -87,30 +88,19 @@ def bandwidth(rule: str, P: int) -> int:
 class LrvEstimate:
     """A long-run variance estimate together with how it was produced.
 
-    ``nonpositive`` is True exactly when ``value <= 0``; in regular use that
-    is reachable only for the rectangular kernel, whose weights do not form
-    a positive semi-definite sequence.
+    ``nonpositive`` is computed, not passed: it is True exactly when
+    ``value <= 0``. In regular use that is reachable only for the
+    rectangular kernel, whose weights do not form a positive semi-definite
+    sequence.
     """
 
     value: float
     kernel: str
     bandwidth: int
-    nonpositive: bool
+    nonpositive: bool = field(init=False)
 
-
-def as_integer(value, what: str = "bandwidth") -> int:
-    """``value`` as an int if it is integral: 3, ``np.int64(3)`` and 3.0 all give 3.
-
-    Anything else raises ValueError("<what> must be an integer, got <value>"),
-    the one message every bandwidth argument of the package gives.
-    """
-    try:
-        integer = int(value)
-    except (TypeError, ValueError, OverflowError):
-        integer = None
-    if integer is None or integer != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return integer
+    def __post_init__(self):
+        object.__setattr__(self, "nonpositive", bool(self.value <= 0.0))
 
 
 def _check_lags(lags: int, P: int) -> int:
@@ -191,7 +181,7 @@ def _estimate(kernel: str, d, bw: int) -> LrvEstimate:
     d = as_loss_series(d)
     bw = ESTIMATORS[kernel].check(bw, d.size)
     value = float(variance_rows([(kernel, bw)], d[None, :])[0][0])
-    return LrvEstimate(value=value, kernel=kernel, bandwidth=bw, nonpositive=value <= 0.0)
+    return LrvEstimate(value=value, kernel=kernel, bandwidth=bw)
 
 
 def lrv_rectangular(d, h: int) -> LrvEstimate:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy import fft, signal
 
 from ._streams import check_seed, keyed_rows
 from .dmtests import evaluate, procedure
-from .lrv import as_integer
+from .series import as_integer
 
 __all__ = [
     "DgpSpec",
@@ -78,8 +79,9 @@ class DgpSpec:
     ``R`` parameterizes the data-generating process (the MSE-equalizing
     window for the unconditional family, the autoregressive lag span for
     the conditional one); ``R_tilde`` is the window the rolling forecast
-    actually uses. ``mu`` is the target-series mean, nonzero only for the
-    unconditional family.
+    actually uses. ``mu``, the target-series mean, is computed, not passed:
+    :func:`calibrate_mu` of (h, R) for the unconditional family, zero for
+    the conditional one.
     """
 
     family: str
@@ -87,17 +89,18 @@ class DgpSpec:
     R: int
     R_tilde: int
     P: int
-    mu: float = 0.0
+    mu: float = field(init=False)
 
     def __post_init__(self):
         if self.family not in _FAMILY_CODES:
             raise ValueError(f"unknown DGP family {self.family!r}; expected 'ucr' or 'cr'")
         for name in ("h", "R", "R_tilde", "P"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            v = as_integer(getattr(self, name), name)
+            if v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.family == "cr" and self.mu != 0.0:
-            raise ValueError("the conditional-rolling target series has mean zero")
+            object.__setattr__(self, name, v)
+        mu = calibrate_mu(self.h, self.R) if self.family == "ucr" else 0.0
+        object.__setattr__(self, "mu", mu)
 
 
 def ma_weights(h: int) -> np.ndarray:
@@ -136,9 +139,8 @@ def calibrate_mu(h: int, R: int) -> float:
 
 
 def make_spec(family: str, h: int, R: int, R_tilde: int, P: int) -> DgpSpec:
-    """Build a :class:`DgpSpec`, auto-calibrating ``mu`` for the unconditional family."""
-    mu = calibrate_mu(h, R) if family == "ucr" else 0.0
-    return DgpSpec(family=family, h=h, R=R, R_tilde=R_tilde, P=P, mu=mu)
+    """Build a :class:`DgpSpec`; the same as ``DgpSpec(family, h, R, R_tilde, P)``."""
+    return DgpSpec(family, h, R, R_tilde, P)
 
 
 def experiment_grid(
@@ -355,17 +357,21 @@ def run_experiment(
     return result
 
 
-def size_corrected_critical_value(abs_stats) -> float:
-    """Empirical 95th-percentile critical value from archived null statistics.
+def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float:
+    """Empirical (1 - cl) quantile critical value from archived null statistics.
 
-    Returns the ceil(0.95 n)-th order statistic (1-based) of the absolute
-    statistics; the index is computed in integer arithmetic so sample sizes
-    divisible by 20 land exactly on the intended element.
+    Returns the ceil((1 - cl) n)-th order statistic (1-based) of the
+    absolute statistics; the index is computed in integer arithmetic on
+    the decimal value of ``cl``, so at cl = 0.05 sample sizes divisible by
+    20 land exactly on the intended element.
     """
     a = np.asarray(abs_stats, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("need a nonempty 1-D array of absolute statistics")
-    idx = -(-19 * a.size // 20)
+    if not 0.0 < cl < 1.0:
+        raise ValueError(f"significance level must lie in (0, 1), got {cl}")
+    num, den = Decimal(repr(float(cl))).as_integer_ratio()
+    idx = -(-(den - num) * a.size // den)
     return float(np.sort(a)[idx - 1])
 
 
@@ -376,8 +382,9 @@ def size_corrected_power(result: ExperimentResult, cell: tuple, method: str) -> 
     result mixes both families. The matched null is the diagonal cell with
     the same estimation-window length, (family, R, R, h, P), which must be
     present in the same result (identical replication streams make the
-    correction internally consistent). On the diagonal itself this returns
-    1 - ceil(0.95 n)/n by construction.
+    correction internally consistent). The critical value is taken at the
+    run's level ``result.cl``, so on the diagonal itself this returns
+    1 - ceil((1 - cl) n)/n by construction.
     """
     cell = tuple(cell)
     if len(cell) == 4:
@@ -403,5 +410,5 @@ def size_corrected_power(result: ExperimentResult, cell: tuple, method: str) -> 
     cell_key = (method,) + cell
     if cell_key not in result.archives:
         raise KeyError(f"cell {cell!r} for method {method!r} is not in the experiment")
-    crit = size_corrected_critical_value(result.archives[diag_key])
+    crit = size_corrected_critical_value(result.archives[diag_key], result.cl)
     return float(np.mean(result.archives[cell_key] > crit))

@@ -41,6 +41,21 @@ def as_loss_series(d) -> np.ndarray:
     return arr
 
 
+def as_integer(value, what: str = "bandwidth") -> int:
+    """``value`` as an int if it is integral: 3, ``np.int64(3)`` and 3.0 all give 3.
+
+    Anything else raises ValueError("<what> must be an integer, got <value>"),
+    the one message every integer argument of the package gives.
+    """
+    try:
+        integer = int(value)
+    except (TypeError, ValueError, OverflowError):
+        integer = None
+    if integer is None or integer != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return integer
+
+
 def loss_differential(e1, e2, loss: str = "squared") -> np.ndarray:
     """Loss differential ``L(e1_t) - L(e2_t)`` of two forecast-error series.
 
@@ -78,6 +93,7 @@ def autocovariance(d, maxlag: int) -> np.ndarray:
     divisor P at every lag so that kernel-weighted sums stay well behaved.
     """
     d = as_loss_series(d)
+    maxlag = as_integer(maxlag, "maxlag")
     P = d.size
     if not 0 <= maxlag <= P - 1:
         raise ValueError(f"maxlag must lie in [0, {P - 1}], got {maxlag}")
@@ -92,6 +108,7 @@ def periodogram(d, j: int) -> float:
     ordinate is invariant to adding a constant to the series.
     """
     d = as_loss_series(d)
+    j = as_integer(j, "frequency index")
     P = d.size
     if not 1 <= j <= P // 2:
         raise ValueError(f"frequency index must lie in [1, {P // 2}], got {j}")
@@ -106,6 +123,7 @@ def cosine_coefficient(d, j: int) -> float:
     to adding a constant to the series and no demeaning is applied.
     """
     d = as_loss_series(d)
+    j = as_integer(j, "basis index")
     P = d.size
     if not 1 <= j <= P - 1:
         raise ValueError(f"basis index must lie in [1, {P - 1}], got {j}")

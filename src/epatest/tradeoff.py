@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal, stats
@@ -24,9 +24,9 @@ from ._streams import check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import evaluate, outcomes, procedure
-from .lrv import as_integer, bandwidth
+from .lrv import bandwidth
 from .mc import size_corrected_critical_value
-from .series import as_loss_series
+from .series import as_integer, as_loss_series
 
 __all__ = [
     "FittedArModel",
@@ -51,16 +51,30 @@ NOMINAL_LEVEL = 0.05
 class FittedArModel:
     """Least-squares AR fit of the demeaned loss differential.
 
-    ``implied_lrv`` is the long-run variance of the fitted process,
-    sigma_eps^2 / (1 - sum(phi))^2, which anchors the oracle power
-    envelope.
+    ``order`` and ``implied_lrv`` are computed, not passed: the order is
+    the number of coefficients, and ``implied_lrv`` is the long-run
+    variance of the fitted process, sigma_eps^2 / (1 - sum(phi))^2 (sigma_eps^2
+    at order 0), which anchors the oracle power envelope. Coefficients
+    summing to 1 are a unit root, whose long-run variance is undefined;
+    they raise ValueError.
     """
 
-    order: int
+    order: int = field(init=False)
     coefficients: tuple[float, ...]
     innovation_variance: float
     sample_mean: float
-    implied_lrv: float
+    implied_lrv: float = field(init=False)
+
+    def __post_init__(self):
+        denominator = 1.0 - sum(self.coefficients)
+        if denominator == 0.0:
+            raise ValueError(
+                f"fitted AR({len(self.coefficients)}) has a unit root (coefficients sum "
+                "to 1); its long-run variance is undefined"
+            )
+        object.__setattr__(self, "order", len(self.coefficients))
+        object.__setattr__(self, "implied_lrv",
+                           float(self.innovation_variance / denominator**2))
 
 
 def _is_stationary(coefficients) -> bool:
@@ -120,15 +134,7 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
         # The refit widened the sample into nonstationarity; keep the
         # selection-sample fit, which is stationary by construction.
         coefs, rss, n = _conditional_ls(x, order, max_order)
-    resid_var = rss / (n - order)
-    implied = resid_var / (1.0 - sum(coefs)) ** 2 if order else resid_var
-    return FittedArModel(
-        order=order,
-        coefficients=coefs,
-        innovation_variance=resid_var,
-        sample_mean=float(d.mean()),
-        implied_lrv=float(implied),
-    )
+    return FittedArModel(coefs, rss / (n - order), float(d.mean()))
 
 
 def _model_paths(model: FittedArModel, E: np.ndarray, shift: float) -> np.ndarray:

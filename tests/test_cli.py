@@ -394,6 +394,17 @@ class TestTradeoffCommand:
         assert err == "error: bandwidth grid is empty\n"
         assert not out_dir.exists()
 
+    def test_unit_root_fit_exits_1(self, tmp_path, capsys):
+        # loss differential 1, 0, 1, ...: the selected AR fit has a unit root
+        data = tmp_path / "period2.csv"
+        data.write_text("A,B,Y\n" + "".join(f"{1 - t % 2},0,0\n" for t in range(157)))
+        out_dir = tmp_path / "t"
+        code, _, err = run(["tradeoff", "--data", str(data)] + BASE
+                           + ["--out", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "unit root" in err
+        assert not out_dir.exists()
+
     def test_svg_markers(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "t"
         self._run(data_csv, out_dir, capsys)
@@ -432,6 +443,20 @@ class TestMcCommand:
         rows = (out_dir / "ucr_dm_r_power.csv").read_text().splitlines()[1:]
         n = 150
         expected = 1.0 - (-(-19 * n // 20)) / n
+        for row in rows:
+            fields = row.split(",")
+            if fields[2] == "true":
+                for cell in fields[3:]:
+                    assert float(cell) == pytest.approx(expected, abs=1e-12)
+
+    def test_power_diagonal_at_the_run_level(self, tmp_path, capsys):
+        out_dir = tmp_path / "mc"
+        code, _, _ = run(self.ARGS + ["--methods", "dm_r", "--cl", "0.1",
+                                      "--out", str(out_dir)], capsys)
+        assert code == 0
+        rows = (out_dir / "ucr_dm_r_power.csv").read_text().splitlines()[1:]
+        n = 150
+        expected = 1.0 - math.ceil(0.9 * n) / n
         for row in rows:
             fields = row.split(",")
             if fields[2] == "true":

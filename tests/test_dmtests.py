@@ -38,11 +38,11 @@ def _series(seed, n=60):
 class TestDmStatistic:
     def test_hand_value(self):
         d = [1.0, 2.0, 3.0, 4.0]
-        est = LrvEstimate(value=4.0, kernel="rectangular", bandwidth=0, nonpositive=False)
+        est = LrvEstimate(value=4.0, kernel="rectangular", bandwidth=0)
         assert dm_statistic(d, est) == pytest.approx(2.0 * 2.5 / 2.0)
 
     def test_degenerate_raises_with_context(self):
-        est = LrvEstimate(value=-0.5, kernel="rectangular", bandwidth=1, nonpositive=True)
+        est = LrvEstimate(value=-0.5, kernel="rectangular", bandwidth=1)
         with pytest.raises(DegenerateVarianceError) as exc:
             dm_statistic([1.0, 2.0], est)
         assert exc.value.kernel == "rectangular"
@@ -231,7 +231,12 @@ class TestDmWpeFb:
 
 class TestImPartition:
     def test_ten_into_three(self):
-        assert im_partition(10, 3) == ImPartition(q=3, block_sizes=(4, 3, 3))
+        assert im_partition(10, 3) == ImPartition(block_sizes=(4, 3, 3))
+
+    def test_q_is_computed(self):
+        assert ImPartition((4, 3, 3)).q == 3
+        with pytest.raises(TypeError):
+            ImPartition(q=3, block_sizes=(4, 3, 3))
 
     def test_even_split(self):
         assert im_partition(100, 5).block_sizes == (20,) * 5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,14 @@ class TestEstimateRecord:
         assert est.bandwidth == 4
         assert est.nonpositive == (est.value <= 0.0)
 
+    def test_nonpositive_is_computed(self):
+        assert LrvEstimate(-0.5, "rectangular", 1).nonpositive is True
+        assert LrvEstimate(0.0, "rectangular", 1).nonpositive is True
+        assert LrvEstimate(4.0, "rectangular", 0).nonpositive is False
+        assert [f.name for f in dataclasses.fields(LrvEstimate)][-1] == "nonpositive"
+        with pytest.raises(TypeError):
+            LrvEstimate(4.0, "rectangular", 0, nonpositive=True)
+
     def test_frozen(self):
         est = lrv_bartlett(np.arange(20.0), 4)
         with pytest.raises(AttributeError):
@@ -187,7 +197,7 @@ class TestIntegerBandwidths:
     def _entry_points(d, value):
         from epatest import dmtests, tradeoff
 
-        model = tradeoff.FittedArModel(1, (0.5,), 1.0, 0.0, 4.0)
+        model = tradeoff.FittedArModel((0.5,), 1.0, 0.0)
         return {
             "lrv_bartlett": lambda: lrv_bartlett(d, value),
             "lrv_ewc": lambda: lrv_ewc(d, value),

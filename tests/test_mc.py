@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,17 +81,31 @@ class TestCalibrateMu:
 class TestDgpSpec:
     def test_family_validation(self):
         with pytest.raises(ValueError, match="family"):
-            DgpSpec(family="ar1", h=1, R=25, R_tilde=25, P=25, mu=0.0)
+            DgpSpec(family="ar1", h=1, R=25, R_tilde=25, P=25)
 
     def test_positive_dimensions(self):
         with pytest.raises(ValueError):
-            DgpSpec(family="ucr", h=0, R=25, R_tilde=25, P=25, mu=0.0)
+            DgpSpec(family="ucr", h=0, R=25, R_tilde=25, P=25)
         with pytest.raises(ValueError):
-            DgpSpec(family="ucr", h=1, R=25, R_tilde=25, P=0, mu=0.0)
+            DgpSpec(family="ucr", h=1, R=25, R_tilde=25, P=0)
 
-    def test_cr_requires_zero_mean(self):
-        with pytest.raises(ValueError, match="mean zero"):
-            DgpSpec(family="cr", h=1, R=25, R_tilde=25, P=25, mu=0.3)
+    def test_mu_is_computed_not_passed(self):
+        assert DgpSpec("ucr", 1, 25, 25, 75) == make_spec("ucr", 1, 25, 25, 75)
+        assert DgpSpec("ucr", 1, 25, 25, 75).mu == calibrate_mu(1, 25)
+        assert DgpSpec("cr", 3, 75, 25, 75) == make_spec("cr", 3, 75, 25, 75)
+        assert DgpSpec("cr", 3, 75, 25, 75).mu == 0.0
+        assert [f.name for f in dataclasses.fields(DgpSpec)][-1] == "mu"
+        with pytest.raises(TypeError):
+            DgpSpec("cr", 1, 25, 25, 25, mu=0.0)
+
+    def test_integer_dimensions(self):
+        spec = DgpSpec("ucr", 3.0, np.int64(25), 25, 75.0)
+        assert spec == make_spec("ucr", 3, 25, 25, 75)
+        assert repr(spec) == repr(make_spec("ucr", 3, 25, 25, 75))
+        for name in ("h", "R", "R_tilde", "P"):
+            args = {"h": 1, "R": 25, "R_tilde": 25, "P": 25, name: 1.5}
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
+                DgpSpec("ucr", **args)
 
     def test_make_spec_calibrates_ucr_only(self):
         assert make_spec("ucr", 1, 25, 75, 25).mu == 0.2
@@ -345,6 +361,14 @@ class TestSizeCorrection:
     def test_critical_value_is_95th_order_statistic(self):
         assert size_corrected_critical_value(np.arange(1.0, 101.0)) == 95.0
 
+    def test_critical_value_index_is_exact(self):
+        for n in range(1, 10_001):
+            a = np.arange(1.0, n + 1.0)
+            assert size_corrected_critical_value(a) == -(-19 * n // 20), n
+        assert size_corrected_critical_value(np.arange(1.0, 11.0), 0.1) == 9.0
+        with pytest.raises(ValueError, match="significance level"):
+            size_corrected_critical_value(np.arange(1.0, 11.0), 1.0)
+
     def test_critical_value_unsorted_input(self):
         rng = np.random.default_rng(21)
         a = np.arange(1.0, 41.0)
@@ -373,6 +397,14 @@ class TestSizeCorrection:
         idx = -(-19 * n // 20)
         assert size_corrected_power(res, (25, 25, 1, 25), "dm_r") == pytest.approx(
             1.0 - idx / n, abs=1e-12
+        )
+
+    def test_diagonal_correction_at_the_run_level(self):
+        specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("ucr", 1, 75, 25, 25)]
+        n = 130
+        res = run_experiment(specs, methods=("dm_r",), n_reps=n, cl=0.1, seed=0)
+        assert size_corrected_power(res, (25, 25, 1, 25), "dm_r") == pytest.approx(
+            1.0 - math.ceil(Fraction(9, 10) * n) / n, abs=1e-12
         )
 
     def test_four_and_five_tuple_cells_agree(self):

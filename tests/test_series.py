@@ -86,6 +86,18 @@ class TestAutocovariance:
             autocovariance(d, -1)
 
 
+@pytest.mark.parametrize("transform, name", [
+    (autocovariance, "maxlag"),
+    (periodogram, "frequency index"),
+    (cosine_coefficient, "basis index"),
+])
+def test_integer_index(transform, name):
+    d = np.random.default_rng(4).standard_normal(12)
+    np.testing.assert_array_equal(transform(d, 2.0), transform(d, 2))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
+        transform(d, 1.5)
+
+
 class TestPeriodogram:
     def test_matches_naive(self):
         rng = np.random.default_rng(1)

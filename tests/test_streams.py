@@ -127,7 +127,7 @@ def test_ucr_rows_equal_direct_convolution(spec, n_reps, seed):
 @pytest.mark.parametrize("order", [0, 1, 3])
 def test_null_paths_equal_one_path_simulator(order):
     coefficients = (0.6, -0.2, 0.1)[:order]
-    model = tradeoff.FittedArModel(order, coefficients, 0.7, 0.0, 2.0)
+    model = tradeoff.FittedArModel(coefficients, 0.7, 0.0)
     P, n_sim, seed = 48, 150, 2**33 + 1
     procedures = [procedure("dm_fb", P, 1, 0.05, M) for M in (1, 4, 13)]
     paths = np.stack([

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,19 +22,11 @@ from epatest.tradeoff import (
     size_distortion,
 )
 
-AR0 = FittedArModel(
-    order=0, coefficients=(), innovation_variance=1.0, sample_mean=0.0, implied_lrv=1.0
-)
+AR0 = FittedArModel(coefficients=(), innovation_variance=1.0, sample_mean=0.0)
 
 
 def ar1_model(phi=0.6, var=1.0):
-    return FittedArModel(
-        order=1,
-        coefficients=(phi,),
-        innovation_variance=var,
-        sample_mean=0.0,
-        implied_lrv=var / (1.0 - phi) ** 2,
-    )
+    return FittedArModel(coefficients=(phi,), innovation_variance=var, sample_mean=0.0)
 
 
 class TestFitAr:
@@ -76,6 +69,30 @@ class TestFitAr:
             fit_ar(np.arange(40.0), max_order=-1)
 
 
+class TestFittedArModel:
+    def test_order_and_implied_lrv_are_computed(self):
+        m = FittedArModel((0.6,), 1.0, 0.0)
+        assert m.order == 1
+        assert m.implied_lrv == 1 / 0.4**2
+        assert FittedArModel((0.6, -0.2, 0.1), 0.7, 0.0).order == 3
+        assert FittedArModel((), 0.7, 0.0).implied_lrv == 0.7
+        assert [f.name for f in dataclasses.fields(FittedArModel)] == [
+            "order", "coefficients", "innovation_variance", "sample_mean", "implied_lrv",
+        ]
+        for name in ("order", "implied_lrv"):
+            with pytest.raises(TypeError):
+                FittedArModel((0.6,), 1.0, 0.0, **{name: 1})
+
+    def test_unit_root_refused(self):
+        with pytest.raises(ValueError, match="unit root"):
+            FittedArModel((0.5, 0.5), 1.0, 0.0)
+
+    def test_unit_root_fit_refused(self):
+        # the selected fit of this period-2 series has coefficients summing to 1
+        with pytest.raises(ValueError, match="unit root"):
+            fit_ar(np.tile([1.0, 0.0], 79)[:157])
+
+
 class TestSimulateFromModel:
     def test_deterministic_given_seed(self):
         a = simulate_from_model(AR0, 50, 0.0, 4)
@@ -95,8 +112,7 @@ class TestSimulateFromModel:
         assert path.mean() == pytest.approx(0.0, abs=0.03)
 
     def test_innovation_variance_scales(self):
-        m = FittedArModel(order=0, coefficients=(), innovation_variance=4.0,
-                          sample_mean=0.0, implied_lrv=4.0)
+        m = FittedArModel(coefficients=(), innovation_variance=4.0, sample_mean=0.0)
         path = simulate_from_model(m, 100_000, 0.0, 7)
         assert path.var() == pytest.approx(4.0, rel=0.03)
 
