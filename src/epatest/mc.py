@@ -181,7 +181,11 @@ def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if spec.family == "ucr":
         # h-1 presample innovations so the first retained value already has
         # the full MA window behind it.
-        Y = spec.mu + signal.lfilter(ma_weights(h), [1.0], E, axis=1)[:, h - 1 :]
+        theta = ma_weights(h)
+        Y = np.empty((E.shape[0], T_tot))
+        for y, e in zip(Y, E):
+            y[:] = np.convolve(e, theta, mode="valid")
+        Y += spec.mu
     else:
         Y = _cr_recursion(E, h, spec.R, T_tot)
     csum = np.zeros((Y.shape[0], T_tot + 1))
@@ -197,32 +201,45 @@ def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> n
 
     The recursion is a linear time-invariant filter started at rest, so each
     output is the convolution of the innovations with the filter's impulse
-    response g. With g's spectrum cached per (h, R, T, keep), a replication
-    costs one real FFT of length n >= T + keep - 1 each way, instead of a
-    T-step recursion with h + R taps; at that n the circular wrap-around of
-    the product does not reach the ``keep`` values returned.
+    response g. Only the lags 0..S of g that carry all but 2^-53 of its mass
+    are used: each replication transforms just the innovations that reach a
+    returned value through those lags, the last keep + L of the T given
+    (L = min(S, T - keep)), by one real FFT of length n each way against
+    the cached spectrum of g's first S + 1 taps. At that n the circular
+    wrap-around reaches only the L leading outputs, which are dropped.
     """
     T = eps.shape[-1]
     keep = T if keep is None else keep
-    G, n = _cr_spectrum(h, R, T, keep)
-    return fft.irfft(fft.rfft(eps, n) * G, n)[..., T - keep : T]
+    G, n, L = _cr_spectrum(h, R, T, keep)
+    return fft.irfft(fft.rfft(eps[..., T - keep - L :], n) * G, n)[..., L : L + keep]
 
 
 @lru_cache(maxsize=1)
-def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int]:
-    """Read-only spectrum of the recursion's impulse response over all T steps,
-    and its transform length n: the first fast length at which circular
-    convolution equals linear convolution on the last ``keep`` outputs."""
+def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int, int]:
+    """Read-only spectrum of the recursion's truncated impulse response, its
+    transform length n, and the count L of leading innovations a window needs.
+
+    g is computed over all T steps by one ``lfilter`` of a unit impulse. Its
+    support S < T is the smallest lag with sum_{m>S} g[m] <= 2^-53 sum_m g[m];
+    since g is positive (positive MA weights and AR coefficients), that
+    bounds both the innovations left out of the window and the taps left
+    out of the filter. With L = min(S, T - keep), n is the first fast
+    length >= keep + S, which keeps the circular wrap-around of S + 1 taps
+    off the last ``keep`` outputs. When S = T - 1 this is the untruncated
+    convolution over the whole path.
+    """
     a = np.zeros(h + R)
     a[0] = 1.0
     a[h:] = -1.0 / (2.0 * R)
     impulse = np.zeros(T)
     impulse[0] = 1.0
     g = signal.lfilter(ma_weights(h), a, impulse)
-    n = fft.next_fast_len(T + keep - 1, real=True)
-    G = fft.rfft(g, n)
+    tail = np.cumsum(g[::-1])[::-1]  # tail[m] = sum of g[m:]
+    S = int(np.count_nonzero(tail[1:] > 2.0**-53 * tail[0]))
+    n = fft.next_fast_len(keep + S, real=True)
+    G = fft.rfft(g[: S + 1], n)
     G.flags.writeable = False
-    return G, n
+    return G, n, min(S, T - keep)
 
 
 def simulate(spec: DgpSpec, rng):

@@ -372,7 +372,8 @@ def build_tradeoff_curve(
         raise ValueError("bandwidth grid is empty")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
     model = fit_ar(d, config.max_ar_order)
-    if model.innovation_variance <= 0.0:
+    # Relative to the series, so a fit made of round-off is refused too.
+    if model.innovation_variance <= np.finfo(float).eps * np.var(d):
         raise ValueError("fitted innovation variance is zero; series is degenerate")
     results = _null_statistics(model, P, procedures, config.n_sim, config.seed)
     return [

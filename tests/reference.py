@@ -122,3 +122,18 @@ def ucr_loss_differential(eps, mu, h, R_tilde, P):
     e1 = target - np.zeros(P)
     e2 = target - rolling_mean
     return e1 * e1 - e2 * e2
+
+
+def cr_loss_differential(eps, h, R, R_tilde, P):
+    """One conditional-rolling replication's loss differential, built one
+    path at a time: the recursion by ``cr_recursion_lfilter`` over all the
+    innovations, of which all but the last R_tilde + P + h - 1 outputs are
+    burn-in, the rolling means from one cumulative sum, then the squared error of the
+    zero forecast minus that of the rolling mean at each of the P origins."""
+    y = cr_recursion_lfilter(eps, h, R)[eps.size - (R_tilde + P + h - 1) :]
+    csum = np.concatenate(([0.0], np.cumsum(y)))
+    rolling_mean = (csum[R_tilde : R_tilde + P] - csum[:P]) / R_tilde
+    target = y[R_tilde + h - 1 : R_tilde + h - 1 + P]
+    e1 = target - np.zeros(P)
+    e2 = target - rolling_mean
+    return e1 * e1 - e2 * e2

@@ -405,6 +405,19 @@ class TestTradeoffCommand:
         assert err.startswith("error: ") and "unit root" in err
         assert not out_dir.exists()
 
+    def test_round_off_fit_exits_1(self, tmp_path, capsys):
+        # the same series with --max-ar-order 6 selects an AR(2) whose
+        # innovation variance is round-off
+        data = tmp_path / "period2.csv"
+        data.write_text("A,B,Y\n" + "".join(f"{1 - t % 2},0,0\n" for t in range(157)))
+        out_dir = tmp_path / "t"
+        code, _, err = run(["tradeoff", "--data", str(data)] + BASE
+                           + ["--max-ar-order", "6", "--grid", "2,6,12", "--n-sim", "200",
+                              "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert err == "error: fitted innovation variance is zero; series is degenerate\n"
+        assert not out_dir.exists()
+
     def test_svg_markers(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "t"
         self._run(data_csv, out_dir, capsys)

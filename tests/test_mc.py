@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from epatest import mc
 from epatest.dmtests import UnsupportedLevelError
@@ -149,22 +150,42 @@ class TestSimulators:
         np.testing.assert_allclose(_cr_recursion(eps, h, R), y, atol=1e-12)
 
     @pytest.mark.parametrize("h", [1, 3, 12])
-    @pytest.mark.parametrize("R", [25, 175])
+    @pytest.mark.parametrize("R", DEFAULT_R_SET)
     def test_cr_recursion_matches_lfilter_oracle(self, h, R):
         T_tot = 175 + 1000 + h - 1
         eps = np.random.default_rng([h, R]).standard_normal(CR_BURN_IN + T_tot)
         want = cr_recursion_lfilter(eps, h, R)
-        for keep in (T_tot, eps.size):
+        for keep in (175 + 25 + h - 1, T_tot, eps.size):
             got = _cr_recursion(eps, h, R, keep)
             assert got.shape == (keep,)
             tail = want[eps.size - keep :]
             np.testing.assert_allclose(got, tail, rtol=0, atol=1e-12 * np.abs(tail).max())
 
     def test_cr_spectrum_is_read_only(self):
-        G, n = mc._cr_spectrum(3, 25, 60, 20)
+        G, n, _ = mc._cr_spectrum(3, 25, 60, 20)
         assert n >= 60 + 20 - 1
         with pytest.raises(ValueError, match="read-only"):
             G[0] = 0.0
+
+    @pytest.mark.parametrize("h", DEFAULT_H_SET)
+    @pytest.mark.parametrize("R", DEFAULT_R_SET)
+    def test_cr_transforms_cover_only_the_impulse_response_support(self, h, R):
+        impulse = np.zeros(CR_BURN_IN + 175 + 1000 + h - 1)
+        impulse[0] = 1.0
+        g = cr_recursion_lfilter(impulse, h, R)
+        for R_tilde in DEFAULT_R_SET:
+            for P in (25, 1000):
+                keep = R_tilde + P + h - 1
+                T = CR_BURN_IN + keep
+                G, n, L = mc._cr_spectrum(h, R, T, keep)
+                assert n < fft.next_fast_len(T + keep - 1, real=True)
+                # L + 1 taps, L leading innovations: no wrap-around reaches the kept values
+                assert L < T - keep and G.size == n // 2 + 1 and n >= keep + L
+                # what the taps and the window leave out is at most 2^-53 of g,
+                # and L is the shortest support with that bound
+                total = g[:T].sum()
+                assert g[L + 1 : T].sum() <= 2.0**-53 * total
+                assert g[L:T].sum() > 2.0**-53 * total
 
     def test_cr_filter_runs_once_per_cell_not_per_replication(self, monkeypatch):
         calls = []

@@ -4,7 +4,8 @@
 for a whole range of reps without constructing one generator per rep; the
 oracle here is that call itself. The batched matrices are then checked row
 by row against the one-replication simulators run on each row's own
-generator, and the ``ucr`` rows against a direct one-path construction.
+generator, and the ``ucr`` and ``cr`` rows against direct one-path
+constructions.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import bit_generator
 
-from reference import ucr_loss_differential
+from reference import cr_loss_differential, ucr_loss_differential
 
 from epatest import _streams, mc, tradeoff
 from epatest.dmtests import procedure
@@ -122,6 +123,22 @@ def test_ucr_rows_equal_direct_convolution(spec, n_reps, seed):
         eps = np.random.default_rng([*key, rep]).standard_normal(width)
         want = ucr_loss_differential(eps, spec.mu, spec.h, spec.R_tilde, spec.P)
         assert D[rep].tobytes() == want.tobytes(), rep
+
+
+@pytest.mark.parametrize("h", mc.DEFAULT_H_SET)
+@pytest.mark.parametrize("R", mc.DEFAULT_R_SET)
+@pytest.mark.parametrize("R_tilde", mc.DEFAULT_R_SET)
+@pytest.mark.parametrize("P", [25, 1000])
+def test_cr_rows_equal_full_length_filter(h, R, R_tilde, P):
+    spec = mc.make_spec("cr", h, R, R_tilde, P)
+    n_reps, seed = 3, 17
+    D = mc._loss_differentials(spec, n_reps, seed)
+    key = [seed, 1, h, R, R_tilde, P]
+    width = mc.CR_BURN_IN + R_tilde + P + h - 1
+    for rep in range(n_reps):
+        eps = np.random.default_rng([*key, rep]).standard_normal(width)
+        want = cr_loss_differential(eps, h, R, R_tilde, P)
+        np.testing.assert_allclose(D[rep], want, rtol=0, atol=1e-10 * np.abs(D[rep]).max())
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])

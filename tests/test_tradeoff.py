@@ -337,6 +337,15 @@ class TestBuildTradeoffCurve:
         with pytest.raises(ValueError, match="degenerate"):
             build_tradeoff_curve(np.zeros(50), TradeoffConfig(n_sim=100))
 
+    @pytest.mark.parametrize("max_ar_order", [6, 8, 9])
+    def test_round_off_fit_is_degenerate(self, max_ar_order):
+        # the period-2 series is fitted to round-off: innovation variance ~1e-32
+        d = np.tile([1.0, 0.0], 79)[:157]
+        assert 0.0 < fit_ar(d, max_ar_order).innovation_variance < 1e-30
+        message = "^fitted innovation variance is zero; series is degenerate$"
+        with pytest.raises(ValueError, match=message):
+            build_tradeoff_curve(d, TradeoffConfig(max_ar_order=max_ar_order, n_sim=100))
+
     def test_empty_grid_rejected_before_fitting(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("fitted the model for an empty grid")
