@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .lrv import ESTIMATORS, LrvEstimate, variance_rows
 from .lrv import bandwidth as rule_bandwidth
@@ -37,6 +38,17 @@ __all__ = [
     "fixed_b_critical_value",
     "im_partition",
 ]
+
+
+# The two reference distributions, with the ``sf`` and ``ppf`` signatures of
+# SciPy's ``norm`` and ``t``. They evaluate the same scipy.special functions
+# SciPy's distributions do, so every value is the same to the bit, without
+# importing SciPy's statistics package.
+stats = SimpleNamespace(
+    norm=SimpleNamespace(sf=lambda x: special.ndtr(np.negative(x)), ppf=special.ndtri),
+    t=SimpleNamespace(sf=lambda x, df: special.stdtr(df, np.negative(x)),
+                      ppf=lambda q, df: special.stdtrit(df, q)),
+)
 
 
 class DegenerateVarianceError(ArithmeticError):

@@ -18,14 +18,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal, stats
+from scipy import special
 
 from ._streams import check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import evaluate, outcomes, procedure
 from .lrv import bandwidth
-from .mc import size_corrected_critical_value
+from .mc import _ar_filter, size_corrected_critical_value
 from .series import as_integer, as_loss_series
 
 __all__ = [
@@ -109,7 +109,10 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
     candidate, so selection cannot come up empty). The selected order is
     then refit on its own maximal conditional sample for the reported
     coefficients and innovation variance. AIC uses n log(sigma_eps^2) + 2p
-    with sigma_eps^2 = RSS / (n - p).
+    with sigma_eps^2 = RSS / (n - p). A fit whose innovation variance is
+    at most machine epsilon times the series' variance is made of
+    round-off (the series has no sampling noise) and raises ValueError, as
+    does a unit root.
     """
     d = as_loss_series(d)
     P = d.size
@@ -134,21 +137,26 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
         # The refit widened the sample into nonstationarity; keep the
         # selection-sample fit, which is stationary by construction.
         coefs, rss, n = _conditional_ls(x, order, max_order)
-    return FittedArModel(coefs, rss / (n - order), float(d.mean()))
+    model = FittedArModel(coefs, rss / (n - order), float(d.mean()))
+    # Relative to the series, so a fit made of round-off is refused too.
+    if model.innovation_variance <= np.finfo(float).eps * np.var(d):
+        raise ValueError("fitted innovation variance is zero; series is degenerate")
+    return model
 
 
 def _model_paths(model: FittedArModel, E: np.ndarray, shift: float) -> np.ndarray:
     """The fitted autoregression driven by each row of standard normals ``E``.
 
-    The rows are scaled to the fitted innovation variance and filtered from
-    zero initial conditions; the first ``SIMULATION_BURN_IN`` values of each
-    path are dropped and ``shift`` is added to the rest.
+    The rows are scaled to the fitted innovation variance and passed
+    through the autoregression from zero initial conditions by the banded
+    triangular solve of :func:`epatest.mc._ar_filter`, which treats every
+    row alike, so a path simulated alone equals the same path in a batch;
+    the first ``SIMULATION_BURN_IN`` values of each path are dropped and
+    ``shift`` is added to the rest.
     """
     eps = E * math.sqrt(max(model.innovation_variance, 0.0))
-    if model.order:
-        a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-        eps = signal.lfilter([1.0], a, eps, axis=1)
-    return eps[:, SIMULATION_BURN_IN:] + shift
+    a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
+    return _ar_filter(a, eps)[:, SIMULATION_BURN_IN:] + shift
 
 
 def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.ndarray:
@@ -204,7 +212,7 @@ def _size_distortions(procedures, results, n_sim: int) -> list[float]:
 def _max_power_losses(model: FittedArModel, P: int, results, grid_size: int) -> list[float]:
     sigma = math.sqrt(model.implied_lrv)
     sqrt_p = math.sqrt(P)
-    z975, z99 = stats.norm.ppf([0.975, 0.99]).tolist()
+    z975, z99 = special.ndtri([0.975, 0.99]).tolist()
     delta_max = (z975 + z99) * sigma / sqrt_p
     shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
     envelope = oracle_power(model.implied_lrv, P, shifts)
@@ -259,9 +267,9 @@ def oracle_power(true_lrv: float, P: int, shift: float) -> float:
     """
     if true_lrv <= 0.0:
         raise ValueError(f"long-run variance must be positive, got {true_lrv}")
-    z = stats.norm.ppf(0.975)
+    z = special.ndtri(0.975)
     u = np.asarray(shift) * math.sqrt(P) / math.sqrt(true_lrv)
-    power = stats.norm.cdf(-z + u) + stats.norm.cdf(-z - u)
+    power = special.ndtr(-z + u) + special.ndtr(-z - u)
     return float(power) if power.ndim == 0 else power
 
 
@@ -372,9 +380,6 @@ def build_tradeoff_curve(
         raise ValueError("bandwidth grid is empty")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
     model = fit_ar(d, config.max_ar_order)
-    # Relative to the series, so a fit made of round-off is refused too.
-    if model.innovation_variance <= np.finfo(float).eps * np.var(d):
-        raise ValueError("fitted innovation variance is zero; series is degenerate")
     results = _null_statistics(model, P, procedures, config.n_sim, config.seed)
     return [
         TradeoffPoint(M=proc.bandwidth, size_distortion=sd, max_power_loss=loss,

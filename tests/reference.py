@@ -98,6 +98,11 @@ def t_quantile(p, df):
     return _bisect(lambda x: t_cdf(x, df), p, -400.0, 400.0)
 
 
+def ar_lfilter(a, x):
+    """``x`` (each row of a 2-D ``x``) passed through 1/a(L) from rest by SciPy's direct filter."""
+    return signal.lfilter([1.0], a, x, axis=-1)
+
+
 def cr_recursion_lfilter(eps, h, R):
     """The conditional-rolling recursion as a direct filter: the MA(h-1) with
     weights 0.5^k, then the autoregression with lag-h..lag-(h+R-1)

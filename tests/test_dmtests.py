@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from epatest import dmtests
 from epatest.dmtests import (
     DegenerateVarianceError,
     ImPartition,
@@ -305,3 +306,43 @@ class TestOutcomeRecord:
         out = dm_test_r(_series(25), cl=0.10)
         assert out.cl == 0.10
         assert out.critical_value == pytest.approx(normal_quantile(0.95), abs=1e-8)
+
+
+class TestReferenceDistributions:
+    """``dmtests.stats`` gives SciPy's normal and t values to the bit."""
+
+    LEVELS = np.concatenate(([1e-12, 0.5, 1.0 - 1e-12], np.linspace(0.0005, 0.9995, 250)))
+    DFS = np.arange(1.0, 201.0)
+
+    @staticmethod
+    def _statistics():
+        rng = np.random.default_rng(20)
+        tiny = 10.0 ** rng.uniform(-300.0, 0.0, 400)
+        return np.concatenate((
+            [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300],
+            np.linspace(-40.0, 40.0, 1201), tiny, -tiny, rng.standard_normal(400) * 5.0,
+        ))
+
+    @staticmethod
+    def _same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_quantiles(self):
+        q = self.LEVELS
+        self._same_bits(dmtests.stats.norm.ppf(q), stats.norm.ppf(q))
+        self._same_bits(dmtests.stats.t.ppf(q[:, None], self.DFS), stats.t.ppf(q[:, None], self.DFS))
+        assert q.size >= 200
+
+    def test_survival_functions(self):
+        x = self._statistics()
+        assert x.size >= 2000
+        self._same_bits(dmtests.stats.norm.sf(x), stats.norm.sf(x))
+        self._same_bits(dmtests.stats.t.sf(x[:, None], self.DFS), stats.t.sf(x[:, None], self.DFS))
+
+    def test_scalar_calls_as_the_procedures_make_them(self):
+        assert float(dmtests.stats.norm.ppf(0.975)) == float(stats.norm.ppf(0.975))
+        assert float(dmtests.stats.t.ppf(0.975, 7)) == float(stats.t.ppf(0.975, 7))
+        assert float(dmtests.stats.norm.sf(1.7)) == float(stats.norm.sf(1.7))
+        assert float(dmtests.stats.t.sf(1.7, 7)) == float(stats.t.sf(1.7, 7))

@@ -29,7 +29,7 @@ from epatest.mc import (
     size_corrected_critical_value,
     size_corrected_power,
 )
-from reference import cr_recursion_lfilter
+from reference import ar_lfilter, cr_recursion_lfilter
 
 
 class TestMaStructure:
@@ -189,13 +189,13 @@ class TestSimulators:
 
     def test_cr_filter_runs_once_per_cell_not_per_replication(self, monkeypatch):
         calls = []
-        lfilter = mc.signal.lfilter
+        ar_filter = mc._ar_filter
 
-        def counting_lfilter(*args, **kwargs):
+        def counting_ar_filter(*args, **kwargs):
             calls.append(1)
-            return lfilter(*args, **kwargs)
+            return ar_filter(*args, **kwargs)
 
-        monkeypatch.setattr(mc.signal, "lfilter", counting_lfilter)
+        monkeypatch.setattr(mc, "_ar_filter", counting_ar_filter)
         specs = [make_spec("cr", 3, 25, 25, 75), make_spec("cr", 3, 175, 25, 75)]
         run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
         assert 1 <= len(calls) <= len(specs)
@@ -216,6 +216,63 @@ class TestSimulators:
 
     def test_burn_in_constant(self):
         assert CR_BURN_IN == 10_000
+
+
+def _block_width(K):
+    return max(mc._BAND_DOUBLES // (K + 1), K)
+
+
+def _cr_polynomial(h, R):
+    a = np.zeros(h + R)
+    a[0] = 1.0
+    a[h:] = -1.0 / (2.0 * R)
+    return a
+
+
+class TestArFilter:
+    """``mc._ar_filter``, the banded solve behind both autoregressive filters."""
+
+    @pytest.mark.parametrize("K", range(1, 11))
+    def test_matches_lfilter_across_block_boundaries(self, K):
+        rng = np.random.default_rng([7, K])
+        # sum |phi| < 1 keeps the autoregression stationary
+        phi = 0.95 * rng.dirichlet(np.ones(K)) * rng.choice([-1.0, 1.0], K)
+        a = np.concatenate(([1.0], -phi))
+        B = _block_width(K)
+        for T in (B - 1, B, B + 1, 3 * B + 2):
+            for X in (rng.standard_normal(T), rng.standard_normal((3, T))):
+                got = mc._ar_filter(a, X)
+                want = ar_lfilter(a, X)
+                assert got.shape == X.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("h", DEFAULT_H_SET)
+    @pytest.mark.parametrize("R", DEFAULT_R_SET)
+    def test_cr_impulse_response_matches_lfilter(self, h, R):
+        T = CR_BURN_IN + 175 + 1000 + h - 1
+        impulse = np.zeros(T)
+        impulse[0] = 1.0
+        want = cr_recursion_lfilter(impulse, h, R)
+        weights = np.zeros(T)
+        weights[:h] = ma_weights(h)
+        got = mc._ar_filter(_cr_polynomial(h, R), weights)
+        assert T > _block_width(h + R - 1)
+        assert np.all(want > 0.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("a", [np.array([1.0, -0.5, 0.2, 0.1]), _cr_polynomial(3, 175)],
+                             ids=["ar3", "cr"])
+    def test_row_alone_equals_row_in_batch(self, a):
+        T = 3 * _block_width(a.size - 1) + 2
+        X = np.random.default_rng(11).standard_normal((5, T))
+        batch = mc._ar_filter(a, X)
+        for i in range(5):
+            assert mc._ar_filter(a, X[i]).tobytes() == batch[i].tobytes()
+        assert mc._ar_filter(a, X[1:4]).tobytes() == batch[1:4].tobytes()
+
+    def test_order_zero_is_the_identity(self):
+        X = np.random.default_rng(12).standard_normal((2, 50))
+        assert mc._ar_filter([1.0], X).tobytes() == X.tobytes()
 
 
 class TestRunExperiment:

@@ -339,10 +339,12 @@ class TestBuildTradeoffCurve:
 
     @pytest.mark.parametrize("max_ar_order", [6, 8, 9])
     def test_round_off_fit_is_degenerate(self, max_ar_order):
-        # the period-2 series is fitted to round-off: innovation variance ~1e-32
+        # the period-2 series fits to round-off (innovation variance ~1e-32);
+        # fit_ar refuses it, for library callers and the diagnostic alike
         d = np.tile([1.0, 0.0], 79)[:157]
-        assert 0.0 < fit_ar(d, max_ar_order).innovation_variance < 1e-30
         message = "^fitted innovation variance is zero; series is degenerate$"
+        with pytest.raises(ValueError, match=message):
+            fit_ar(d, max_ar_order)
         with pytest.raises(ValueError, match=message):
             build_tradeoff_curve(d, TradeoffConfig(max_ar_order=max_ar_order, n_sim=100))
 
