@@ -12,70 +12,12 @@ Public surface:
 
 __version__ = "0.1.0"
 
-from .data import (
-    CsvParseError,
-    ForecastDataset,
-    forecast_errors,
-    load_csv,
-    loss_series,
-)
-from .dmtests import (
-    DegenerateVarianceError,
-    ImPartition,
-    TestOutcome,
-    UnsupportedLevelError,
-    dm_statistic,
-    dm_test_bt,
-    dm_test_bt_fb,
-    dm_test_ewc_fb,
-    dm_test_im,
-    dm_test_m,
-    dm_test_r,
-    dm_test_wpe_fb,
-    fixed_b_critical_value,
-    im_partition,
-)
-from .lrv import (
-    BANDWIDTH_RULES,
-    LrvEstimate,
-    bandwidth,
-    lrv_bartlett,
-    lrv_ewc,
-    lrv_rectangular,
-    lrv_wpe,
-)
-from .mc import (
-    DEFAULT_METHODS,
-    DgpSpec,
-    ExperimentResult,
-    calibrate_mu,
-    experiment_grid,
-    make_spec,
-    run_experiment,
-    simulate_cr,
-    simulate_ucr,
-    size_corrected_critical_value,
-    size_corrected_power,
-)
-from .series import (
-    LOSS_FUNCTIONS,
-    autocovariance,
-    cosine_coefficient,
-    loss_differential,
-    periodogram,
-)
-from .tradeoff import (
-    FittedArModel,
-    TradeoffConfig,
-    TradeoffPoint,
-    build_tradeoff_curve,
-    default_bandwidth_grid,
-    fit_ar,
-    max_power_loss,
-    oracle_power,
-    simulate_from_model,
-    size_distortion,
-)
+from .data import *  # noqa: F403
+from .dmtests import *  # noqa: F403
+from .lrv import *  # noqa: F403
+from .mc import *  # noqa: F403
+from .series import *  # noqa: F403
+from .tradeoff import *  # noqa: F403
 
 __all__ = [
     "__version__",

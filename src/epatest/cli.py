@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from dataclasses import asdict, fields
@@ -144,9 +145,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _comma_list(text: str, kind=str.strip) -> tuple:
-    """The nonblank items of a comma list, each converted by ``kind``."""
-    return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+def _comma_list(text: str) -> tuple[str, ...]:
+    """The nonblank items of a comma list."""
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _integers(flag: str, items) -> tuple[int, ...]:
+    """The strings ``items`` as ints; one that is not an integer is an error naming ``flag``."""
+    try:
+        return tuple(int(item) for item in items)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that cannot become a writable directory, before any work starts."""
+    existing = Path(path)
+    while not existing.exists():  # ends at "." or "/"
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"--out {path}: {existing} is not a writable directory")
 
 
 def _load_series(args) -> np.ndarray:
@@ -266,17 +284,17 @@ def cmd_test(args) -> int:
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return _comma_list(text, int)
+        lo, hi = _integers("--grid", text.split(":", 1))
+        return tuple(range(lo, hi + 1))
+    return _integers("--grid", _comma_list(text))
 
 
 def cmd_tradeoff(args) -> int:
-    d = _load_series(args)
     grid = _parse_grid(args.grid) if args.grid is not None else None
     config = TradeoffConfig(bandwidth_grid=grid, n_sim=args.n_sim,
                             alternative_grid_size=args.alt_grid_size, seed=args.seed,
                             max_ar_order=args.max_ar_order)
+    d = _load_series(args)
     points = build_tradeoff_curve(d, config)
     default_M = bandwidth("llsw", d.size)
 
@@ -412,7 +430,9 @@ def _mc_cell(result, metric: str, method: str, cell: tuple):
 def cmd_mc(args) -> int:
     families = _comma_list(args.families)
     h_set, r_set, rt_set, p_set = (
-        _comma_list(text, int) for text in (args.h_set, args.r_set, args.rt_set, args.p_set)
+        _integers(flag, _comma_list(text)) for flag, text in (
+            ("--h-set", args.h_set), ("--r-set", args.r_set), ("--rt-set", args.rt_set),
+            ("--p-set", args.p_set))
     )
     methods = _comma_list(args.methods)
     specs = experiment_grid(families, h_set, r_set, rt_set, p_set)
@@ -460,8 +480,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
-    except (DegenerateVarianceError, FileNotFoundError, ValueError) as exc:
+    except (DegenerateVarianceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -237,6 +237,22 @@ def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def tally(procedures, X: np.ndarray) -> list[tuple]:
+    """:func:`evaluate`'s (statistic, variance) per procedure, with what a simulation counts.
+
+    Each tuple adds the |statistic| of every row, 0.0 where the variance
+    estimate is nonpositive (so a degenerate row never rejects), then the
+    counts of rows that reject at the critical value and of degenerate rows.
+    """
+    out = []
+    for p, (stat, variance) in zip(procedures, evaluate(procedures, X)):
+        degenerate = np.isnan(stat)
+        abs_stat = np.where(degenerate, 0.0, np.abs(stat))
+        out.append((stat, variance, abs_stat, int(np.count_nonzero(abs_stat > p.critical_value)),
+                    int(np.count_nonzero(degenerate))))
+    return out
+
+
 def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
     """Every procedure on the single validated series ``d``: the one-row case of :func:`evaluate`.
 

@@ -28,7 +28,7 @@ from scipy import fft
 from scipy.linalg import lapack
 
 from ._streams import check_seed, keyed_rows
-from .dmtests import evaluate, procedure
+from .dmtests import procedure, tally
 from .series import as_integer
 
 __all__ = [
@@ -311,9 +311,9 @@ class ExperimentResult:
     """Rejection rates and per-replication statistic archives for a grid run.
 
     Keys are ``(method, family, R, R_tilde, h, P)``. Archives hold the
-    absolute statistic of every replication (0.0 for replications whose
-    variance estimate degenerated; those are counted as non-rejections and
-    tallied in ``degenerate_counts``).
+    absolute statistic of every replication, by :func:`epatest.dmtests.tally`
+    (0.0 where the variance estimate degenerated: a non-rejection, counted
+    in ``degenerate_counts``).
     """
 
     rejection_rates: dict = field(default_factory=dict)
@@ -400,17 +400,12 @@ def run_experiment(
     for i, spec in enumerate(specs, start=1):
         if progress is not None:
             progress(i, len(specs), spec)
-        procedures = plans[spec.P, spec.h]
-        D = _loss_differentials(spec, n_reps, seed)
-        for m, proc, (stat, _) in zip(methods, procedures, evaluate(procedures, D)):
+        tallies = tally(plans[spec.P, spec.h], _loss_differentials(spec, n_reps, seed))
+        for m, (_, _, abs_stat, rejections, degenerate) in zip(methods, tallies):
             key = (m,) + _cell_key(spec)
-            degenerate = np.isnan(stat)
-            abs_stat = np.where(degenerate, 0.0, np.abs(stat))
-            result.rejection_rates[key] = (
-                np.count_nonzero(abs_stat > proc.critical_value) / n_reps
-            )
+            result.rejection_rates[key] = rejections / n_reps
             result.archives[key] = abs_stat
-            result.degenerate_counts[key] = int(np.count_nonzero(degenerate))
+            result.degenerate_counts[key] = degenerate
     return result
 
 

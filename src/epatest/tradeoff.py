@@ -23,7 +23,7 @@ from scipy import special
 from ._streams import check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
-from .dmtests import evaluate, outcomes, procedure
+from .dmtests import outcomes, procedure, tally
 from .lrv import bandwidth
 from .mc import _ar_filter, size_corrected_critical_value
 from .series import as_integer, as_loss_series
@@ -181,50 +181,44 @@ def _null_rng(seed: int, rep: int) -> np.random.Generator:
 
 
 def _null_statistics(model: FittedArModel, P: int, procedures, n_sim: int, seed: int):
-    """Statistics of the fixed-b ``procedures`` on one set of null paths.
+    """Tallies of the fixed-b ``procedures`` on one set of null paths.
 
     Simulates the ``n_sim`` null paths once, as rows of a matrix, and
     evaluates the test at every bandwidth from one autocovariance array.
-    Returns, per procedure, the (statistic, variance) arrays over the
-    paths; degenerate variance estimates give NaN statistics (tallied in
-    the debug log).
+    Returns :func:`epatest.dmtests.tally`'s tuple per procedure; by its
+    rule a degenerate variance estimate is a non-rejection with
+    |statistic| 0. Degenerate paths are counted in the debug log.
     """
     paths = np.empty((n_sim, P))
     keyed_rows(paths, [seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(model, E, 0.0))
-    results = evaluate(procedures, paths)
-    for proc, (stat, _) in zip(procedures, results):
-        degenerate = np.count_nonzero(np.isnan(stat))
+    tallies = tally(procedures, paths)
+    for proc, (*_, degenerate) in zip(procedures, tallies):
         if degenerate:
             logger.debug(
                 "fixed-b null statistics (P=%d, M=%d): %d of %d replications degenerate",
                 P, proc.bandwidth, degenerate, n_sim,
             )
-    return results
+    return tallies
 
 
-def _size_distortions(procedures, results, n_sim: int) -> list[float]:
-    return [
-        np.count_nonzero(np.abs(stat) > proc.critical_value) / n_sim - NOMINAL_LEVEL
-        for proc, (stat, _) in zip(procedures, results)
-    ]
+def _size_distortions(tallies, n_sim: int) -> list[float]:
+    return [rejections / n_sim - NOMINAL_LEVEL for _, _, _, rejections, _ in tallies]
 
 
-def _max_power_losses(model: FittedArModel, P: int, results, grid_size: int) -> list[float]:
+def _max_power_losses(model: FittedArModel, P: int, tallies, grid_size: int) -> list[float]:
     sigma = math.sqrt(model.implied_lrv)
     sqrt_p = math.sqrt(P)
     z975, z99 = special.ndtri([0.975, 0.99]).tolist()
     delta_max = (z975 + z99) * sigma / sqrt_p
     shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
     envelope = oracle_power(model.implied_lrv, P, shifts)
-    # Rows are bandwidths, columns replications; degenerate replications
-    # count as |statistic| = 0 under the null and never reject.
-    stat0 = np.array([stat for stat, _ in results])
-    variance = np.array([variance for _, variance in results])
+    # Rows are bandwidths, columns replications.
+    stat0, variance, null_abs, _, _ = map(np.array, zip(*tallies))
     sd = np.sqrt(np.where(variance > 0.0, variance, np.nan))
-    null_abs = np.where(np.isnan(stat0), 0.0, np.abs(stat0))
     crit = np.array([size_corrected_critical_value(row) for row in null_abs])[:, None]
     # Common random numbers: an alternative path is the null path plus the
-    # shift, and the Bartlett variance estimate is shift-invariant.
+    # shift, and the Bartlett variance estimate is shift-invariant (so a
+    # degenerate path stays NaN and never rejects).
     power = np.column_stack([
         np.mean(np.abs(stat0 + sqrt_p * s / sd) > crit, axis=1) for s in shifts
     ])
@@ -244,15 +238,14 @@ def size_distortion(
     """Null rejection rate of the fixed-b test at bandwidth ``M``, minus 5%.
 
     Simulates ``n_sim`` null paths from the fitted model and runs the
-    actual test on each. Degenerate variance estimates count as
-    non-rejections (and are tallied in the debug log). Positive values mean
+    actual test on each; a degenerate variance estimate is a non-rejection,
+    by :func:`epatest.dmtests.tally`. Positive values mean
     the bandwidth leaves the test oversized in this fitted world. This is
     the one-bandwidth case of :func:`build_tradeoff_curve`.
     """
     n_sim = _positive_count(n_sim, "n_sim")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
-    results = _null_statistics(model, P, procedures, n_sim, seed)
-    return _size_distortions(procedures, results, n_sim)[0]
+    return _size_distortions(_null_statistics(model, P, procedures, n_sim, seed), n_sim)[0]
 
 
 def oracle_power(true_lrv: float, P: int, shift: float) -> float:
@@ -298,8 +291,8 @@ def max_power_loss(
     if model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
-    results = _null_statistics(model, P, procedures, n_sim, seed)
-    return _max_power_losses(model, P, results, grid_size)[0]
+    tallies = _null_statistics(model, P, procedures, n_sim, seed)
+    return _max_power_losses(model, P, tallies, grid_size)[0]
 
 
 @dataclass(frozen=True)
@@ -325,6 +318,11 @@ class TradeoffConfig:
         }
         if self.max_ar_order is not None:
             checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
+        seen = set()
+        for M in self.bandwidth_grid or ():
+            if M in seen:
+                raise ValueError(f"bandwidth {M} is listed more than once")
+            seen.add(M)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -380,14 +378,14 @@ def build_tradeoff_curve(
         raise ValueError("bandwidth grid is empty")
     procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
     model = fit_ar(d, config.max_ar_order)
-    results = _null_statistics(model, P, procedures, config.n_sim, config.seed)
+    tallies = _null_statistics(model, P, procedures, config.n_sim, config.seed)
     return [
         TradeoffPoint(M=proc.bandwidth, size_distortion=sd, max_power_loss=loss,
                       rejected=outcome.rej)
         for proc, sd, loss, outcome in zip(
             procedures,
-            _size_distortions(procedures, results, config.n_sim),
-            _max_power_losses(model, P, results, config.alternative_grid_size),
+            _size_distortions(tallies, config.n_sim),
+            _max_power_losses(model, P, tallies, config.alternative_grid_size),
             outcomes(procedures, d),
         )
     ]

@@ -27,6 +27,7 @@ from epatest.dmtests import (
     dm_test_wpe_fb,
     evaluate,
     procedure,
+    tally,
 )
 from epatest.lrv import ESTIMATORS
 
@@ -142,6 +143,28 @@ def test_one_shared_autocovariance_array_changes_nothing(n_rows, P, h, seed):
 def test_batched_battery_matches_one_row_on_random_shapes(n_rows, P, h_frac, seed):
     h = 1 + math.floor(h_frac * P)
     check_battery(_rows(n_rows, P, seed), h)
+
+
+def test_tally_counts_constant_rows_as_degenerate_non_rejections():
+    P, constant = 20, [1, 4, 5]
+    X = _rows(8, P, 6)
+    # every variance estimate of these rows is exactly zero; a nonzero
+    # constant's cosine coefficients are round-off, so dm_ewc sees zeros only
+    X[constant] = [[0.0], [0.5], [-2.0]]
+    labels = ["dm_r", "dm_m", "dm_nw", "dm_nw_l", "dm_fb", "dm_wpe",
+              "dm_im_q2", "dm_im_q5", "dm_im_q10"]
+    procedures = [procedure(label, P, 1, 0.05) for label in labels]
+    live = np.delete(np.arange(8), constant)
+    for p, (stat, variance, abs_stat, rejections, degenerate) in zip(
+        procedures, tally(procedures, X)
+    ):
+        assert np.isnan(stat[constant]).all() and (variance[constant] <= 0.0).all(), p
+        assert abs_stat[constant].tolist() == [0.0, 0.0, 0.0], p
+        assert abs_stat[live].tobytes() == np.abs(stat[live]).tobytes(), p
+        assert degenerate == 3, p
+        assert rejections == np.count_nonzero(np.abs(stat[live]) > p.critical_value), p
+    ((stat, _, abs_stat, _, degenerate),) = tally([procedure("dm_ewc", P, 1, 0.05)], X[:2])
+    assert np.isnan(stat[1]) and abs_stat[1] == 0.0 and degenerate == 1
 
 
 def test_run_experiment_archives_match_one_row_on_the_simulated_rows():

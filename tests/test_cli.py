@@ -8,6 +8,7 @@ import numpy as np
 import scipy
 import pytest
 
+from epatest import tradeoff
 from epatest.cli import build_parser, main
 from epatest.dmtests import DegenerateVarianceError, dm_test_r
 from epatest.lrv import bandwidth
@@ -40,6 +41,10 @@ def run(argv, capsys):
 
 
 BASE = ["--forecast-cols", "A,B", "--realization-col", "Y"]
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("fitted the model for arguments that should be refused first")
 
 
 def environment() -> dict:
@@ -132,6 +137,19 @@ class TestTestCommand:
         code, _, err = run(["test", "--data", str(tmp_path / "none.csv")] + BASE, capsys)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_directory_as_data_exits_1(self, tmp_path, capsys):
+        code, out, err = run(["test", "--data", str(tmp_path)] + BASE, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_out_below_a_regular_file_fails_before_loading(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        code, out, err = run(["test", "--data", str(tmp_path / "none.csv")] + BASE
+                             + ["--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: --out {out_dir}: {tmp_path / 'file'} is not a writable directory\n"
 
     def test_unsupported_level_exits_1(self, data_csv, capsys):
         code, _, err = run(
@@ -394,6 +412,28 @@ class TestTradeoffCommand:
         assert err == "error: bandwidth grid is empty\n"
         assert not out_dir.exists()
 
+    def test_repeated_bandwidth_exits_1_before_the_fit(self, data_csv, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(tradeoff, "fit_ar", _no_fit)
+        out_dir = tmp_path / "t"
+        code, _, err = run(["tradeoff", "--data", str(data_csv)] + BASE
+                           + ["--grid", "1,1,2", "--n-sim", "100", "--out", str(out_dir)], capsys)
+        assert (code, err) == (1, "error: bandwidth 1 is listed more than once\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unwritable_out_fails_before_the_fit(self, out, data_csv, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(tradeoff, "fit_ar", _no_fit)
+        (tmp_path / "file").write_text("")
+        code, _, err = run(["tradeoff", "--data", str(data_csv)] + BASE
+                           + ["--grid", "2", "--n-sim", "100", "--out", str(tmp_path / out)],
+                           capsys)
+        assert code == 1
+        assert err == (f"error: --out {tmp_path / out}: {tmp_path / 'file'} "
+                       "is not a writable directory\n")
+        assert (tmp_path / "file").read_text() == ""
+
     def test_unit_root_fit_exits_1(self, tmp_path, capsys):
         # loss differential 1, 0, 1, ...: the selected AR fit has a unit root
         data = tmp_path / "period2.csv"
@@ -542,6 +582,14 @@ class TestMcCommand:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    def test_out_below_a_regular_file_fails_before_any_cell(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        code, out, err = run(self.ARGS + ["--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert "[1/" not in err
+        assert err == f"error: --out {out_dir}: {tmp_path / 'file'} is not a writable directory\n"
+
     def test_progress_line_per_cell(self, tmp_path, capsys):
         code, _, err = run(self.ARGS + ["--out", str(tmp_path / "mc")], capsys)
         assert code == 0
@@ -550,3 +598,27 @@ class TestMcCommand:
             f"[{i}/8] family=ucr h=1 R={R} R_tilde={Rt} P={P}"
             for i, (R, Rt, P) in enumerate(cells, start=1)
         ]
+
+
+@pytest.mark.parametrize("command, flag, value, bad", [
+    ("tradeoff", "--grid", "a", "a"),
+    ("tradeoff", "--grid", "1:b", "b"),
+    ("tradeoff", "--grid", "2:", ""),
+    ("tradeoff", "--grid", "1:2:3", "2:3"),
+    ("mc", "--h-set", "1,a", "a"),
+    ("mc", "--r-set", "x", "x"),
+    ("mc", "--rt-set", "25,2.5", "2.5"),
+    ("mc", "--p-set", "a", "a"),
+])
+def test_integer_list_errors_name_their_flag(command, flag, value, bad, data_csv, tmp_path,
+                                             capsys):
+    out_dir = tmp_path / "x"
+    if command == "tradeoff":
+        argv = ["tradeoff", "--data", str(data_csv)] + BASE + ["--n-sim", "100"]
+    else:
+        argv = TestMcCommand.ARGS.copy()
+    argv += [flag, value, "--out", str(out_dir)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: invalid literal for int() with base 10: {bad!r}\n"
+    assert not out_dir.exists()

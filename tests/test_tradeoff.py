@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import signal, stats
 
 from epatest import tradeoff
 from epatest.data import ForecastDataset
-from epatest.dmtests import dm_test_bt_fb
+from epatest.dmtests import dm_test_bt_fb, procedure
 from epatest.lrv import bandwidth
 from epatest.tradeoff import (
     FittedArModel,
@@ -266,6 +267,13 @@ class TestTradeoffConfig:
         assert whole == build_tradeoff_curve(d, TradeoffConfig((2, 5), n_sim=150,
                                                                max_ar_order=2))
 
+    def test_repeated_bandwidth(self):
+        # refused when the config is made, before any model is fitted
+        with pytest.raises(ValueError, match="^bandwidth 1 is listed more than once$"):
+            TradeoffConfig(bandwidth_grid=(1, 1, 2))
+        with pytest.raises(ValueError, match="^bandwidth 4 is listed more than once$"):
+            TradeoffConfig(bandwidth_grid=(2, 4, 3, 4))
+
     def test_defaults(self):
         cfg = TradeoffConfig()
         assert cfg.n_sim == 5000
@@ -355,6 +363,42 @@ class TestBuildTradeoffCurve:
         monkeypatch.setattr(tradeoff, "fit_ar", fail)
         with pytest.raises(ValueError, match="grid is empty"):
             build_tradeoff_curve(self._series(), TradeoffConfig(bandwidth_grid=(), n_sim=100))
+
+
+class TestDegeneratePaths:
+    """Null paths whose variance estimate is zero: non-rejections, counted in the debug log."""
+
+    P, N_SIM, GRID = 48, 200, (2, 5, 9)
+
+    def test_constant_paths_count_as_non_rejections(self, monkeypatch, caplog):
+        d = simulate_from_model(ar1_model(0.5), self.P, 0.0, 4)
+        model = fit_ar(d)
+        procedures = [procedure("dm_fb", self.P, 1, 0.05, M) for M in self.GRID]
+        clean = tradeoff._null_statistics(model, self.P, procedures, self.N_SIM, 0)
+        live = np.arange(self.N_SIM) % 10 != 0
+        want = [np.count_nonzero(np.abs(stat[live]) > p.critical_value) / self.N_SIM - 0.05
+                for p, (stat, *_) in zip(procedures, clean)]
+        # the paths of replications 0, 10, 20, ... are constant, so every
+        # Bartlett estimate on them is exactly zero
+        model_paths, first = tradeoff._model_paths, [0]
+
+        def every_tenth_path_constant(model, E, shift):
+            paths = model_paths(model, E, shift)
+            paths[-first[0] % 10 :: 10] = 1.0
+            first[0] += len(paths)
+            return paths
+
+        monkeypatch.setattr(tradeoff, "_model_paths", every_tenth_path_constant)
+        caplog.set_level(logging.DEBUG, logger="epatest.tradeoff")
+        cfg = TradeoffConfig(bandwidth_grid=self.GRID, n_sim=self.N_SIM)
+        curve = build_tradeoff_curve(d, cfg)
+        assert [p.size_distortion for p in curve] == want
+        assert [r.getMessage() for r in caplog.records] == [
+            f"fixed-b null statistics (P={self.P}, M={M}): {self.N_SIM // 10} of "
+            f"{self.N_SIM} replications degenerate" for M in self.GRID
+        ]
+        first[0] = 0
+        assert size_distortion(model, self.P, 5, self.N_SIM) == want[1]
 
 
 class TestPinnedCurve:
