@@ -19,6 +19,7 @@ NumPy and SciPy versions, operating system and machine type).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -80,6 +81,12 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the three subcommands, built afresh on every call.
+
+    :func:`main` parses with one parser per process, built on its first
+    call; every default here is immutable (str, int, None or tuple), so
+    reusing it carries nothing from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="epatest",
         description="Tests of equal predictive ability for two forecast sequences, "
@@ -282,10 +289,11 @@ def cmd_test(args) -> int:
     return 3 if problems else 0
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
+def _parse_grid(text: str) -> range | tuple[int, ...]:
+    """An ``a:b`` grid stays a range: its bandwidths are checked, not listed, first."""
     if ":" in text:
         lo, hi = _integers("--grid", text.split(":", 1))
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return _integers("--grid", _comma_list(text))
 
 
@@ -476,9 +484,21 @@ def cmd_mc(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: ``argv`` (default ``sys.argv[1:]``) in, exit status out.
+
+    May be called any number of times in one process. The parser is built
+    on the first call and shared by the later ones, which it leaves no
+    state for: each call parses into a new namespace. Argument errors exit
+    through argparse's ``SystemExit(2)``; runtime errors print ``error:``
+    and return 1.
+    """
+    args = _parser().parse_args(argv)
     try:
         if args.out is not None:
             _check_out(args.out)

@@ -52,14 +52,15 @@ stats = SimpleNamespace(
 
 
 class DegenerateVarianceError(ArithmeticError):
-    """A variance estimate came out nonpositive, so no statistic exists."""
+    """A variance estimate came out nonpositive, or at the round-off level of
+    the series (see :func:`evaluate`), so no statistic exists."""
 
     def __init__(self, kernel: str, bandwidth: int, value: float):
         self.kernel = kernel
         self.bandwidth = bandwidth
         self.value = value
         super().__init__(
-            f"nonpositive variance estimate {value:g} "
+            f"{'nonpositive' if value <= 0.0 else 'round-off'} variance estimate {value:g} "
             f"({kernel} kernel, bandwidth {bandwidth}); statistic undefined"
         )
 
@@ -200,18 +201,31 @@ def procedure(
     return Procedure(label, method.kernel, bandwidth, cl, crit, method.reference, df, scale)
 
 
-def _studentize(means: np.ndarray, variance: np.ndarray, P: int) -> np.ndarray:
-    """sqrt(P) * mean / sqrt(variance) per row; NaN where the variance is nonpositive."""
-    return np.sqrt(P) * means / np.sqrt(np.where(variance > 0.0, variance, np.nan))
+def _variance_floor(X: np.ndarray) -> np.ndarray:
+    """Per row, the largest variance estimate that is round-off: (P eps)^2 mean(x^2).
+
+    The transforms of a constant series come out at round-off of its level,
+    not at zero; a constant's estimates stay below a fifth of this floor,
+    and a relative noise of 1e-9 already lifts them far above it.
+    """
+    P = X.shape[1]
+    return (P * np.finfo(float).eps) ** 2 / P * np.einsum("ij,ij->i", X, X)
 
 
-def _block_means_rows(X: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _studentize(means: np.ndarray, variance: np.ndarray, floor: np.ndarray, P: int) -> np.ndarray:
+    """sqrt(P) * mean / sqrt(variance) per row; NaN where the variance is at most ``floor``."""
+    return np.sqrt(P) * means / np.sqrt(np.where(variance > floor, variance, np.nan))
+
+
+def _block_means_rows(X: np.ndarray, q: int, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part = im_partition(X.shape[1], q)
     starts = np.concatenate(([0], np.cumsum(part.block_sizes[:-1])))
     means = np.add.reduceat(X, starts, axis=1) / np.asarray(part.block_sizes, dtype=float)
     grand = means.mean(axis=1)
     s2 = np.sum((means - grand[:, None]) ** 2, axis=1) / (q - 1)
-    stat = grand / np.sqrt(np.where(s2 > 0.0, s2, np.nan) / q)
+    # The statistic is sqrt(P) * grand / sqrt(s2 * P / q): s2 * P / q is its
+    # long-run variance estimate, the one the floor applies to.
+    stat = grand / np.sqrt(np.where(s2 * (X.shape[1] / q) > floor, s2, np.nan) / q)
     return stat, s2
 
 
@@ -220,28 +234,32 @@ def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
     ``X`` holds one validated series per row, all of the length the
     procedures were built for. Returns one (statistic, variance) pair of
-    arrays per procedure; the statistic is NaN on rows whose variance
-    estimate is nonpositive.
+    arrays per procedure. The statistic is NaN on degenerate rows: those
+    whose variance estimate is at most the row's round-off floor
+    (P eps)^2 mean(x^2), which is zero for a row of zeros, so every
+    nonpositive estimate is degenerate too. This is the one degenerate
+    rule; :func:`tally`, :func:`outcomes` and :func:`dm_statistic` read it.
     """
     P = X.shape[1]
     estimates = [(p.kernel, p.bandwidth) for p in procedures if p.kernel in ESTIMATORS]
     variances = iter(variance_rows(estimates, X))
     means = X.mean(axis=1)
+    floor = _variance_floor(X)
     out = []
     for p in procedures:
         if p.kernel == "block-means":
-            out.append(_block_means_rows(X, p.bandwidth))
+            out.append(_block_means_rows(X, p.bandwidth, floor))
         else:
             variance = next(variances)
-            out.append((p.scale * _studentize(means, variance, P), variance))
+            out.append((p.scale * _studentize(means, variance, floor, P), variance))
     return out
 
 
 def tally(procedures, X: np.ndarray) -> list[tuple]:
     """:func:`evaluate`'s (statistic, variance) per procedure, with what a simulation counts.
 
-    Each tuple adds the |statistic| of every row, 0.0 where the variance
-    estimate is nonpositive (so a degenerate row never rejects), then the
+    Each tuple adds the |statistic| of every row, 0.0 where the row is
+    degenerate by :func:`evaluate`'s rule (so it never rejects), then the
     counts of rows that reject at the critical value and of degenerate rows.
     """
     out = []
@@ -256,13 +274,14 @@ def tally(procedures, X: np.ndarray) -> list[tuple]:
 def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
     """Every procedure on the single validated series ``d``: the one-row case of :func:`evaluate`.
 
-    A nonpositive variance estimate raises :class:`DegenerateVarianceError`;
-    with ``strict=False`` the error stands unraised in that procedure's place
+    A degenerate variance estimate (nonpositive or round-off, by
+    :func:`evaluate`'s rule) raises :class:`DegenerateVarianceError`; with
+    ``strict=False`` the error stands unraised in that procedure's place
     instead, so one degenerate estimator leaves the other outcomes intact.
     """
     results = []
     for p, (stat_row, variance_row) in zip(procedures, evaluate(procedures, d[None, :])):
-        if not variance_row[0] > 0.0:
+        if np.isnan(stat_row[0]):
             error = DegenerateVarianceError(p.kernel, p.bandwidth, float(variance_row[0]))
             if strict:
                 raise error
@@ -290,12 +309,15 @@ def dm_statistic(d, lrv: LrvEstimate) -> float:
     """sqrt(P) * mean(d) / sqrt(lrv.value), the common studentized statistic.
 
     Raises :class:`DegenerateVarianceError` when the variance estimate is
-    nonpositive rather than fabricating a sign via a complex root.
+    nonpositive or round-off by :func:`evaluate`'s rule, rather than
+    fabricating a sign via a complex root or a statistic from rounding.
     """
     d = as_loss_series(d)
-    if lrv.value <= 0.0:
+    stat = _studentize(np.array([d.mean()]), np.array([lrv.value]),
+                       _variance_floor(d[None, :]), d.size)[0]
+    if np.isnan(stat):
         raise DegenerateVarianceError(lrv.kernel, lrv.bandwidth, lrv.value)
-    return float(_studentize(np.array([d.mean()]), np.array([lrv.value]), d.size)[0])
+    return float(stat)
 
 
 def dm_test_r(d, h: int = 1, cl: float = 0.05) -> TestOutcome:

@@ -214,11 +214,11 @@ def _max_power_losses(model: FittedArModel, P: int, tallies, grid_size: int) -> 
     envelope = oracle_power(model.implied_lrv, P, shifts)
     # Rows are bandwidths, columns replications.
     stat0, variance, null_abs, _, _ = map(np.array, zip(*tallies))
-    sd = np.sqrt(np.where(variance > 0.0, variance, np.nan))
+    sd = np.sqrt(np.where(np.isnan(stat0), np.nan, variance))
     crit = np.array([size_corrected_critical_value(row) for row in null_abs])[:, None]
     # Common random numbers: an alternative path is the null path plus the
     # shift, and the Bartlett variance estimate is shift-invariant (so a
-    # degenerate path stays NaN and never rejects).
+    # path degenerate under the null stays NaN and never rejects).
     power = np.column_stack([
         np.mean(np.abs(stat0 + sqrt_p * s / sd) > crit, axis=1) for s in shifts
     ])
@@ -297,9 +297,13 @@ def max_power_loss(
 
 @dataclass(frozen=True)
 class TradeoffConfig:
-    """Settings for :func:`build_tradeoff_curve`."""
+    """Settings for :func:`build_tradeoff_curve`.
 
-    bandwidth_grid: tuple[int, ...] | None = None
+    ``bandwidth_grid`` may be a ``range``, which is never expanded before
+    its bandwidths are checked against the series length.
+    """
+
+    bandwidth_grid: range | tuple[int, ...] | None = None
     n_sim: int = 5000
     alternative_grid_size: int = 20
     seed: int = 0
@@ -318,11 +322,13 @@ class TradeoffConfig:
         }
         if self.max_ar_order is not None:
             checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
-        seen = set()
-        for M in self.bandwidth_grid or ():
-            if M in seen:
-                raise ValueError(f"bandwidth {M} is listed more than once")
-            seen.add(M)
+        # A range repeats nothing, and listing it could take any amount of memory.
+        if not isinstance(self.bandwidth_grid, range):
+            seen = set()
+            for M in self.bandwidth_grid or ():
+                if M in seen:
+                    raise ValueError(f"bandwidth {M} is listed more than once")
+                seen.add(M)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -1,14 +1,18 @@
 import csv
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
 import pytest
 
-from epatest import tradeoff
+import epatest
+from epatest import cli, tradeoff
 from epatest.cli import build_parser, main
 from epatest.dmtests import DegenerateVarianceError, dm_test_r
 from epatest.lrv import bandwidth
@@ -79,6 +83,87 @@ class TestParser:
                 ["test", "--data", str(data_csv)] + BASE + ["--method", "dm_zzz"]
             )
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, which keeps nothing between calls."""
+
+    def test_main_builds_the_parser_once(self, data_csv, monkeypatch, capsys):
+        built = []
+
+        def spy():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["test", "--data", str(data_csv)] + BASE,
+                         ["test", "--data", str(data_csv)] + BASE + ["--method", "dm_r"],
+                         ["mc"]):
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    @staticmethod
+    def _call(argv, out_dir, capsys):
+        """Exit status, standard output, error stream and every file ``argv`` writes."""
+        try:
+            code = main([*argv, "--out", str(out_dir)])
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        files = ({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+                 if out_dir.exists() else None)
+        return code, captured.out, captured.err.replace(str(out_dir), "OUT"), files
+
+    SEQUENCES = {
+        "no-svg, then svg": [
+            ["tradeoff", "--data", "DATA"] + BASE + ["--grid", "2,4", "--n-sim", "120",
+                                                     "--no-svg"],
+            ["tradeoff", "--data", "DATA"] + BASE + ["--grid", "2,4", "--n-sim", "120"],
+        ],
+        "explicit M, then the default": [
+            ["test", "--data", "DATA"] + BASE + ["--M", "3"],
+            ["test", "--data", "DATA"] + BASE,
+        ],
+        "argument error, then a valid call": [
+            ["test", "--data", "DATA"] + BASE + ["--method", "dm_zzz"],
+            ["test", "--data", "DATA"] + BASE,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_calls_in_sequence_equal_calls_on_a_fresh_parser(self, name, data_csv, tmp_path,
+                                                             capsys):
+        sequence = [[str(data_csv) if a == "DATA" else a for a in argv]
+                    for argv in self.SEQUENCES[name]]
+        shared = [self._call(argv, tmp_path / f"shared{i}", capsys)
+                  for i, argv in enumerate(sequence)]
+        fresh = []
+        for i, argv in enumerate(sequence):
+            cli._parser.cache_clear()
+            fresh.append(self._call(argv, tmp_path / f"fresh{i}", capsys))
+        assert shared == fresh
+        first, last = shared
+        assert last[0] == 0
+        if name == "no-svg, then svg":
+            assert "tradeoff.svg" not in first[3] and "tradeoff.svg" in last[3]
+        elif name == "explicit M, then the default":
+            runs = [json.loads(run[3]["test_results.json"]) for run in shared]
+            assert [run["parameters"]["M"] for run in runs] == [3, None]
+            nw = [next(r for r in run["results"] if r["method"] == "dm_nw") for run in runs]
+            assert [r["bandwidth"] for r in nw] == [3, bandwidth("nw1994", 48)]
+        else:
+            assert first[0] == "SystemExit(2)" and first[3] is None
 
 
 class TestTestCommand:
@@ -217,6 +302,30 @@ class TestDegenerateMethod:
         d = loss_series(load_csv(ma_csv, ("A", "B"), "Y"))
         with pytest.raises(DegenerateVarianceError, match="-0.0590446"):
             dm_test_r(d, h=4)
+
+
+class TestRoundOffVariance:
+    """40 rows of 0.1, 0.0, 0.0: the loss differential is the constant 0.01, whose
+    variance estimates are zero or round-off of its level, so no method has a statistic."""
+
+    def test_every_method_degenerate_and_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "constant.csv"
+        data.write_text("A,B,Y\n" + "0.1,0.0,0.0\n" * 40)
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(data)] + BASE
+                             + ["--method", "all", "--out", str(out_dir)], capsys)
+        assert code == 3
+        rows = [ln.split() for ln in out.splitlines()[3:]]
+        assert [row[0] for row in rows] == TestUnsupportedMethod.ORDER
+        assert [row[1] for row in rows] == ["degenerate"] * 8
+        warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == 8
+        # the cosine and periodogram estimates are positive round-off, not zero
+        for kernel in ("ewc", "wpe"):
+            assert any(w.startswith("warning: round-off variance estimate ")
+                       and f"({kernel} kernel," in w for w in warnings), kernel
+        payload = json.loads((out_dir / "test_results.json").read_text())
+        assert [r["stat"] for r in payload["results"]] == [None] * 8
 
 
 class TestUnsupportedMethod:
@@ -411,6 +520,45 @@ class TestTradeoffCommand:
         assert code == 1
         assert err == "error: bandwidth grid is empty\n"
         assert not out_dir.exists()
+
+    # Runs main in a child process whose address space is capped, so a grid
+    # that is listed before it is checked fails there instead of filling memory.
+    GRID_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from epatest.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "seconds": time.perf_counter() - start,
+                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+    def test_range_grid_is_checked_before_it_is_listed(self, data_csv, tmp_path):
+        runs = {}
+        for grid in ("1:100", "1:1000000000"):
+            out_dir = tmp_path / grid.replace(":", "-")
+            child = subprocess.run(
+                [sys.executable, "-c", self.GRID_CHILD, "tradeoff", "--data", str(data_csv),
+                 *BASE, "--grid", grid, "--n-sim", "100", "--out", str(out_dir)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(epatest.__file__).parents[1])},
+            )
+            assert child.stderr == "error: bandwidth must lie in [1, 47], got 48\n", grid
+            assert not out_dir.exists()
+            runs[grid] = json.loads(child.stdout)
+        small, huge = runs["1:100"], runs["1:1000000000"]
+        assert small["code"] == huge["code"] == 1
+        assert huge["seconds"] < 0.5
+        assert huge["peak_kb"] - small["peak_kb"] < 4096
+
+    def test_range_grid_runs_as_listed(self, data_csv, tmp_path, capsys):
+        ranged, listed = tmp_path / "ranged", tmp_path / "listed"
+        for grid, out_dir in (("2:4", ranged), ("2,3,4", listed)):
+            code, _, _ = run(["tradeoff", "--data", str(data_csv)] + BASE
+                             + ["--grid", grid, "--n-sim", "100", "--out", str(out_dir)], capsys)
+            assert code == 0
+        for name in ("tradeoff.csv", "tradeoff.json", "tradeoff.svg"):
+            assert (ranged / name).read_bytes() == (listed / name).read_bytes(), name
 
     def test_repeated_bandwidth_exits_1_before_the_fit(self, data_csv, tmp_path, capsys,
                                                        monkeypatch):

@@ -6,7 +6,10 @@ directory and a path below a regular file. Whatever the arguments:
 
 * nothing escapes ``main`` except argparse's ``SystemExit(2)``;
 * the exit status is 0, 1 or 3;
-* exit status 1 leaves ``--out`` as it was: no file, and no directory.
+* exit status 1 leaves ``--out`` as it was: no file, and no directory;
+* ``main`` keeps no state from one call to the next: a sequence of lists
+  run through its one shared parser gives, for each list, the exit status,
+  output and files the list gives on a freshly built parser.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epatest import cli
 from epatest.cli import main
 
 OMIT = None  # as an invalid value: leave the flag out
@@ -131,11 +135,45 @@ def data_files(tmp_path_factory):
     }
 
 
-def _contents(path: Path):
-    """What lies at ``path``: None, a regular file, or every path under the directory."""
+def _snapshot(path: Path):
+    """What lies at ``path``: None, a regular file's bytes, or every path under
+    the directory, relative to it, with its bytes (None for a directory)."""
     if not path.exists():
         return None
-    return sorted(map(str, path.rglob("*"))) if path.is_dir() else "file"
+    if not path.is_dir():
+        return path.read_bytes()
+    return {str(p.relative_to(path)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(path.rglob("*"))}
+
+
+def _call(argv, data_files, scratch: Path):
+    """Run ``argv`` with its placeholders resolved, its ``--out`` under ``scratch``.
+
+    Returns the exit status (``"SystemExit(<code>)"`` when ``main`` raised
+    it), standard output, the error stream with ``scratch`` read as
+    SCRATCH, and what ``--out`` held before and after the call.
+    """
+    (scratch / "file").write_text("")
+    (scratch / "existing").mkdir()
+    outs = {
+        "out:new": scratch / "new",
+        "out:nested": scratch / "a" / "b",
+        "out:existing": scratch / "existing",
+        "out:file": scratch / "file",
+        "out:below-file": scratch / "file" / "sub",
+    }
+    places = {**data_files, **outs}
+    argv = [str(places.get(arg, arg)) for arg in argv]
+    out = next((outs[a] for a in outs if str(outs[a]) in argv), None)
+    before = None if out is None else _snapshot(out)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    after = None if out is None else _snapshot(out)
+    return code, stdout.getvalue(), err.getvalue().replace(str(scratch), "SCRATCH"), before, after
 
 
 DATA_ARGS = ["--forecast-cols", "A,B", "--realization-col", "Y"]
@@ -154,29 +192,36 @@ DATA_ARGS = ["--forecast-cols", "A,B", "--realization-col", "Y"]
 @given(argv=argument_lists())
 def test_main_exits_0_1_or_3_and_exit_1_writes_nothing(argv, data_files):
     with tempfile.TemporaryDirectory() as scratch:
+        code, _, err, before, after = _call(argv, data_files, Path(scratch))
+    if code == "SystemExit(2)":
+        return
+    assert code in (0, 1, 3), (argv, err)
+    if code == 1:
+        assert err.startswith("error: "), argv
+        assert after == before, (argv, err)
+
+
+TRADEOFF_ARGS = ["tradeoff", "--data", "data:ok", *DATA_ARGS, "--n-sim", "100",
+                 "--grid", "2,4", "--out", "out:new"]
+TEST_ARGS = ["test", "--data", "data:ok", *DATA_ARGS, "--out", "out:new"]
+
+
+# A flag, then its default; an argument error, then a valid list.
+@example(argvs=[TRADEOFF_ARGS + ["--no-svg"], TRADEOFF_ARGS])
+@example(argvs=[TEST_ARGS + ["--M", "5", "--method", "dm_fb"], TEST_ARGS])
+@example(argvs=[TEST_ARGS + ["--method", "dm_zzz"], TEST_ARGS])
+@settings(max_examples=60, deadline=None)
+@given(argvs=st.lists(argument_lists(), min_size=2, max_size=3))
+def test_calls_in_sequence_equal_calls_on_a_fresh_parser(argvs, data_files):
+    with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
-        (scratch / "file").write_text("")
-        (scratch / "existing").mkdir()
-        outs = {
-            "out:new": scratch / "new",
-            "out:nested": scratch / "a" / "b",
-            "out:existing": scratch / "existing",
-            "out:file": scratch / "file",
-            "out:below-file": scratch / "file" / "sub",
-        }
-        places = {**data_files, **outs}
-        argv = [str(places.get(arg, arg)) for arg in argv]
-        out = next((places[a] for a in outs if str(places[a]) in argv), None)
-        before = None if out is None else _contents(out)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                assert exc.code == 2, (argv, err.getvalue())
-                return
-        assert code in (0, 1, 3), (argv, err.getvalue())
-        if code == 1:
-            assert err.getvalue().startswith("error: "), argv
-            if out is not None:
-                assert _contents(out) == before, (argv, err.getvalue())
+        shared, fresh = [], []
+        for i, argv in enumerate(argvs):
+            (scratch / f"shared{i}").mkdir()
+            shared.append(_call(argv, data_files, scratch / f"shared{i}"))
+        for i, argv in enumerate(argvs):
+            cli._parser.cache_clear()
+            (scratch / f"fresh{i}").mkdir()
+            fresh.append(_call(argv, data_files, scratch / f"fresh{i}"))
+    for argv, one, other in zip(argvs, shared, fresh):
+        assert one == other, argv

@@ -6,6 +6,7 @@ from scipy import stats
 
 from epatest import dmtests
 from epatest.dmtests import (
+    METHODS,
     DegenerateVarianceError,
     ImPartition,
     TestOutcome as OutcomeRecord,
@@ -20,6 +21,9 @@ from epatest.dmtests import (
     dm_test_wpe_fb,
     fixed_b_critical_value,
     im_partition,
+    outcomes,
+    procedure,
+    tally,
 )
 from epatest.lrv import LrvEstimate, bandwidth, lrv_bartlett, lrv_rectangular
 
@@ -49,6 +53,54 @@ class TestDmStatistic:
         assert exc.value.kernel == "rectangular"
         assert exc.value.bandwidth == 1
         assert exc.value.value == -0.5
+
+
+class TestRoundOffVariance:
+    """A constant loss differential has no statistic: its variance estimates come out
+    zero or round-off of its level, at most (P eps)^2 mean(d^2), which is degenerate."""
+
+    SIZES = (10, 40, 175, 1000, 5000)
+    LEVELS = (1e-8, -3.3e-7, 0.01, -0.1, 7.77, -123.456, 1e6)
+
+    @staticmethod
+    def _battery(P):
+        return [procedure(name, P, 1, 0.05) for name in METHODS] + [
+            procedure("dm_im_q5", P, 1, 0.05), procedure("dm_r", P, 4, 0.05)]
+
+    @pytest.mark.parametrize("P", SIZES)
+    def test_constant_is_degenerate_for_every_method(self, P):
+        procedures = self._battery(P)
+        X = np.repeat(np.array(self.LEVELS)[:, None], P, axis=1)
+        for c, d in zip(self.LEVELS, X):
+            results = outcomes(procedures, d, strict=False)
+            assert all(isinstance(r, DegenerateVarianceError) for r in results), (P, c)
+        tallies = tally(procedures, X)
+        for p, (stat, variance, abs_stat, rejections, degenerate) in zip(procedures, tallies):
+            assert np.isnan(stat).all() and not abs_stat.any(), p.method
+            assert (rejections, degenerate) == (0, len(self.LEVELS)), p.method
+        # the floor does the work: not every estimate is exactly zero
+        assert any((variance > 0.0).any() for _, variance, *_ in tallies)
+
+    @pytest.mark.parametrize("P", SIZES)
+    def test_noise_far_below_the_level_is_not_degenerate(self, P):
+        procedures = self._battery(P)
+        rng = np.random.default_rng(P)
+        for c in self.LEVELS:
+            d = c * (1.0 + 1e-9 * rng.standard_normal(P))
+            for p, r in zip(procedures, outcomes(procedures, d, strict=False)):
+                # a rectangular estimate at h > 1 may be genuinely negative
+                if not (p.kernel == "rectangular" and p.bandwidth > 0):
+                    assert isinstance(r, OutcomeRecord), (P, c, p.method, r)
+
+    def test_dm_statistic_applies_the_floor(self):
+        round_off = LrvEstimate(value=1e-35, kernel="ewc", bandwidth=4)
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"^round-off variance estimate 1e-35 \(ewc kernel, bandwidth 4\)"):
+            dm_statistic(np.full(40, 0.01), round_off)
+        # the floor is relative: the same estimate is real for a series at 1e-20
+        d = 1e-20 * np.random.default_rng(2).standard_normal(40)
+        assert dm_statistic(d, round_off) == pytest.approx(
+            math.sqrt(40) * d.mean() / math.sqrt(1e-35), rel=1e-12)
 
 
 class TestDmR:

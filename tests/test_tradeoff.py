@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,22 @@ class TestTradeoffConfig:
         with pytest.raises(ValueError, match="^bandwidth 4 is listed more than once$"):
             TradeoffConfig(bandwidth_grid=(2, 4, 3, 4))
 
+    def test_range_grid_is_not_listed(self):
+        # a range repeats nothing, so the config takes it as it is, and the
+        # curve refuses its first bandwidth past P - 1 without listing the rest
+        grid = range(1, 10**6)
+        d = np.random.default_rng(3).standard_normal(60)
+        tracemalloc.start()
+        try:
+            cfg = TradeoffConfig(bandwidth_grid=grid, n_sim=100)
+            with pytest.raises(ValueError, match=r"^bandwidth must lie in \[1, 59\], got 60$"):
+                build_tradeoff_curve(d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.bandwidth_grid is grid
+        assert peak < 1 << 20
+
     def test_defaults(self):
         cfg = TradeoffConfig()
         assert cfg.n_sim == 5000
@@ -371,6 +388,15 @@ class TestDegeneratePaths:
     P, N_SIM, GRID = 48, 200, (2, 5, 9)
 
     def test_constant_paths_count_as_non_rejections(self, monkeypatch, caplog):
+        # paths at 1.0 give Bartlett estimates of exactly zero
+        self._check_constant_paths(1.0, monkeypatch, caplog)
+
+    def test_round_off_paths_count_as_non_rejections(self, monkeypatch, caplog):
+        # paths at 0.1 give round-off estimates, which the floor of
+        # dmtests.evaluate makes degenerate too
+        self._check_constant_paths(0.1, monkeypatch, caplog)
+
+    def _check_constant_paths(self, level, monkeypatch, caplog):
         d = simulate_from_model(ar1_model(0.5), self.P, 0.0, 4)
         model = fit_ar(d)
         procedures = [procedure("dm_fb", self.P, 1, 0.05, M) for M in self.GRID]
@@ -378,13 +404,12 @@ class TestDegeneratePaths:
         live = np.arange(self.N_SIM) % 10 != 0
         want = [np.count_nonzero(np.abs(stat[live]) > p.critical_value) / self.N_SIM - 0.05
                 for p, (stat, *_) in zip(procedures, clean)]
-        # the paths of replications 0, 10, 20, ... are constant, so every
-        # Bartlett estimate on them is exactly zero
+        # the paths of replications 0, 10, 20, ... are constant
         model_paths, first = tradeoff._model_paths, [0]
 
         def every_tenth_path_constant(model, E, shift):
             paths = model_paths(model, E, shift)
-            paths[-first[0] % 10 :: 10] = 1.0
+            paths[-first[0] % 10 :: 10] = level
             first[0] += len(paths)
             return paths
 
