@@ -2,10 +2,13 @@
 
 Survey-style forecast files mix numeric columns with missing-value markers
 ("#N/A", "NA", or empty cells) and a textual date column such as
-"2007:Q2". The loader pulls two forecast columns and a realization column
-out of such a file, optionally restricts to a date window (the YYYY:QQ
-format sorts correctly as plain strings), and resolves missing data by one
-of two explicit policies before any statistic is computed:
+"2007:Q2". Only those three markers mean missing: any other numeric cell
+must parse as a finite number, so text such as "nan", "inf" or "1e400" is
+an error naming its row and column. The loader pulls two forecast columns
+and a realization column out of such a file, optionally restricts to a
+date window (the YYYY:QQ format sorts correctly as plain strings), and
+resolves missing data by one of two explicit policies before any
+statistic is computed:
 
 * ``drop``: keep only rows where both forecasts and the realization are
   all present (listwise deletion);
@@ -16,6 +19,7 @@ of two explicit policies before any statistic is computed:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,11 +75,17 @@ class ForecastDataset:
 def _parse_cell(raw: str, row: int, column: str) -> float:
     text = raw.strip()
     if text in MISSING_MARKERS:
-        return np.nan
+        return math.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CsvParseError(row, column, f"cannot parse {raw!r} as a number") from None
+    if not math.isfinite(value):
+        raise CsvParseError(
+            row, column,
+            f"{raw!r} is not a finite number (missing values are '', 'NA' or '#N/A')",
+        )
+    return value
 
 
 def load_csv(
@@ -110,8 +120,8 @@ def load_csv(
     FileNotFoundError
         If the file does not exist.
     CsvParseError
-        For a malformed row or an unparseable numeric cell, naming the
-        1-based row and the column.
+        For a malformed row or a numeric cell that is neither a finite
+        number nor a missing marker, naming the 1-based row and the column.
     ValueError
         For a missing column, an unknown policy, or a date range without a
         date column.
@@ -136,6 +146,7 @@ def load_csv(
                     f"{path}: column {name!r} not found; available: {', '.join(header)}"
                 )
             positions[name] = header.index(name)
+        i1, i2, ir = (positions[name] for name in (f1_col, f2_col, realization_col))
         f1_vals: list[float] = []
         f2_vals: list[float] = []
         realiz_vals: list[float] = []
@@ -155,15 +166,14 @@ def load_csv(
                     continue
                 if hi is not None and date > hi:
                     continue
-            values = {
-                name: _parse_cell(row[positions[name]], row_num, name)
-                for name in (f1_col, f2_col, realization_col)
-            }
-            if na_policy == "drop" and any(np.isnan(v) for v in values.values()):
+            v1 = _parse_cell(row[i1], row_num, f1_col)
+            v2 = _parse_cell(row[i2], row_num, f2_col)
+            vr = _parse_cell(row[ir], row_num, realization_col)
+            if na_policy == "drop" and (math.isnan(v1) or math.isnan(v2) or math.isnan(vr)):
                 continue
-            f1_vals.append(values[f1_col])
-            f2_vals.append(values[f2_col])
-            realiz_vals.append(values[realization_col])
+            f1_vals.append(v1)
+            f2_vals.append(v2)
+            realiz_vals.append(vr)
             if date_col is not None:
                 dates.append(date)
     return ForecastDataset(

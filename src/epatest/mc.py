@@ -179,6 +179,15 @@ def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray
     past values; each targets the value ``h`` steps ahead. The competing
     forecast, identically zero, is left implicit. Every replication of the
     package, batched or not, is simulated here.
+
+    The unconditional-rolling MA filter is defined by its summation order:
+    value t is (((e[t] theta[h-1] + e[t+1] theta[h-2]) + ...) + e[t+h-1]
+    theta[0]), summed left to right over the whole chunk at once, one
+    shifted multiply-add per lag. The weights are powers of two, so every
+    product is exact. For h <= 15 this equals ``np.convolve(e, theta,
+    "valid")`` bit for bit; from h = 16 on, ``np.convolve`` sums through a
+    BLAS dot product that groups the terms differently, and the two differ
+    in the last bits.
     """
     Rt, P, h = spec.R_tilde, spec.P, spec.h
     T_tot = Rt + P + h - 1
@@ -186,9 +195,9 @@ def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # h-1 presample innovations so the first retained value already has
         # the full MA window behind it.
         theta = ma_weights(h)
-        Y = np.empty((E.shape[0], T_tot))
-        for y, e in zip(Y, E):
-            y[:] = np.convolve(e, theta, mode="valid")
+        Y = E[:, :T_tot] * theta[h - 1]
+        for j in range(1, h):
+            Y += E[:, j : j + T_tot] * theta[h - 1 - j]
         Y += spec.mu
     else:
         Y = _cr_recursion(E, h, spec.R, T_tot)

@@ -236,6 +236,22 @@ class TestTestCommand:
         assert (code, out) == (1, "")
         assert err == f"error: --out {out_dir}: {tmp_path / 'file'} is not a writable directory\n"
 
+    @pytest.mark.parametrize("text", ["inf", "-Infinity", "1e400", "nan"])
+    @pytest.mark.parametrize("policy", ["drop", "zero"])
+    def test_non_finite_cell_exits_1_naming_it(self, data_csv, tmp_path, capsys, text, policy):
+        rows = data_csv.read_text().splitlines()
+        fields = rows[5].split(",")
+        fields[1] = text
+        rows[5] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(path)] + BASE
+                             + ["--na-policy", policy, "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "row 6, column 'A'" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_unsupported_level_exits_1(self, data_csv, capsys):
         code, _, err = run(
             ["test", "--data", str(data_csv)] + BASE + ["--method", "dm_fb", "--cl", "0.10"],

@@ -73,6 +73,25 @@ class TestLoadCsv:
         assert exc.value.column == "f2"
         assert "row 3" in str(exc.value) and "'f2'" in str(exc.value)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("policy", NA_POLICIES)
+    def test_non_finite_cell_is_an_error(self, tmp_path, text, policy):
+        csv_text = f"f1,f2,y\n1.0,2.0,1.5\n1.0,{text},1.5\n"
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(write(tmp_path, csv_text), ("f1", "f2"), "y", na_policy=policy)
+        assert (exc.value.row, exc.value.column) == (3, "f2")
+        assert f"{text!r} is not a finite number" in str(exc.value)
+
+    def test_cells_are_parsed_in_column_order(self, tmp_path):
+        # forecast 1, forecast 2, then the realization, whatever the file order
+        text = "y,f2,f1\noops,inf,bad\n"
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(write(tmp_path, text), ("f1", "f2"), "y")
+        assert exc.value.column == "f1"
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(write(tmp_path, "y,f2,f1\noops,inf,1\n"), ("f1", "f2"), "y")
+        assert exc.value.column == "f2"
+
     def test_ragged_row(self, tmp_path):
         text = "f1,f2,y\n1.0,2.0,1.5\n1.0,2.0\n"
         with pytest.raises(CsvParseError) as exc:

@@ -125,6 +125,55 @@ def test_ucr_rows_equal_direct_convolution(spec, n_reps, seed):
         assert D[rep].tobytes() == want.tobytes(), rep
 
 
+def _ucr_oracle_rows(spec, n_reps, seed):
+    key = [seed, 0, spec.h, spec.R, spec.R_tilde, spec.P]
+    width = spec.R_tilde + spec.P + 2 * (spec.h - 1)
+    return np.stack([
+        ucr_loss_differential(np.random.default_rng([*key, rep]).standard_normal(width),
+                              spec.mu, spec.h, spec.R_tilde, spec.P)
+        for rep in range(n_reps)
+    ])
+
+
+@pytest.mark.parametrize("h", range(1, 16))
+@pytest.mark.parametrize("P", [25, 75, 1000])
+def test_ucr_filter_equals_convolution_bit_for_bit_up_to_h15(h, P):
+    # At P = 1000 a chunk holds about 30 rows: 100 reps span several chunks,
+    # the last one partial.
+    spec = mc.make_spec("ucr", h, 25, 25, P)
+    n_reps, seed = 100, 31
+    D = mc._loss_differentials(spec, n_reps, seed)
+    assert D.tobytes() == _ucr_oracle_rows(spec, n_reps, seed).tobytes()
+
+
+@pytest.mark.parametrize("h", [16, 24, 40])
+@pytest.mark.parametrize("P", [75, 1000])
+def test_ucr_filter_is_within_round_off_of_convolution_from_h16(h, P):
+    # np.convolve sums 16 or more terms through a BLAS dot product, which
+    # groups them differently from the left-to-right sum of the filter.
+    spec = mc.make_spec("ucr", h, 40, 40, P)
+    n_reps, seed = 40, 32
+    D = mc._loss_differentials(spec, n_reps, seed)
+    want = _ucr_oracle_rows(spec, n_reps, seed)
+    for got_row, want_row in zip(D, want):
+        np.testing.assert_allclose(got_row, want_row, rtol=0,
+                                   atol=1e-12 * np.abs(want_row).max())
+
+
+def test_ucr_cells_simulate_without_per_row_convolution(monkeypatch):
+    spec = mc.make_spec("ucr", 12, 25, 25, 75)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called while simulating a ucr cell")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "convolve", refuse)
+        D = mc._loss_differentials(spec, 100, 33)
+        target, _, _ = mc.simulate_ucr(spec, np.random.default_rng(0))
+    assert D.shape == (100, spec.P) and np.isfinite(D).all()
+    assert target.shape == (spec.P,)
+
+
 @pytest.mark.parametrize("h", mc.DEFAULT_H_SET)
 @pytest.mark.parametrize("R", mc.DEFAULT_R_SET)
 @pytest.mark.parametrize("R_tilde", mc.DEFAULT_R_SET)
