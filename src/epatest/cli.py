@@ -24,7 +24,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .mc import (
     DEFAULT_METHODS,
     experiment_grid,
     run_experiment,
-    size_corrected_power,
+    size_corrected_critical_value,
 )
 from .tradeoff import TradeoffConfig, TradeoffPoint, build_tradeoff_curve
 
@@ -307,10 +307,10 @@ def cmd_tradeoff(args) -> int:
     default_M = bandwidth("llsw", d.size)
 
     out_dir = Path(args.out)
-    records = [asdict(p) for p in points]
+    names = [f.name for f in fields(TradeoffPoint)]
+    records = [{name: getattr(p, name) for name in names} for p in points]
     written = [
-        _write_csv(out_dir / "tradeoff.csv", [f.name for f in fields(TradeoffPoint)],
-                   [r.values() for r in records]),
+        _write_csv(out_dir / "tradeoff.csv", names, [r.values() for r in records]),
         _write_manifest(
             out_dir / "tradeoff.json", "tradeoff",
             {**_options(args, *_DATA_OPTIONS), "grid": [p.M for p in points],
@@ -424,17 +424,6 @@ def _tradeoff_svg(points, default_M: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _mc_cell(result, metric: str, method: str, cell: tuple):
-    """One matrix entry: the cell's rejection rate, or its size-corrected power
-    (None when the run lacks the cell's diagonal null)."""
-    if metric == "size":
-        return result.rejection_rates[(method, *cell)]
-    try:
-        return size_corrected_power(result, cell, method)
-    except KeyError:
-        return None
-
-
 def cmd_mc(args) -> int:
     families = _comma_list(args.families)
     h_set, r_set, rt_set, p_set = (
@@ -459,11 +448,18 @@ def cmd_mc(args) -> int:
     # with a diagonal flag, columns are the h x P groups.
     columns = list(product(h_set, p_set))
     header = ["R", "R_tilde", "diagonal", *(f"h={h}:P={P}" for h, P in columns)]
+    # Each cell's size_corrected_power, by one sort per diagonal null (none: empty)
+    crits = {key: size_corrected_critical_value(archive, result.cl)
+             for key, archive in result.archives.items() if key[2] == key[3]}
+    power = {(m, f, R, Rt, h, P): float(np.mean(archive > crits[m, f, R, R, h, P]))
+             for (m, f, R, Rt, h, P), archive in result.archives.items()
+             if (m, f, R, R, h, P) in crits}
+    matrices = {"size": result.rejection_rates, "power": power}
     outputs = []
     for family, method, metric in product(families, methods, ("size", "power")):
         rows = (
             [R, Rt, R == Rt,
-             *(_mc_cell(result, metric, method, (family, R, Rt, h, P)) for h, P in columns)]
+             *(matrices[metric].get((method, family, R, Rt, h, P)) for h, P in columns)]
             for R, Rt in product(r_set, rt_set)
         )
         outputs.append(_write_csv(out_dir / f"{family}_{method}_{metric}.csv", header, rows).name)

@@ -11,6 +11,7 @@ Every test is two-sided.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -217,16 +218,42 @@ def _studentize(means: np.ndarray, variance: np.ndarray, floor: np.ndarray, P: i
     return np.sqrt(P) * means / np.sqrt(np.where(variance > floor, variance, np.nan))
 
 
+@functools.lru_cache(maxsize=256)
+def _blocks(P: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices and float sizes of :func:`im_partition`'s blocks, read-only and cached."""
+    sizes = im_partition(P, q).block_sizes
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    sizes = np.asarray(sizes, dtype=float)
+    starts.flags.writeable = sizes.flags.writeable = False
+    return starts, sizes
+
+
 def _block_means_rows(X: np.ndarray, q: int, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    part = im_partition(X.shape[1], q)
-    starts = np.concatenate(([0], np.cumsum(part.block_sizes[:-1])))
-    means = np.add.reduceat(X, starts, axis=1) / np.asarray(part.block_sizes, dtype=float)
+    starts, sizes = _blocks(X.shape[1], q)
+    means = np.add.reduceat(X, starts, axis=1) / sizes
     grand = means.mean(axis=1)
     s2 = np.sum((means - grand[:, None]) ** 2, axis=1) / (q - 1)
     # The statistic is sqrt(P) * grand / sqrt(s2 * P / q): s2 * P / q is its
     # long-run variance estimate, the one the floor applies to.
     stat = grand / np.sqrt(np.where(s2 * (X.shape[1] / q) > floor, s2, np.nan) / q)
     return stat, s2
+
+
+def _evaluate(procedures, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`evaluate` as two (procedures x rows) matrices; the kernel tests in one pass."""
+    stat = np.empty((len(procedures), X.shape[0]))
+    variance = np.empty_like(stat)
+    floor = _variance_floor(X)
+    kernel = [i for i, p in enumerate(procedures) if p.kernel in ESTIMATORS]
+    if kernel:
+        variance[kernel] = variance_rows(
+            [(procedures[i].kernel, procedures[i].bandwidth) for i in kernel], X)
+        scale = np.array([[procedures[i].scale] for i in kernel])
+        stat[kernel] = scale * _studentize(X.mean(axis=1), variance[kernel], floor, X.shape[1])
+    for i, p in enumerate(procedures):
+        if p.kernel == "block-means":
+            stat[i], variance[i] = _block_means_rows(X, p.bandwidth, floor)
+    return stat, variance
 
 
 def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -240,19 +267,7 @@ def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     nonpositive estimate is degenerate too. This is the one degenerate
     rule; :func:`tally`, :func:`outcomes` and :func:`dm_statistic` read it.
     """
-    P = X.shape[1]
-    estimates = [(p.kernel, p.bandwidth) for p in procedures if p.kernel in ESTIMATORS]
-    variances = iter(variance_rows(estimates, X))
-    means = X.mean(axis=1)
-    floor = _variance_floor(X)
-    out = []
-    for p in procedures:
-        if p.kernel == "block-means":
-            out.append(_block_means_rows(X, p.bandwidth, floor))
-        else:
-            variance = next(variances)
-            out.append((p.scale * _studentize(means, variance, floor, P), variance))
-    return out
+    return list(zip(*_evaluate(procedures, X)))
 
 
 def tally(procedures, X: np.ndarray) -> list[tuple]:
@@ -262,13 +277,13 @@ def tally(procedures, X: np.ndarray) -> list[tuple]:
     degenerate by :func:`evaluate`'s rule (so it never rejects), then the
     counts of rows that reject at the critical value and of degenerate rows.
     """
-    out = []
-    for p, (stat, variance) in zip(procedures, evaluate(procedures, X)):
-        degenerate = np.isnan(stat)
-        abs_stat = np.where(degenerate, 0.0, np.abs(stat))
-        out.append((stat, variance, abs_stat, int(np.count_nonzero(abs_stat > p.critical_value)),
-                    int(np.count_nonzero(degenerate))))
-    return out
+    stat, variance = _evaluate(procedures, X)
+    degenerate = np.isnan(stat)
+    abs_stat = np.where(degenerate, 0.0, np.abs(stat))
+    crit = np.array([[p.critical_value] for p in procedures])
+    return list(zip(stat, variance, abs_stat,
+                    np.count_nonzero(abs_stat > crit, axis=1).tolist(),
+                    np.count_nonzero(degenerate, axis=1).tolist()))
 
 
 def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
@@ -280,14 +295,14 @@ def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
     instead, so one degenerate estimator leaves the other outcomes intact.
     """
     results = []
-    for p, (stat_row, variance_row) in zip(procedures, evaluate(procedures, d[None, :])):
-        if np.isnan(stat_row[0]):
-            error = DegenerateVarianceError(p.kernel, p.bandwidth, float(variance_row[0]))
+    stat_column, variance_column = (a[:, 0].tolist() for a in _evaluate(procedures, d[None, :]))
+    for p, stat, variance in zip(procedures, stat_column, variance_column):
+        if np.isnan(stat):
+            error = DegenerateVarianceError(p.kernel, p.bandwidth, variance)
             if strict:
                 raise error
             results.append(error)
             continue
-        stat = float(stat_row[0])
         pval = None
         if p.reference == "normal":
             pval = float(2.0 * stats.norm.sf(abs(stat)))

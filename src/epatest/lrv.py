@@ -16,6 +16,7 @@ one-series ``lrv_*`` functions both call it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -121,6 +122,14 @@ def _check_range(what: str, upper: Callable[[int], int]) -> Callable[[int, int],
     return check
 
 
+@functools.lru_cache(maxsize=256)  # bounded: a sweep over every M would keep O(P^2) doubles
+def _bartlett_weights(M: int) -> np.ndarray:
+    """The Bartlett weights 1 - j/M of lags j = 1..M-1, read-only and cached."""
+    weights = 1.0 - np.arange(1, M) / M
+    weights.flags.writeable = False
+    return weights
+
+
 @dataclass(frozen=True)
 class Estimator:
     """One long-run variance estimator, as an entry of :data:`ESTIMATORS`.
@@ -149,7 +158,7 @@ ESTIMATORS = {
         _check_range("bandwidth", lambda P: P - 1),
         lambda M: M - 1,
         lambda gamma, M: np.maximum(gamma[:, 0] + 2.0 * np.sum(
-            (1.0 - np.arange(1, M) / M) * gamma[:, 1:M], axis=1), 0.0),
+            _bartlett_weights(M) * gamma[:, 1:M], axis=1), 0.0),
     ),
     "ewc": Estimator(
         _check_range("number of basis functions", lambda P: P - 1),

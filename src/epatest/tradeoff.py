@@ -104,9 +104,10 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
 
     Candidate orders 0..max_order (default min(10, P // 4)) all condition
     on the same presample x[:max_order], so their AICs compare likelihoods
-    of the same observations; nonstationary fits are discarded and the AIC
-    minimizer among the stationary ones wins (order 0 is always a
-    candidate, so selection cannot come up empty). The selected order is
+    of the same observations. The AIC minimizer among the stationary fits
+    wins, the lowest order on ties: the first stationary fit in (AIC, order)
+    order, so the fits after it are never checked (order 0 counts as
+    stationary, so selection cannot come up empty). The selected order is
     then refit on its own maximal conditional sample for the reported
     coefficients and innovation variance. AIC uses n log(sigma_eps^2) + 2p
     with sigma_eps^2 = RSS / (n - p). A fit whose innovation variance is
@@ -125,13 +126,11 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
             "need at least 2 * max_order + 2 observations"
         )
     x = d - d.mean()
-    aics = {}
-    for p in range(max_order + 1):
-        coefs, rss, n = _conditional_ls(x, p, max_order)
-        if p == 0 or _is_stationary(coefs):
-            resid_var = rss / (n - p)
-            aics[p] = n * math.log(resid_var) + 2.0 * p if resid_var > 0.0 else -math.inf
-    order = min(aics, key=aics.get)  # the lowest order among equal AICs
+    fits = [_conditional_ls(x, p, max_order) for p in range(max_order + 1)]
+    aics = [n * math.log(rss / (n - p)) + 2.0 * p if rss / (n - p) > 0.0 else -math.inf
+            for p, (_, rss, n) in enumerate(fits)]
+    order = next(p for p in sorted(range(max_order + 1), key=lambda p: (aics[p], p))
+                 if p == 0 or _is_stationary(fits[p][0]))
     coefs, rss, n = _conditional_ls(x, order, order)
     if order and not _is_stationary(coefs):
         # The refit widened the sample into nonstationarity; keep the

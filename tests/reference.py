@@ -142,3 +142,51 @@ def cr_loss_differential(eps, h, R, R_tilde, P):
     e1 = target - np.zeros(P)
     e2 = target - rolling_mean
     return e1 * e1 - e2 * e2
+
+
+def _ar_least_squares(x, p, start):
+    """Least-squares AR(p) on x[start:] given the values before it: coefficients, RSS, n."""
+    y = x[start:]
+    if p == 0:
+        return (), float(np.dot(y, y)), y.size
+    X = np.column_stack([x[start - k : x.size - k] for k in range(1, p + 1)])
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ coef
+    return tuple(float(c) for c in coef), float(np.dot(resid, resid)), y.size
+
+
+def _ar_stationary(coefficients):
+    return bool(np.all(np.abs(np.roots([1.0, *(-c for c in coefficients)])) < 1.0))
+
+
+def naive_fit_ar(d, max_order=None):
+    """AR order by AIC through an exhaustive search: every order 0..max_order
+    is fitted on the sample after x[:max_order] and checked for
+    stationarity, and the lowest AIC among the stationary ones wins (the
+    lowest order on ties). The winner is refit on its own maximal sample,
+    unless that refit is nonstationary. Returns (coefficients, innovation
+    variance, sample mean), or raises ValueError for a unit root or a fit
+    made of round-off."""
+    d = np.asarray(d, dtype=float)
+    if max_order is None:
+        max_order = min(10, d.size // 4)
+    x = d - d.mean()
+    aics = {}
+    for p in range(max_order + 1):
+        coefs, rss, n = _ar_least_squares(x, p, max_order)
+        if p == 0 or _ar_stationary(coefs):
+            resid_var = rss / (n - p)
+            aics[p] = n * math.log(resid_var) + 2.0 * p if resid_var > 0.0 else -math.inf
+    order = min(aics, key=aics.get)
+    coefs, rss, n = _ar_least_squares(x, order, order)
+    if order and not _ar_stationary(coefs):
+        coefs, rss, n = _ar_least_squares(x, order, max_order)
+    if 1.0 - sum(coefs) == 0.0:
+        raise ValueError(
+            f"fitted AR({order}) has a unit root (coefficients sum to 1); its long-run "
+            "variance is undefined"
+        )
+    innovation_variance = rss / (n - order)
+    if innovation_variance <= np.finfo(float).eps * np.var(d):
+        raise ValueError("fitted innovation variance is zero; series is degenerate")
+    return coefs, innovation_variance, float(d.mean())

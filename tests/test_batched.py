@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epatest import mc
+from epatest import dmtests, lrv, mc
 from epatest.cli import build_parser
 from epatest.dmtests import (
     METHODS,
@@ -26,6 +26,7 @@ from epatest.dmtests import (
     dm_test_r,
     dm_test_wpe_fb,
     evaluate,
+    outcomes,
     procedure,
     tally,
 )
@@ -187,3 +188,54 @@ def test_run_experiment_archives_match_one_row_on_the_simulated_rows():
             rejections += out.rej
         assert res.rejection_rates[(label,) + cell] == rejections / 100
         assert res.degenerate_counts[(label,) + cell] == degenerate
+
+
+def _batteries():
+    """The tradeoff's 26-bandwidth dm_fb grid, the mc battery at two sample
+    sizes, and the mc battery with its block tests among the kernel tests."""
+    fb_grid = [procedure("dm_fb", 96, 1, 0.05, M) for M in range(1, 27)]
+    mc_p75 = [procedure(label, 75, 12, 0.05) for label in mc.DEFAULT_METHODS]
+    # at P = 12, h = 10 the rectangular estimate is often nonpositive
+    mc_p12 = [procedure(label, 12, 10, 0.05) for label in mc.DEFAULT_METHODS]
+    mixed = [mc_p75[i] for i in (6, 0, 7, 5, 8, 1, 2, 3, 4)]
+    return {"dm_fb_grid": fb_grid, "mc_p75": mc_p75, "mc_p12": mc_p12, "mixed": mixed}
+
+
+@pytest.mark.parametrize("name", ["dm_fb_grid", "mc_p75", "mc_p12", "mixed"])
+def test_stacked_pass_equals_one_procedure_calls(name):
+    procedures = _batteries()[name]
+    X = _rows(40, {"dm_fb_grid": 96, "mc_p12": 12}.get(name, 75), 9)
+    X[3] = 0.0   # every estimate is zero
+    X[5] = 0.1   # every estimate is round-off
+    X[7] = -2.5
+    X[11] *= 1e-150  # tiny, not round-off
+    stacked, tallies = evaluate(procedures, X), tally(procedures, X)
+    assert len(stacked) == len(tallies) == len(procedures)
+    for proc, (stat, variance), counts in zip(procedures, stacked, tallies):
+        ((alone_stat, alone_variance),) = evaluate([proc], X)
+        ((*alone_arrays, alone_rejections, alone_degenerate),) = tally([proc], X)
+        assert stat.tobytes() == alone_stat.tobytes(), proc
+        assert variance.tobytes() == alone_variance.tobytes(), proc
+        for got, want in zip(counts[:3], alone_arrays):
+            assert got.tobytes() == want.tobytes(), proc
+        assert counts[3:] == (alone_rejections, alone_degenerate), proc
+        assert np.isnan(stat[[3, 5, 7]]).all(), proc
+    if name == "mc_p12":  # rows whose statistic is NaN for dm_r alone
+        assert np.isnan(stacked[0][0]).sum() > np.isnan(stacked[2][0]).sum()
+    for d in X[:12]:
+        assert list(map(repr, outcomes(procedures, d, strict=False))) == [
+            repr(outcomes([proc], d, strict=False)[0]) for proc in procedures]
+
+
+def test_cached_kernel_constants_are_read_only():
+    weights = lrv._bartlett_weights(7)
+    assert weights is lrv._bartlett_weights(7)
+    assert weights.tobytes() == (1.0 - np.arange(1, 7) / 7).tobytes()
+    starts, sizes = dmtests._blocks(75, 10)
+    assert dmtests._blocks(75, 10)[0] is starts
+    assert starts.tolist() == [0, 8, 16, 24, 32, 40, 47, 54, 61, 68]
+    assert sizes.tolist() == [8.0] * 5 + [7.0] * 5
+    for array in (weights, starts, sizes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0

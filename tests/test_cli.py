@@ -12,7 +12,7 @@ import scipy
 import pytest
 
 import epatest
-from epatest import cli, tradeoff
+from epatest import cli, mc, tradeoff
 from epatest.cli import build_parser, main
 from epatest.dmtests import DegenerateVarianceError, dm_test_r
 from epatest.lrv import bandwidth
@@ -753,6 +753,33 @@ class TestMcCommand:
         assert (code, out) == (1, "")
         assert "[1/" not in err
         assert err == f"error: --out {out_dir}: {tmp_path / 'file'} is not a writable directory\n"
+
+    @pytest.mark.parametrize("r_set, rt_set", [("25,75,125", "25,75"), ("25", "75")])
+    def test_power_matrices_equal_size_corrected_power(self, r_set, rt_set, tmp_path, capsys):
+        # R = 125 and the second grid have no diagonal null cell: empty entries
+        argv = ["mc", "--families", "ucr,cr", "--h-set", "1,3", "--r-set", r_set,
+                "--rt-set", rt_set, "--p-set", "25", "--methods", "dm_r,dm_im_q2",
+                "--n-reps", "100", "--cl", "0.1", "--seed", "4"]
+        assert run(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+        specs = mc.experiment_grid(["ucr", "cr"], [1, 3], [int(R) for R in r_set.split(",")],
+                                   [int(R) for R in rt_set.split(",")], [25])
+        result = mc.run_experiment(specs, ["dm_r", "dm_im_q2"], 100, 0.1, 4)
+        entries = 0
+        for family in ("ucr", "cr"):
+            for method in ("dm_r", "dm_im_q2"):
+                with (tmp_path / f"{family}_{method}_power.csv").open() as fh:
+                    for row in csv.DictReader(fh):
+                        R, Rt = int(row["R"]), int(row["R_tilde"])
+                        for h in (1, 3):
+                            got = row[f"h={h}:P=25"]
+                            cell = (family, R, Rt, h, 25)
+                            try:
+                                want = repr(mc.size_corrected_power(result, cell, method))
+                            except KeyError:
+                                want = ""
+                            assert got == want, (family, method, cell)
+                            entries += want != ""
+        assert entries == (32 if r_set == "25,75,125" else 0)
 
     def test_progress_line_per_cell(self, tmp_path, capsys):
         code, _, err = run(self.ARGS + ["--out", str(tmp_path / "mc")], capsys)

@@ -24,6 +24,8 @@ from epatest.tradeoff import (
     size_distortion,
 )
 
+from reference import ar_lfilter, naive_fit_ar
+
 AR0 = FittedArModel(coefficients=(), innovation_variance=1.0, sample_mean=0.0)
 
 
@@ -93,6 +95,83 @@ class TestFittedArModel:
         # the selected fit of this period-2 series has coefficients summing to 1
         with pytest.raises(ValueError, match="unit root"):
             fit_ar(np.tile([1.0, 0.0], 79)[:157])
+
+
+def _assert_fit_equals_oracle(d, max_order=None):
+    """``fit_ar`` gives the exhaustive search's model byte for byte, or its error text."""
+    try:
+        coefficients, innovation_variance, sample_mean = naive_fit_ar(d, max_order)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as exc:
+            fit_ar(d, max_order)
+        assert str(exc.value) == str(expected)
+        return None
+    got = fit_ar(d, max_order)
+    assert got == FittedArModel(coefficients, innovation_variance, sample_mean)
+    assert np.array(got.coefficients).tobytes() == np.array(coefficients).tobytes()
+    assert (np.float64(got.innovation_variance).tobytes()
+            == np.float64(innovation_variance).tobytes())
+    return got.order
+
+
+class TestFitArOracle:
+    """The order search checks stationarity lazily, in AIC order; the
+    exhaustive search of ``reference.naive_fit_ar`` checks every order."""
+
+    @pytest.fixture
+    def stationarity_checks(self, monkeypatch):
+        results = []
+
+        def record(coefficients):
+            results.append(is_stationary(coefficients))
+            return results[-1]
+
+        is_stationary = tradeoff._is_stationary
+        monkeypatch.setattr(tradeoff, "_is_stationary", record)
+        return results
+
+    def test_random_ar_series(self, stationarity_checks):
+        rng = np.random.default_rng(2026)
+        orders, nonstationary = set(), 0
+        for i in range(1000):
+            P = int(rng.integers(12, 401))
+            if i % 5 == 0:  # AR(1) at or near a unit root, stationary or explosive
+                roots = rng.uniform(0.98, 1.03, 1)
+            else:  # AR(0-3) with real roots inside the unit circle
+                roots = rng.uniform(-0.97, 0.97, rng.integers(4))
+            d = ar_lfilter(np.poly(roots), rng.standard_normal(P + 100))[100:]
+            d = d * 10.0 ** rng.uniform(-4, 4) + rng.normal(0.0, 5.0)
+            max_order = None if i % 2 else int(rng.integers(0, min(12, (P - 2) // 2) + 1))
+            del stationarity_checks[:]
+            orders.add(_assert_fit_equals_oracle(d, max_order))
+            nonstationary += False in stationarity_checks
+        assert {0, 1, 2, 3} <= orders
+        assert nonstationary >= 50  # series on which a checked fit was nonstationary
+
+    @pytest.mark.parametrize("max_order", [None, 6, 8, 9])
+    def test_period_two_series(self, max_order):
+        # unit root at the default order, a round-off fit at the others
+        assert _assert_fit_equals_oracle(np.tile([1.0, 0.0], 79)[:157], max_order) is None
+
+    def test_degenerate_series(self):
+        assert _assert_fit_equals_oracle(0.5 ** np.arange(60.0)) is None
+        assert _assert_fit_equals_oracle(np.full(40, 0.3)) is None
+
+    @pytest.mark.parametrize("max_order", range(11))
+    def test_shortest_admissible_lengths(self, max_order):
+        rng = np.random.default_rng(max_order)
+        for _ in range(20):
+            _assert_fit_equals_oracle(rng.standard_normal(2 * max_order + 2), max_order)
+
+    def test_ar1_checks_stationarity_at_most_twice(self, stationarity_checks):
+        # once for the selected order 1 and once for its refit; the
+        # exhaustive search checks all ten orders 1..10 and the refit
+        rng = np.random.default_rng([11, 0])
+        for _ in range(5):
+            d = signal.lfilter([1.0], [1.0, -0.6], rng.standard_normal(600))[500:]
+            del stationarity_checks[:]
+            assert _assert_fit_equals_oracle(d, 10) == 1
+            assert 1 <= len(stationarity_checks) <= 2
 
 
 class TestSimulateFromModel:
