@@ -24,12 +24,10 @@ from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
-from scipy.linalg import lapack
 
 from ._streams import check_seed, keyed_rows
 from .dmtests import procedure, tally
-from .series import as_integer
+from .series import ar_filter_rows, as_integer
 
 __all__ = [
     "DgpSpec",
@@ -71,9 +69,6 @@ DEFAULT_METHODS = (
 )
 
 _FAMILY_CODES = {"ucr": 0, "cr": 1}
-
-# Doubles of band storage in one time block of _ar_filter's solve.
-_BAND_DOUBLES = 2**15
 
 
 @dataclass(frozen=True)
@@ -221,44 +216,15 @@ def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> n
     the cached spectrum of g's first S + 1 taps. At that n the circular
     wrap-around reaches only the L leading outputs, which are dropped.
     """
+    # scipy.fft is imported where it is used, so that only a process that
+    # simulates the cr family loads it: `epatest test` and ucr runs start
+    # without it.
+    from scipy import fft
+
     T = eps.shape[-1]
     keep = T if keep is None else keep
     G, n, L = _cr_spectrum(h, R, T, keep)
     return fft.irfft(fft.rfft(eps[..., T - keep - L :], n) * G, n)[..., L : L + keep]
-
-
-def _ar_filter(a, X) -> np.ndarray:
-    """Each row of ``X`` (or a 1-D ``X``) passed through 1/a(L) from rest.
-
-    Row by row, y[t] + a[1] y[t-1] + ... + a[K] y[t-K] = x[t] with y = 0
-    before the first value; a[0] = 1 is assumed, not read. That is a
-    unit-diagonal lower-triangular banded system in each row, solved by
-    LAPACK's ``dtbtrs`` in time blocks of B = max(_BAND_DOUBLES // (K + 1), K)
-    values, so the band storage stays at (K + 1) x B whatever the length.
-    The K outputs before a block enter the right-hand sides of its first K
-    equations. Every row goes through the same operations whatever the
-    other rows are, so a row filtered alone equals the same row filtered
-    in a batch, bit for bit.
-    """
-    a = np.asarray(a, dtype=float)
-    K = a.size - 1
-    Y = np.array(X, dtype=float, order="C")  # right-hand sides, overwritten by the solution
-    rows = Y.reshape(-1, Y.shape[-1])
-    T = rows.shape[1]
-    B = min(max(_BAND_DOUBLES // (K + 1), K), T)
-    band = np.repeat(a[:, None], B, axis=1)
-    # carry[t, m] is the weight of output s - K + m in equation s + t of a block at s.
-    lag = K + np.arange(K)[:, None] - np.arange(K)
-    carry = np.where(lag <= K, a[np.minimum(lag, K)], 0.0)
-    for s in range(0, T, B):
-        rhs = rows[:, s : s + B].T
-        if s:
-            # one matrix-vector product per row, so no row sees another
-            rhs[:K] -= (carry[: rhs.shape[0]] @ rows[:, s - K : s, None])[..., 0].T
-        # in place when rhs is Fortran-contiguous (a single block), else into a copy
-        rhs[...] = lapack.dtbtrs(band[:, : rhs.shape[0]], rhs, uplo="L", diag="U",
-                                 overwrite_b=1)[0]
-    return Y
 
 
 @lru_cache(maxsize=1)
@@ -268,21 +234,23 @@ def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int, in
 
     The MA part's impulse response is its weights, so g over all T steps is
     those weights, zero-padded to T, passed once through the autoregression
-    by :func:`_ar_filter`. Its support S < T is the smallest lag with
-    sum_{m>S} g[m] <= 2^-53 sum_m g[m]; since g is positive (positive MA
-    weights and AR coefficients), that bounds both the innovations left out
-    of the window and the taps left out of the filter. With
-    L = min(S, T - keep), n is the first fast length >= keep + S, which
+    by :func:`epatest.series.ar_filter_rows`. Its support S < T is the
+    smallest lag with sum_{m>S} g[m] <= 2^-53 sum_m g[m]; since g is
+    positive (positive MA weights and AR coefficients), that bounds both the
+    innovations left out of the window and the taps left out of the filter.
+    With L = min(S, T - keep), n is the first fast length >= keep + S, which
     keeps the circular wrap-around of S + 1 taps off the last ``keep``
     outputs. When S = T - 1 this is the untruncated convolution over the
     whole path.
     """
+    from scipy import fft
+
     a = np.zeros(h + R)
     a[0] = 1.0
     a[h:] = -1.0 / (2.0 * R)
     b = np.zeros(T)
     b[:h] = ma_weights(h)
-    g = _ar_filter(a, b)
+    g = ar_filter_rows(a, b)
     tail = np.cumsum(g[::-1])[::-1]  # tail[m] = sum of g[m:]
     S = int(np.count_nonzero(tail[1:] > 2.0**-53 * tail[0]))
     n = fft.next_fast_len(keep + S, real=True)
@@ -418,22 +386,24 @@ def run_experiment(
     return result
 
 
-def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float:
+def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float | np.ndarray:
     """Empirical (1 - cl) quantile critical value from archived null statistics.
 
     Returns the ceil((1 - cl) n)-th order statistic (1-based) of the
     absolute statistics; the index is computed in integer arithmetic on
     the decimal value of ``cl``, so at cl = 0.05 sample sizes divisible by
-    20 land exactly on the intended element.
+    20 land exactly on the intended element. A 1-D ``abs_stats`` gives a
+    float; a 2-D one gives the array of its rows' critical values.
     """
     a = np.asarray(abs_stats, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("need a nonempty 1-D array of absolute statistics")
+    if a.ndim not in (1, 2) or a.shape[-1] == 0:
+        raise ValueError("need a 1-D or 2-D array of absolute statistics with nonempty rows")
     if not 0.0 < cl < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {cl}")
     num, den = Decimal(repr(float(cl))).as_integer_ratio()
-    idx = -(-(den - num) * a.size // den)
-    return float(np.sort(a)[idx - 1])
+    idx = -(-(den - num) * a.shape[-1] // den)
+    crit = np.sort(a, axis=-1)[..., idx - 1]
+    return float(crit) if crit.ndim == 0 else crit
 
 
 def size_corrected_power(result: ExperimentResult, cell: tuple, method: str) -> float:

@@ -168,3 +168,44 @@ def cosine_coefficient_rows(X: np.ndarray, js) -> np.ndarray:
     t = np.arange(1, P + 1)
     basis = np.cos(np.pi * np.asarray(js)[:, None] * (t - 0.5) / P)
     return np.sqrt(2.0 / P) * np.vecdot(X[:, None, :], basis)
+
+
+# Doubles of band storage in one time block of ar_filter_rows' solve.
+_BAND_DOUBLES = 2**15
+
+
+def ar_filter_rows(a, X) -> np.ndarray:
+    """Each row of ``X`` (or a 1-D ``X``) passed through 1/a(L) from rest.
+
+    Row by row, y[t] + a[1] y[t-1] + ... + a[K] y[t-K] = x[t] with y = 0
+    before the first value; a[0] = 1 is assumed, not read. That is a
+    unit-diagonal lower-triangular banded system in each row, solved by
+    LAPACK's ``dtbtrs`` in time blocks of B = max(_BAND_DOUBLES // (K + 1), K)
+    values, so the band storage stays at (K + 1) x B whatever the length.
+    The K outputs before a block enter the right-hand sides of its first K
+    equations. Every row goes through the same operations whatever the
+    other rows are, so a row filtered alone equals the same row filtered
+    in a batch, bit for bit.
+    """
+    # Imported here so that only the simulators that filter load scipy.linalg.
+    from scipy.linalg import lapack
+
+    a = np.asarray(a, dtype=float)
+    K = a.size - 1
+    Y = np.array(X, dtype=float, order="C")  # right-hand sides, overwritten by the solution
+    rows = Y.reshape(-1, Y.shape[-1])
+    T = rows.shape[1]
+    B = min(max(_BAND_DOUBLES // (K + 1), K), T)
+    band = np.repeat(a[:, None], B, axis=1)
+    # carry[t, m] is the weight of output s - K + m in equation s + t of a block at s.
+    lag = K + np.arange(K)[:, None] - np.arange(K)
+    carry = np.where(lag <= K, a[np.minimum(lag, K)], 0.0)
+    for s in range(0, T, B):
+        rhs = rows[:, s : s + B].T
+        if s:
+            # one matrix-vector product per row, so no row sees another
+            rhs[:K] -= (carry[: rhs.shape[0]] @ rows[:, s - K : s, None])[..., 0].T
+        # in place when rhs is Fortran-contiguous (a single block), else into a copy
+        rhs[...] = lapack.dtbtrs(band[:, : rhs.shape[0]], rhs, uplo="L", diag="U",
+                                 overwrite_b=1)[0]
+    return Y

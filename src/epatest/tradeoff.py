@@ -25,8 +25,8 @@ from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import outcomes, procedure, tally
 from .lrv import bandwidth
-from .mc import _ar_filter, size_corrected_critical_value
-from .series import as_integer, as_loss_series
+from .mc import size_corrected_critical_value
+from .series import ar_filter_rows, as_integer, as_loss_series
 
 __all__ = [
     "FittedArModel",
@@ -148,14 +148,14 @@ def _model_paths(model: FittedArModel, E: np.ndarray, shift: float) -> np.ndarra
 
     The rows are scaled to the fitted innovation variance and passed
     through the autoregression from zero initial conditions by the banded
-    triangular solve of :func:`epatest.mc._ar_filter`, which treats every
-    row alike, so a path simulated alone equals the same path in a batch;
-    the first ``SIMULATION_BURN_IN`` values of each path are dropped and
-    ``shift`` is added to the rest.
+    triangular solve of :func:`epatest.series.ar_filter_rows`, which treats
+    every row alike, so a path simulated alone equals the same path in a
+    batch; the first ``SIMULATION_BURN_IN`` values of each path are dropped
+    and ``shift`` is added to the rest.
     """
     eps = E * math.sqrt(max(model.innovation_variance, 0.0))
     a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-    return _ar_filter(a, eps)[:, SIMULATION_BURN_IN:] + shift
+    return ar_filter_rows(a, eps)[:, SIMULATION_BURN_IN:] + shift
 
 
 def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.ndarray:
@@ -214,7 +214,7 @@ def _max_power_losses(model: FittedArModel, P: int, tallies, grid_size: int) -> 
     # Rows are bandwidths, columns replications.
     stat0, variance, null_abs, _, _ = map(np.array, zip(*tallies))
     sd = np.sqrt(np.where(np.isnan(stat0), np.nan, variance))
-    crit = np.array([size_corrected_critical_value(row) for row in null_abs])[:, None]
+    crit = size_corrected_critical_value(null_abs)[:, None]
     # Common random numbers: an alternative path is the null path plus the
     # shift, and the Bartlett variance estimate is shift-invariant (so a
     # path degenerate under the null stays NaN and never rejects).

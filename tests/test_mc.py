@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import fft
 
-from epatest import mc
+from epatest import mc, series
 from epatest.dmtests import UnsupportedLevelError
 from epatest.mc import (
     CR_BURN_IN,
@@ -189,13 +189,13 @@ class TestSimulators:
 
     def test_cr_filter_runs_once_per_cell_not_per_replication(self, monkeypatch):
         calls = []
-        ar_filter = mc._ar_filter
+        ar_filter = mc.ar_filter_rows
 
         def counting_ar_filter(*args, **kwargs):
             calls.append(1)
             return ar_filter(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "_ar_filter", counting_ar_filter)
+        monkeypatch.setattr(mc, "ar_filter_rows", counting_ar_filter)
         specs = [make_spec("cr", 3, 25, 25, 75), make_spec("cr", 3, 175, 25, 75)]
         run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
         assert 1 <= len(calls) <= len(specs)
@@ -219,7 +219,7 @@ class TestSimulators:
 
 
 def _block_width(K):
-    return max(mc._BAND_DOUBLES // (K + 1), K)
+    return max(series._BAND_DOUBLES // (K + 1), K)
 
 
 def _cr_polynomial(h, R):
@@ -230,7 +230,7 @@ def _cr_polynomial(h, R):
 
 
 class TestArFilter:
-    """``mc._ar_filter``, the banded solve behind both autoregressive filters."""
+    """``series.ar_filter_rows``, the banded solve behind both autoregressive filters."""
 
     @pytest.mark.parametrize("K", range(1, 11))
     def test_matches_lfilter_across_block_boundaries(self, K):
@@ -241,7 +241,7 @@ class TestArFilter:
         B = _block_width(K)
         for T in (B - 1, B, B + 1, 3 * B + 2):
             for X in (rng.standard_normal(T), rng.standard_normal((3, T))):
-                got = mc._ar_filter(a, X)
+                got = series.ar_filter_rows(a, X)
                 want = ar_lfilter(a, X)
                 assert got.shape == X.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -255,7 +255,7 @@ class TestArFilter:
         want = cr_recursion_lfilter(impulse, h, R)
         weights = np.zeros(T)
         weights[:h] = ma_weights(h)
-        got = mc._ar_filter(_cr_polynomial(h, R), weights)
+        got = series.ar_filter_rows(_cr_polynomial(h, R), weights)
         assert T > _block_width(h + R - 1)
         assert np.all(want > 0.0)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -265,14 +265,14 @@ class TestArFilter:
     def test_row_alone_equals_row_in_batch(self, a):
         T = 3 * _block_width(a.size - 1) + 2
         X = np.random.default_rng(11).standard_normal((5, T))
-        batch = mc._ar_filter(a, X)
+        batch = series.ar_filter_rows(a, X)
         for i in range(5):
-            assert mc._ar_filter(a, X[i]).tobytes() == batch[i].tobytes()
-        assert mc._ar_filter(a, X[1:4]).tobytes() == batch[1:4].tobytes()
+            assert series.ar_filter_rows(a, X[i]).tobytes() == batch[i].tobytes()
+        assert series.ar_filter_rows(a, X[1:4]).tobytes() == batch[1:4].tobytes()
 
     def test_order_zero_is_the_identity(self):
         X = np.random.default_rng(12).standard_normal((2, 50))
-        assert mc._ar_filter([1.0], X).tobytes() == X.tobytes()
+        assert series.ar_filter_rows([1.0], X).tobytes() == X.tobytes()
 
 
 class TestRunExperiment:
@@ -460,6 +460,27 @@ class TestSizeCorrection:
     def test_validation(self):
         with pytest.raises(ValueError):
             size_corrected_critical_value(np.empty(0))
+
+    def test_empty_rows_raise_as_an_empty_archive_does(self):
+        with pytest.raises(ValueError) as one:
+            size_corrected_critical_value(np.empty(0))
+        with pytest.raises(ValueError) as rows:
+            size_corrected_critical_value(np.empty((3, 0)))
+        assert str(rows.value) == str(one.value)
+
+    @pytest.mark.parametrize("n", [100, 101, 150])
+    @pytest.mark.parametrize("cl", [0.05, 0.1])
+    def test_rows_equal_one_archive_at_a_time(self, n, cl):
+        rng = np.random.default_rng([23, n])
+        A = np.abs(rng.standard_normal((40, n)))
+        A[::4] = A[::4].round(1)  # ties
+        A[5] = 0.0  # a cell where every replication degenerated
+        A[6, : n // 2] = 0.0
+        got = size_corrected_critical_value(A, cl)
+        want = [size_corrected_critical_value(row, cl) for row in A]
+        assert isinstance(got, np.ndarray) and got.shape == (40,)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert all(type(c) is float for c in want)
 
     def _result(self):
         specs = [
