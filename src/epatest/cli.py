@@ -491,15 +491,15 @@ def main(argv=None) -> int:
     May be called any number of times in one process. The parser is built
     on the first call and shared by the later ones, which it leaves no
     state for: each call parses into a new namespace. Argument errors exit
-    through argparse's ``SystemExit(2)``; runtime errors print ``error:``
-    and return 1.
+    through argparse's ``SystemExit(2)``; runtime errors, running out of
+    memory included, print ``error:`` and return 1.
     """
     args = _parser().parse_args(argv)
     try:
         if args.out is not None:
             _check_out(args.out)
         return args.func(args)
-    except (DegenerateVarianceError, OSError, ValueError) as exc:
+    except (DegenerateVarianceError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

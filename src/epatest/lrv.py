@@ -163,7 +163,7 @@ ESTIMATORS = {
     "ewc": Estimator(
         _check_range("number of basis functions", lambda P: P - 1),
         None,
-        lambda X, B: np.mean(cosine_coefficient_rows(X, np.arange(1, B + 1)) ** 2, axis=1),
+        lambda X, B: np.mean(cosine_coefficient_rows(X, range(1, B + 1)) ** 2, axis=1),
     ),
     "wpe": Estimator(
         _check_range("number of ordinates", lambda P: P // 2),

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import check_seed, keyed_rows
+from ._streams import MAX_REPS, check_seed, keyed_rows
 from .dmtests import procedure, tally
 from .series import ar_filter_rows, as_integer
 
@@ -365,6 +365,9 @@ def run_experiment(
     n_reps = as_integer(n_reps, "n_reps")
     if n_reps < 100:
         raise ValueError(f"rejection rates need at least 100 replications, got {n_reps}")
+    if n_reps > MAX_REPS:
+        raise ValueError(f"n_reps must be at most 2**32 (one stream key word per "
+                         f"replication), got {n_reps}")
     seed = check_seed(seed)
     # Reference distributions depend on the cell only through (P, h).
     plans = {}

@@ -8,6 +8,8 @@ ordinates at Fourier frequencies, and type-II cosine-series coefficients.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -127,7 +129,7 @@ def cosine_coefficient(d, j: int) -> float:
     P = d.size
     if not 1 <= j <= P - 1:
         raise ValueError(f"basis index must lie in [1, {P - 1}], got {j}")
-    return float(cosine_coefficient_rows(d[None, :], [j])[0, 0])
+    return float(cosine_coefficient_rows(d[None, :], range(j, j + 1))[0, 0])
 
 
 # Row kernels: each takes a 2-D array with one series per row and returns
@@ -156,18 +158,25 @@ def periodogram_rows(X: np.ndarray, js) -> np.ndarray:
     return np.abs(z) ** 2 / (2.0 * np.pi * P)
 
 
-def cosine_coefficient_rows(X: np.ndarray, js) -> np.ndarray:
+@functools.lru_cache(maxsize=256)  # bounded: a sweep over every B would keep O(P^3) doubles
+def _cosine_basis(P: int, js: range) -> np.ndarray:
+    """The len(js) x P type-II cosine basis at the indices ``js``, read-only and cached."""
+    t = np.arange(1, P + 1)
+    basis = np.cos(np.pi * np.asarray(js)[:, None] * (t - 0.5) / P)
+    basis.flags.writeable = False
+    return basis
+
+
+def cosine_coefficient_rows(X: np.ndarray, js: range) -> np.ndarray:
     """Type-II cosine coefficients at the basis indices ``js`` of every row of ``X``.
 
-    One product with the len(js) x P cosine basis, taken as a dot product
+    ``js`` is a range, the key of the cached basis. One product with the len(js) x P cosine basis, taken as a dot product
     per (row, index) pair: a matrix product's summation order depends on
     the number of rows, and a row's coefficients must not depend on which
     other rows share the call.
     """
     P = X.shape[1]
-    t = np.arange(1, P + 1)
-    basis = np.cos(np.pi * np.asarray(js)[:, None] * (t - 0.5) / P)
-    return np.sqrt(2.0 / P) * np.vecdot(X[:, None, :], basis)
+    return np.sqrt(2.0 / P) * np.vecdot(X[:, None, :], _cosine_basis(P, js))
 
 
 # Doubles of band storage in one time block of ar_filter_rows' solve.

@@ -538,7 +538,8 @@ class TestTradeoffCommand:
         assert not out_dir.exists()
 
     # Runs main in a child process whose address space is capped, so a grid
-    # that is listed before it is checked fails there instead of filling memory.
+    # that is listed before it is checked, or a matrix too large for memory,
+    # fails there instead of filling memory.
     GRID_CHILD = """
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -812,4 +813,41 @@ def test_integer_list_errors_name_their_flag(command, flag, value, bad, data_csv
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {flag}: invalid literal for int() with base 10: {bad!r}\n"
+    assert not out_dir.exists()
+
+
+def _count_argv(command, data_csv, count):
+    if command == "tradeoff":
+        return ["tradeoff", "--data", str(data_csv)] + BASE + ["--grid", "2", "--n-sim", count]
+    return TestMcCommand.ARGS + ["--n-reps", count]
+
+
+@pytest.mark.parametrize("command", ["mc", "tradeoff"])
+def test_too_many_replications_fail_before_any_simulation(command, data_csv, tmp_path,
+                                                          capsys, monkeypatch):
+    monkeypatch.setattr(tradeoff, "fit_ar", _no_fit)
+    out_dir = tmp_path / "x"
+    code, out, err = run(_count_argv(command, data_csv, "100000000000")
+                         + ["--out", str(out_dir)], capsys)
+    name = "n_sim" if command == "tradeoff" else "n_reps"
+    kind = "simulation" if command == "tradeoff" else "replication"
+    assert (code, out) == (1, "")
+    assert err == (f"error: {name} must be at most 2**32 (one stream key word per {kind}), "
+                   "got 100000000000\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "tradeoff"])
+def test_running_out_of_memory_exits_1(command, data_csv, tmp_path):
+    # 2**32 replications pass the count check; their matrix cannot be allocated.
+    out_dir = tmp_path / "x"
+    child = subprocess.run(
+        [sys.executable, "-c", TestTradeoffCommand.GRID_CHILD,
+         *_count_argv(command, data_csv, str(2**32)), "--out", str(out_dir)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(epatest.__file__).parents[1])},
+    )
+    assert json.loads(child.stdout)["code"] == 1
+    assert child.stderr.splitlines()[-1].startswith("error: Unable to allocate")
+    assert "Traceback" not in child.stderr
     assert not out_dir.exists()

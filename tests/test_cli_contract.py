@@ -59,7 +59,7 @@ COMMANDS = {
         "--q": (("2", "5"), ("1", "60")),
         "--out": OUT,
     }),
-    "tradeoff": ({**DATA_FLAGS, "--n-sim": (("100",), ("99", "0", "1.5")),
+    "tradeoff": ({**DATA_FLAGS, "--n-sim": (("100",), ("99", "0", "1.5", "100000000000")),
                   "--out": (OUT[0], OUT[1] + (OMIT,))}, {
         **DATA_OPTIONS,
         "--grid": (("2,4", "1:3", "3"),
@@ -75,7 +75,7 @@ COMMANDS = {
         "--r-set": (("25", "25,75"), ("2", "x", "0")),
         "--rt-set": (("25", "25,75"), ("0", "b")),
         "--p-set": (("25",), ("1", "a", "25,25")),
-        "--n-reps": (("100",), ("99", "1.5")),
+        "--n-reps": (("100",), ("99", "1.5", "100000000000")),
         "--out": (OUT[0], OUT[1] + (OMIT,)),
     }, {
         "--methods": (("dm_r", "dm_r,dm_fb", "dm_im_q5"), ("dm_r,dm_r", "dm_wpe", ",")),

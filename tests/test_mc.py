@@ -325,6 +325,8 @@ class TestRunExperiment:
             run(n_reps=99)
         with pytest.raises(ValueError, match="n_reps must be an integer, got 150.5"):
             run(n_reps=150.5)
+        with pytest.raises(ValueError, match=r"n_reps must be at most 2\*\*32 .* got 4294967297"):
+            run(n_reps=2**32 + 1)
         with pytest.raises(ValueError, match="the method list is empty"):
             run(methods=(), n_reps=100)
         with pytest.raises(ValueError, match="the experiment grid has no cells"):

@@ -1,10 +1,12 @@
 """Keyed streams of the batched simulators against NumPy's own seeding.
 
-``_streams.stream_states`` reproduces ``np.random.default_rng([*key, rep])``
-for a whole range of reps without constructing one generator per rep; the
-oracle here is that call itself. The batched matrices are then checked row
-by row against the one-replication simulators run on each row's own
-generator, and the ``ucr`` and ``cr`` rows against direct one-path
+``_streams.seed_words`` computes ``np.random.SeedSequence([*key, rep])``'s
+PCG64 seed words for a whole range of reps without constructing one
+SeedSequence per rep, and a generator seeded with them through
+``_streams._SeedWords`` must draw what ``np.random.default_rng([*key, rep])``
+draws; the oracle here is those calls themselves. The batched matrices are
+then checked row by row against the one-replication simulators run on each
+row's own generator, and the ``ucr`` and ``cr`` rows against direct one-path
 constructions.
 """
 
@@ -33,15 +35,14 @@ def _first_draws(rng):
 
 
 def _check_reps(key, start, stop):
-    states = _streams.stream_states(key, start, stop)
-    assert len(states) == stop - start
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for rep, state in enumerate(states, start):
-        oracle = np.random.default_rng([*key, rep])
-        assert state == oracle.bit_generator.state, (key, rep)
-        bitgen.state = state
-        assert _first_draws(rng) == _first_draws(oracle), (key, rep)
+    words = _streams.seed_words(key, start, stop)
+    assert words.shape == (stop - start, 4) and words.dtype == np.uint64
+    assert words.flags.c_contiguous
+    for rep, row in enumerate(words, start):
+        want = np.random.SeedSequence([*key, rep]).generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes(), (key, rep)
+        rng = np.random.Generator(np.random.PCG64(_streams._SeedWords(row)))
+        assert _first_draws(rng) == _first_draws(np.random.default_rng([*key, rep])), (key, rep)
 
 
 @pytest.mark.parametrize("prefix", ["mc", "tradeoff"])
@@ -61,6 +62,18 @@ def test_states_equal_default_rng_streams(prefix, seed):
 )
 def test_states_equal_default_rng_on_random_keys(key, n):
     _check_reps(key, 0, n)
+
+
+def test_keyed_rows_across_seed_blocks_and_chunks():
+    # 819-row chunks at width 40 end inside the 1024-rep seed blocks.
+    width, n = 40, _streams.STATE_BLOCK + 5
+    assert _streams.CHUNK_INNOVATIONS // width == 819
+    key = [7, 0, 3, 25, 25, 40]
+    out = np.empty((n, width))
+    _streams.keyed_rows(out, key, width, lambda E: E)
+    for rep in (*range(817, 822), *range(1022, n)):
+        want = np.random.default_rng([*key, rep]).standard_normal(width)
+        assert out[rep].tobytes() == want.tobytes(), rep
 
 
 @pytest.mark.parametrize(

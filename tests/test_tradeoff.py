@@ -318,6 +318,12 @@ class TestTradeoffConfig:
         with pytest.raises(ValueError, match="100"):
             TradeoffConfig(n_sim=99)
 
+    def test_maximum_simulations(self):
+        # each simulation's stream is keyed by one 32-bit word
+        assert TradeoffConfig(n_sim=2**32).n_sim == 2**32
+        with pytest.raises(ValueError, match=r"n_sim must be at most 2\*\*32 .* got 4294967297"):
+            TradeoffConfig(n_sim=2**32 + 1)
+
     def test_positive_alt_grid(self):
         with pytest.raises(ValueError, match="alternative_grid_size"):
             TradeoffConfig(alternative_grid_size=0)
