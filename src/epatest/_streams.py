@@ -43,6 +43,18 @@ def check_seed(seed) -> int:
     return value
 
 
+def check_reps(value, name: str, noun: str) -> int:
+    """``value`` as an int if it is a whole count of ``noun``s from 100, enough for
+    a rejection rate, to ``MAX_REPS``; anything else raises ValueError."""
+    n = as_integer(value, name)
+    if n < 100:
+        raise ValueError(f"rejection rates need at least 100 {noun}s, got {n}")
+    if n > MAX_REPS:
+        raise ValueError(f"{name} must be at most 2**32 (one stream key word per "
+                         f"{noun}), got {n}")
+    return n
+
+
 def uint32_words(value) -> list[int]:
     """A key word as NumPy coerces it: little-endian 32-bit words, one word for 0."""
     value = check_seed(value)

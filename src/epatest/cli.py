@@ -36,7 +36,10 @@ from .data import load_csv, loss_series
 from .dmtests import METHODS, DegenerateVarianceError, TestOutcome, outcomes, procedure
 from .lrv import bandwidth
 from .mc import (
+    DEFAULT_H_SET,
     DEFAULT_METHODS,
+    DEFAULT_P_SET,
+    DEFAULT_R_SET,
     experiment_grid,
     run_experiment,
     size_corrected_critical_value,
@@ -134,13 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo size and size-corrected power grids")
     p_mc.add_argument("--families", default="ucr,cr",
                       help="comma list of DGP families: ucr, cr (default both)")
-    p_mc.add_argument("--h-set", default="1,3,12", help="comma list of horizons (default 1,3,12)")
-    p_mc.add_argument("--r-set", default="25,75,125,175",
-                      help="comma list of DGP window sizes R (default 25,75,125,175)")
-    p_mc.add_argument("--rt-set", default="25,75,125,175",
-                      help="comma list of forecast window sizes R-tilde (default 25,75,125,175)")
-    p_mc.add_argument("--p-set", default="25,75,125,175,1000",
-                      help="comma list of evaluation sample sizes P (default 25,75,125,175,1000)")
+    p_mc.add_argument("--h-set", default=",".join(map(str, DEFAULT_H_SET)),
+                      help="comma list of horizons (default %(default)s)")
+    p_mc.add_argument("--r-set", default=",".join(map(str, DEFAULT_R_SET)),
+                      help="comma list of DGP window sizes R (default %(default)s)")
+    p_mc.add_argument("--rt-set", default=",".join(map(str, DEFAULT_R_SET)),
+                      help="comma list of forecast window sizes R-tilde (default %(default)s)")
+    p_mc.add_argument("--p-set", default=",".join(map(str, DEFAULT_P_SET)),
+                      help="comma list of evaluation sample sizes P (default %(default)s)")
     p_mc.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                       help="comma list of methods (default: the full battery)")
     p_mc.add_argument("--n-reps", type=int, default=5000,

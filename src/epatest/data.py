@@ -123,8 +123,8 @@ def load_csv(
         For a malformed row or a numeric cell that is neither a finite
         number nor a missing marker, naming the 1-based row and the column.
     ValueError
-        For a missing column, an unknown policy, or a date range without a
-        date column.
+        For a missing column, a requested column the header names more than
+        once, an unknown policy, or a date range without a date column.
     """
     if na_policy not in NA_POLICIES:
         raise ValueError(f"unknown na_policy {na_policy!r}; expected one of {NA_POLICIES}")
@@ -145,6 +145,8 @@ def load_csv(
                 raise ValueError(
                     f"{path}: column {name!r} not found; available: {', '.join(header)}"
                 )
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: column {name!r} appears more than once in the header")
             positions[name] = header.index(name)
         i1, i2, ir = (positions[name] for name in (f1_col, f2_col, realization_col))
         f1_vals: list[float] = []

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import MAX_REPS, check_seed, keyed_rows
+from ._streams import check_reps, check_seed, keyed_rows
 from .dmtests import procedure, tally
 from .series import ar_filter_rows, as_integer
 
@@ -362,12 +362,7 @@ def run_experiment(
         if cells[i] in cells[:i]:
             raise ValueError(f"cell family={spec.family} h={spec.h} R={spec.R} "
                              f"R_tilde={spec.R_tilde} P={spec.P} is listed more than once")
-    n_reps = as_integer(n_reps, "n_reps")
-    if n_reps < 100:
-        raise ValueError(f"rejection rates need at least 100 replications, got {n_reps}")
-    if n_reps > MAX_REPS:
-        raise ValueError(f"n_reps must be at most 2**32 (one stream key word per "
-                         f"replication), got {n_reps}")
+    n_reps = check_reps(n_reps, "n_reps", "replication")
     seed = check_seed(seed)
     # Reference distributions depend on the cell only through (P, h).
     plans = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._streams import MAX_REPS, check_seed, keyed_rows
+from ._streams import check_reps, check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import outcomes, procedure, tally
@@ -310,14 +310,8 @@ class TradeoffConfig:
 
     def __post_init__(self):
         # Integral floats are stored as ints (150.0 -> 150); other values are refused.
-        n_sim = as_integer(self.n_sim, "n_sim")
-        if n_sim < 100:
-            raise ValueError(f"rejection rates need at least 100 simulations, got {n_sim}")
-        if n_sim > MAX_REPS:
-            raise ValueError(f"n_sim must be at most 2**32 (one stream key word per "
-                             f"simulation), got {n_sim}")
         checked = {
-            "n_sim": n_sim,
+            "n_sim": check_reps(self.n_sim, "n_sim", "simulation"),
             "alternative_grid_size": _positive_count(self.alternative_grid_size,
                                                      "alternative_grid_size"),
             "seed": check_seed(self.seed),

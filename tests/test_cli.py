@@ -252,6 +252,16 @@ class TestTestCommand:
         assert err.startswith("error: ") and "row 6, column 'A'" in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_repeated_forecast_column_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("Y,A,A,B\n" + "".join(f"{i},{i + 1},{i + 2},{i % 3}\n" for i in range(8)))
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(path)] + BASE + ["--out", str(out_dir)],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: column 'A' appears more than once in the header\n"
+        assert not out_dir.exists()
+
     def test_unsupported_level_exits_1(self, data_csv, capsys):
         code, _, err = run(
             ["test", "--data", str(data_csv)] + BASE + ["--method", "dm_fb", "--cl", "0.10"],

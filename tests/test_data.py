@@ -102,6 +102,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="column 'z' not found"):
             load_csv(write(tmp_path, BASIC), ("f1", "z"), "y")
 
+    @pytest.mark.parametrize("header, name",
+                             [("d,y,f,f,g", "f"), ("d,f,g,y,y", "y"), ("d,f,g,y,d", "d")])
+    def test_repeated_requested_column(self, tmp_path, header, name):
+        # Refused from the header alone, before the malformed row below is read.
+        path = write(tmp_path, f"{header}\nnot a number\n")
+        with pytest.raises(ValueError, match=f"column '{name}' appears more than once"):
+            load_csv(path, ("f", "g"), "y", date_col="d")
+
+    def test_repeated_column_not_requested_is_allowed(self, tmp_path):
+        ds = load_csv(write(tmp_path, "x,f1,x,f2,y\n9,1.0,8,2.0,1.5\n"), ("f1", "f2"), "y")
+        np.testing.assert_array_equal(ds.f2, [2.0])
+
     def test_unknown_policy(self, tmp_path):
         with pytest.raises(ValueError, match="na_policy"):
             load_csv(write(tmp_path, BASIC), ("f1", "f2"), "y", na_policy="impute")

@@ -3,6 +3,9 @@
 The lists below are the package's ``__all__`` and each module's, as
 released. A name may be added without touching this file; removing one is
 an API break and must be a deliberate edit here, recorded in CHANGES.md.
+The package's ``__all__`` is ``__version__`` followed by its submodules'
+own lists, so a name is exported by the package exactly when a submodule
+exports it.
 """
 
 import importlib
@@ -64,3 +67,16 @@ def test_no_public_name_disappears(module):
     assert missing == []
     for name in mod.__all__:
         assert hasattr(mod, name), name
+
+
+def test_package_surface_is_the_submodules_surfaces():
+    import epatest
+
+    modules = [importlib.import_module(f"epatest.{name}")
+               for name in ("series", "lrv", "dmtests", "tradeoff", "mc", "data")]
+    assert epatest.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    # A name in two submodules would be shadowed by whichever is star-imported last.
+    assert len(set(epatest.__all__)) == len(epatest.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(epatest, name) is getattr(m, name), name
