@@ -26,8 +26,8 @@ H = 8
 
 
 def main():
-    spec = mc.make_spec("ucr", h=H, R=25, R_tilde=125, P=120)
-    target, f1, f2 = mc.simulate_ucr(spec, np.random.default_rng(27))
+    spec = mc.DgpSpec("ucr", h=H, R=25, R_tilde=125, P=120)
+    target, f1, f2 = mc.simulate(spec, np.random.default_rng(27))
     d = loss_differential(target - f1, target - f2, loss="squared")
     print(f"loss differential: n = {d.size}, mean = {d.mean():+.4f}, "
           f"lag-1 autocorr = {np.corrcoef(d[:-1], d[1:])[0, 1]:+.3f}")

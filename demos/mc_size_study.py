@@ -25,7 +25,7 @@ N_REPS = 2000
 
 
 def main():
-    specs = [mc.make_spec("ucr", h, R, R, P) for h in H_SET for R in mc.DEFAULT_R_SET]
+    specs = [mc.DgpSpec("ucr", h, R, R, P) for h in H_SET for R in mc.DEFAULT_R_SET]
     start = time.time()
     result = mc.run_experiment(specs, methods=METHODS, n_reps=N_REPS, seed=0)
     elapsed = time.time() - start

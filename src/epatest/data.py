@@ -123,7 +123,8 @@ def load_csv(
         For a malformed row or a numeric cell that is neither a finite
         number nor a missing marker, naming the 1-based row and the column.
     ValueError
-        For a missing column, a requested column the header names more than
+        For one column named as both forecasts (before the file is opened),
+        a missing column, a requested column the header names more than
         once, an unknown policy, or a date range without a date column.
     """
     if na_policy not in NA_POLICIES:
@@ -131,6 +132,8 @@ def load_csv(
     if date_range is not None and date_col is None:
         raise ValueError("date_range requires date_col")
     f1_col, f2_col = forecast_cols
+    if f1_col == f2_col:
+        raise ValueError(f"forecast_cols names the column {f1_col!r} twice")
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)

@@ -40,10 +40,8 @@ __all__ = [
     "ma_weights",
     "ma_autocovariances",
     "calibrate_mu",
-    "make_spec",
     "experiment_grid",
-    "simulate_ucr",
-    "simulate_cr",
+    "simulate",
     "run_experiment",
     "size_corrected_critical_value",
     "size_corrected_power",
@@ -137,11 +135,6 @@ def calibrate_mu(h: int, R: int) -> float:
     return float(np.sqrt(acc) / R)
 
 
-def make_spec(family: str, h: int, R: int, R_tilde: int, P: int) -> DgpSpec:
-    """Build a :class:`DgpSpec`; the same as ``DgpSpec(family, h, R, R_tilde, P)``."""
-    return DgpSpec(family, h, R, R_tilde, P)
-
-
 def experiment_grid(
     families=("ucr", "cr"),
     h_set=DEFAULT_H_SET,
@@ -151,7 +144,7 @@ def experiment_grid(
 ) -> list[DgpSpec]:
     """Cartesian product of cell parameters as a list of specs."""
     return [
-        make_spec(fam, h, R, Rt, P)
+        DgpSpec(fam, h, R, Rt, P)
         for fam in families
         for h in h_set
         for R in r_set
@@ -267,20 +260,6 @@ def simulate(spec: DgpSpec, rng):
     E = np.random.default_rng(rng).standard_normal((1, _width(spec)))
     target, rolling_mean = _simulate_rows(spec, E)
     return target[0], np.zeros(spec.P), rolling_mean[0]
-
-
-def simulate_ucr(spec: DgpSpec, rng):
-    """One unconditional-rolling replication: (target, forecast1, forecast2)."""
-    if spec.family != "ucr":
-        raise ValueError(f"spec has family {spec.family!r}, expected 'ucr'")
-    return simulate(spec, rng)
-
-
-def simulate_cr(spec: DgpSpec, rng):
-    """One conditional-rolling replication: (target, forecast1, forecast2)."""
-    if spec.family != "cr":
-        raise ValueError(f"spec has family {spec.family!r}, expected 'cr'")
-    return simulate(spec, rng)
 
 
 @dataclass

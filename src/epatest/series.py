@@ -170,10 +170,10 @@ def _cosine_basis(P: int, js: range) -> np.ndarray:
 def cosine_coefficient_rows(X: np.ndarray, js: range) -> np.ndarray:
     """Type-II cosine coefficients at the basis indices ``js`` of every row of ``X``.
 
-    ``js`` is a range, the key of the cached basis. One product with the len(js) x P cosine basis, taken as a dot product
-    per (row, index) pair: a matrix product's summation order depends on
-    the number of rows, and a row's coefficients must not depend on which
-    other rows share the call.
+    ``js`` is a range, the key of the cached basis. Each coefficient is a
+    dot product of a row with a basis vector, not part of a matrix product,
+    whose summation order depends on the number of rows: a row's
+    coefficients must not depend on which other rows share the call.
     """
     P = X.shape[1]
     return np.sqrt(2.0 / P) * np.vecdot(X[:, None, :], _cosine_basis(P, js))

@@ -200,15 +200,26 @@ def _null_statistics(model: FittedArModel, P: int, procedures, n_sim: int, seed:
     return tallies
 
 
-def _size_distortions(tallies, n_sim: int) -> list[float]:
-    return [rejections / n_sim - NOMINAL_LEVEL for _, _, _, rejections, _ in tallies]
+def _procedures(P: int, grid) -> list:
+    """The fixed-b test at each bandwidth of ``grid`` (None: :func:`default_bandwidth_grid`)."""
+    if grid is None:
+        grid = default_bandwidth_grid(P)
+    return [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
 
 
-def _max_power_losses(model: FittedArModel, P: int, tallies, grid_size: int) -> list[float]:
-    sigma = math.sqrt(model.implied_lrv)
+def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: bool = True):
+    """Size distortions and max power losses (None without ``with_power``) of
+    ``procedures``, both read off one set of ``config.n_sim`` null paths."""
+    if with_power and model.implied_lrv <= 0.0:
+        raise ValueError("fitted model has nonpositive long-run variance")
+    tallies = _null_statistics(model, P, procedures, config.n_sim, config.seed)
+    sizes = [rejections / config.n_sim - NOMINAL_LEVEL for *_, rejections, _ in tallies]
+    if not with_power:
+        return sizes, None
     sqrt_p = math.sqrt(P)
     z975, z99 = special.ndtri([0.975, 0.99]).tolist()
-    delta_max = (z975 + z99) * sigma / sqrt_p
+    delta_max = (z975 + z99) * math.sqrt(model.implied_lrv) / sqrt_p
+    grid_size = config.alternative_grid_size
     shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
     envelope = oracle_power(model.implied_lrv, P, shifts)
     # Rows are bandwidths, columns replications.
@@ -221,14 +232,7 @@ def _max_power_losses(model: FittedArModel, P: int, tallies, grid_size: int) -> 
     power = np.column_stack([
         np.mean(np.abs(stat0 + sqrt_p * s / sd) > crit, axis=1) for s in shifts
     ])
-    return [float(max(0.0, np.max(envelope - row))) for row in power]
-
-
-def _positive_count(value, name: str) -> int:
-    value = as_integer(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
+    return sizes, [float(max(0.0, np.max(envelope - row))) for row in power]
 
 
 def size_distortion(
@@ -240,11 +244,11 @@ def size_distortion(
     actual test on each; a degenerate variance estimate is a non-rejection,
     by :func:`epatest.dmtests.tally`. Positive values mean
     the bandwidth leaves the test oversized in this fitted world. This is
-    the one-bandwidth case of :func:`build_tradeoff_curve`.
+    the one-bandwidth case of :func:`build_tradeoff_curve`, and ``n_sim``
+    and ``seed`` follow :class:`TradeoffConfig`'s rules.
     """
-    n_sim = _positive_count(n_sim, "n_sim")
-    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
-    return _size_distortions(_null_statistics(model, P, procedures, n_sim, seed), n_sim)[0]
+    config = TradeoffConfig(n_sim=n_sim, seed=seed)
+    return _null_summary(model, P, _procedures(P, (M,)), config, with_power=False)[0][0]
 
 
 def oracle_power(true_lrv: float, P: int, shift: float) -> float:
@@ -283,15 +287,12 @@ def max_power_loss(
     random numbers: an alternative path is the null path plus the shift,
     and the Bartlett variance estimate is shift-invariant). The reported
     loss is the largest oracle-minus-test gap on the grid, floored at zero.
-    This is the one-bandwidth case of :func:`build_tradeoff_curve`.
+    This is the one-bandwidth case of :func:`build_tradeoff_curve`, and
+    ``n_sim``, ``grid_size`` (as ``alternative_grid_size``) and ``seed``
+    follow :class:`TradeoffConfig`'s rules.
     """
-    n_sim = _positive_count(n_sim, "n_sim")
-    grid_size = _positive_count(grid_size, "grid_size")
-    if model.implied_lrv <= 0.0:
-        raise ValueError("fitted model has nonpositive long-run variance")
-    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M)]
-    tallies = _null_statistics(model, P, procedures, n_sim, seed)
-    return _max_power_losses(model, P, tallies, grid_size)[0]
+    config = TradeoffConfig(n_sim=n_sim, alternative_grid_size=grid_size, seed=seed)
+    return _null_summary(model, P, _procedures(P, (M,)), config)[1][0]
 
 
 @dataclass(frozen=True)
@@ -310,14 +311,18 @@ class TradeoffConfig:
 
     def __post_init__(self):
         # Integral floats are stored as ints (150.0 -> 150); other values are refused.
+        grid_size = as_integer(self.alternative_grid_size, "alternative_grid_size")
+        if grid_size < 1:
+            raise ValueError(f"alternative_grid_size must be positive, got {grid_size}")
         checked = {
             "n_sim": check_reps(self.n_sim, "n_sim", "simulation"),
-            "alternative_grid_size": _positive_count(self.alternative_grid_size,
-                                                     "alternative_grid_size"),
+            "alternative_grid_size": grid_size,
             "seed": check_seed(self.seed),
         }
         if self.max_ar_order is not None:
             checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
+        if self.bandwidth_grid is not None and not self.bandwidth_grid:
+            raise ValueError("bandwidth grid is empty")
         # A range repeats nothing, and listing it could take any amount of memory.
         if not isinstance(self.bandwidth_grid, range):
             seen = set()
@@ -366,28 +371,14 @@ def build_tradeoff_curve(
     """
     if config is None:
         config = TradeoffConfig()
-    d = forecast_data
     if isinstance(forecast_data, ForecastDataset):
-        d = data_loss_series(forecast_data, loss="squared")
-    d = as_loss_series(d)
+        forecast_data = data_loss_series(forecast_data, loss="squared")
+    d = as_loss_series(forecast_data)
     P = d.size
     if P < 10:
         raise ValueError(f"need at least 10 observations for the diagnostic, got {P}")
-    grid = config.bandwidth_grid
-    if grid is None:
-        grid = default_bandwidth_grid(P)
-    if not grid:
-        raise ValueError("bandwidth grid is empty")
-    procedures = [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
+    procedures = _procedures(P, config.bandwidth_grid)
     model = fit_ar(d, config.max_ar_order)
-    tallies = _null_statistics(model, P, procedures, config.n_sim, config.seed)
-    return [
-        TradeoffPoint(M=proc.bandwidth, size_distortion=sd, max_power_loss=loss,
-                      rejected=outcome.rej)
-        for proc, sd, loss, outcome in zip(
-            procedures,
-            _size_distortions(tallies, config.n_sim),
-            _max_power_losses(model, P, tallies, config.alternative_grid_size),
-            outcomes(procedures, d),
-        )
-    ]
+    sizes, losses = _null_summary(model, P, procedures, config)
+    return [TradeoffPoint(proc.bandwidth, sd, loss, outcome.rej)
+            for proc, sd, loss, outcome in zip(procedures, sizes, losses, outcomes(procedures, d))]

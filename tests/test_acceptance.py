@@ -59,7 +59,7 @@ SEED = 0
 def ucr_size_result():
     """Null rejection rates on the diagonal R = R~ at P = 75, h in {1, 12}."""
     specs = [
-        mc.make_spec("ucr", h, R, R, 75) for h in (1, 12) for R in mc.DEFAULT_R_SET
+        mc.DgpSpec("ucr", h, R, R, 75) for h in (1, 12) for R in mc.DEFAULT_R_SET
     ]
     return mc.run_experiment(
         specs, methods=("dm_r", "dm_fb", "dm_nw_l"), n_reps=N_REPS, seed=SEED
@@ -69,7 +69,7 @@ def ucr_size_result():
 @pytest.fixture(scope="module")
 def cr_size_result():
     """Null rejection rates on the diagonal at P = 1000, h = 3, block test."""
-    specs = [mc.make_spec("cr", 3, R, R, 1000) for R in mc.DEFAULT_R_SET]
+    specs = [mc.DgpSpec("cr", 3, R, R, 1000) for R in mc.DEFAULT_R_SET]
     return mc.run_experiment(specs, methods=("dm_im_q5",), n_reps=N_REPS, seed=SEED)
 
 
@@ -77,7 +77,7 @@ def cr_size_result():
 def power_result():
     """Alternatives R > R~ = 25 at P = 1000, h = 1, plus their size diagonals."""
     pairs = ((75, 25), (125, 25), (175, 25), (75, 75), (125, 125), (175, 175))
-    specs = [mc.make_spec("ucr", 1, R, Rt, 1000) for R, Rt in pairs]
+    specs = [mc.DgpSpec("ucr", 1, R, Rt, 1000) for R, Rt in pairs]
     return mc.run_experiment(
         specs, methods=("dm_fb", "dm_nw_l"), n_reps=N_REPS, seed=SEED
     )
@@ -299,8 +299,8 @@ def test_criterion_09_calibration():
     assert abs(mu3 - 0.34482) <= 1e-5
     ratios = []
     for h, R in ((1, 25), (3, 25)):
-        spec = mc.make_spec("ucr", h, R, R, 1_000_000)
-        target, f1, f2 = mc.simulate_ucr(spec, np.random.default_rng(20260816))
+        spec = mc.DgpSpec("ucr", h, R, R, 1_000_000)
+        target, f1, f2 = mc.simulate(spec, np.random.default_rng(20260816))
         d = (target - f1) ** 2 - (target - f2) ** 2
         # overlapping forecast windows make d serially dependent, so the
         # standard error comes from means of 1000 long blocks
@@ -317,7 +317,7 @@ def test_criterion_09_calibration():
 def test_criterion_10_null_exactness():
     notes = []
     for family, h, R in (("ucr", 2, 75), ("cr", 3, 75)):
-        spec = mc.make_spec(family, h, R, R, 1_000_000)
+        spec = mc.DgpSpec(family, h, R, R, 1_000_000)
         target, f1, f2 = mc.simulate(spec, np.random.default_rng(20260817))
         d = (target - f1) ** 2 - (target - f2) ** 2
         block_means = d.reshape(1000, 1000).mean(axis=1)

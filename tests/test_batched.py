@@ -169,7 +169,7 @@ def test_tally_counts_constant_rows_as_degenerate_non_rejections():
 
 
 def test_run_experiment_archives_match_one_row_on_the_simulated_rows():
-    spec = mc.make_spec("ucr", 12, 25, 75, 25)
+    spec = mc.DgpSpec("ucr", 12, 25, 75, 25)
     res = mc.run_experiment([spec], n_reps=100, seed=7)
     X = mc._loss_differentials(spec, 100, 7)
     cell = (spec.family, spec.R, spec.R_tilde, spec.h, spec.P)

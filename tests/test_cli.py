@@ -262,6 +262,14 @@ class TestTestCommand:
         assert err == f"error: {path}: column 'A' appears more than once in the header\n"
         assert not out_dir.exists()
 
+    def test_same_forecast_column_twice_exits_1(self, data_csv, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(data_csv), "--forecast-cols", "A,A",
+                              "--realization-col", "Y", "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: forecast_cols names the column 'A' twice\n"
+        assert not out_dir.exists()
+
     def test_unsupported_level_exits_1(self, data_csv, capsys):
         code, _, err = run(
             ["test", "--data", str(data_csv)] + BASE + ["--method", "dm_fb", "--cl", "0.10"],
@@ -544,6 +552,14 @@ class TestTradeoffCommand:
         code, _, err = run(["tradeoff", "--data", str(data_csv)] + BASE
                            + ["--grid", "5:2", "--out", str(out_dir)], capsys)
         assert code == 1
+        assert err == "error: bandwidth grid is empty\n"
+        assert not out_dir.exists()
+
+    def test_empty_grid_is_refused_before_loading(self, tmp_path, capsys):
+        out_dir = tmp_path / "t"
+        code, out, err = run(["tradeoff", "--data", str(tmp_path / "none.csv")] + BASE
+                             + ["--grid", "5:4", "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
         assert err == "error: bandwidth grid is empty\n"
         assert not out_dir.exists()
 

@@ -110,6 +110,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"column '{name}' appears more than once"):
             load_csv(path, ("f", "g"), "y", date_col="d")
 
+    def test_same_forecast_column_twice_is_refused_before_opening(self, tmp_path):
+        # The path does not exist, so only a check made before opening it can run.
+        with pytest.raises(ValueError, match="^forecast_cols names the column 'f1' twice$"):
+            load_csv(tmp_path / "nope.csv", ("f1", "f1"), "y")
+
     def test_repeated_column_not_requested_is_allowed(self, tmp_path):
         ds = load_csv(write(tmp_path, "x,f1,x,f2,y\n9,1.0,8,2.0,1.5\n"), ("f1", "f2"), "y")
         np.testing.assert_array_equal(ds.f2, [2.0])

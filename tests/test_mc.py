@@ -21,11 +21,8 @@ from epatest.mc import (
     experiment_grid,
     ma_autocovariances,
     ma_weights,
-    make_spec,
     run_experiment,
     simulate,
-    simulate_cr,
-    simulate_ucr,
     size_corrected_critical_value,
     size_corrected_power,
 )
@@ -72,7 +69,7 @@ class TestCalibrateMu:
 
     def test_loss_equality_by_simulation(self):
         # the calibrated mean really does equalize the two MSEs
-        spec = make_spec("ucr", h=2, R=25, R_tilde=25, P=150_000)
+        spec = DgpSpec("ucr", h=2, R=25, R_tilde=25, P=150_000)
         target, f1, f2 = simulate(spec, 42)
         d = (target - f1) ** 2 - (target - f2) ** 2
         se = d.std(ddof=1) / math.sqrt(d.size)
@@ -91,9 +88,7 @@ class TestDgpSpec:
             DgpSpec(family="ucr", h=1, R=25, R_tilde=25, P=0)
 
     def test_mu_is_computed_not_passed(self):
-        assert DgpSpec("ucr", 1, 25, 25, 75) == make_spec("ucr", 1, 25, 25, 75)
         assert DgpSpec("ucr", 1, 25, 25, 75).mu == calibrate_mu(1, 25)
-        assert DgpSpec("cr", 3, 75, 25, 75) == make_spec("cr", 3, 75, 25, 75)
         assert DgpSpec("cr", 3, 75, 25, 75).mu == 0.0
         assert [f.name for f in dataclasses.fields(DgpSpec)][-1] == "mu"
         with pytest.raises(TypeError):
@@ -101,16 +96,16 @@ class TestDgpSpec:
 
     def test_integer_dimensions(self):
         spec = DgpSpec("ucr", 3.0, np.int64(25), 25, 75.0)
-        assert spec == make_spec("ucr", 3, 25, 25, 75)
-        assert repr(spec) == repr(make_spec("ucr", 3, 25, 25, 75))
+        assert spec == DgpSpec("ucr", 3, 25, 25, 75)
+        assert repr(spec) == repr(DgpSpec("ucr", 3, 25, 25, 75))
         for name in ("h", "R", "R_tilde", "P"):
             args = {"h": 1, "R": 25, "R_tilde": 25, "P": 25, name: 1.5}
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
                 DgpSpec("ucr", **args)
 
-    def test_make_spec_calibrates_ucr_only(self):
-        assert make_spec("ucr", 1, 25, 75, 25).mu == 0.2
-        assert make_spec("cr", 1, 25, 75, 25).mu == 0.0
+    def test_spec_calibrates_ucr_only(self):
+        assert DgpSpec("ucr", 1, 25, 75, 25).mu == 0.2
+        assert DgpSpec("cr", 1, 25, 75, 25).mu == 0.0
 
     def test_default_grid_dimensions(self):
         grid = experiment_grid()
@@ -121,8 +116,8 @@ class TestDgpSpec:
 
 class TestSimulators:
     def test_ucr_h1_reconstruction(self):
-        spec = make_spec("ucr", h=1, R=5, R_tilde=5, P=4)
-        target, f1, f2 = simulate_ucr(spec, 7)
+        spec = DgpSpec("ucr", h=1, R=5, R_tilde=5, P=4)
+        target, f1, f2 = simulate(spec, 7)
         rng = np.random.default_rng(7)
         y = spec.mu + rng.standard_normal(5 + 4)  # T_tot draws, MA(0)
         np.testing.assert_allclose(target, y[5:9])
@@ -130,8 +125,8 @@ class TestSimulators:
         np.testing.assert_allclose(f2, [y[i : i + 5].mean() for i in range(4)])
 
     def test_ucr_marginal_moments(self):
-        spec = make_spec("ucr", h=2, R=25, R_tilde=25, P=200_000)
-        target, _, _ = simulate_ucr(spec, 1)
+        spec = DgpSpec("ucr", h=2, R=25, R_tilde=25, P=200_000)
+        target, _, _ = simulate(spec, 1)
         gamma = ma_autocovariances(2)
         assert target.mean() == pytest.approx(spec.mu, abs=0.02)
         assert target.var() == pytest.approx(gamma[0], rel=0.02)
@@ -196,23 +191,18 @@ class TestSimulators:
             return ar_filter(*args, **kwargs)
 
         monkeypatch.setattr(mc, "ar_filter_rows", counting_ar_filter)
-        specs = [make_spec("cr", 3, 25, 25, 75), make_spec("cr", 3, 175, 25, 75)]
+        specs = [DgpSpec("cr", 3, 25, 25, 75), DgpSpec("cr", 3, 175, 25, 75)]
         run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
         assert 1 <= len(calls) <= len(specs)
 
     def test_cr_series_is_stable_and_centered(self):
-        spec = make_spec("cr", h=3, R=25, R_tilde=25, P=100_000)
-        target, f1, f2 = simulate_cr(spec, 9)
+        spec = DgpSpec("cr", h=3, R=25, R_tilde=25, P=100_000)
+        target, f1, f2 = simulate(spec, 9)
         assert not f1.any()
         half = target.size // 2
         assert target.mean() == pytest.approx(0.0, abs=0.05)
         # stationarity: both halves carry the same variance
         assert target[:half].var() == pytest.approx(target[half:].var(), rel=0.1)
-
-    def test_family_cross_check(self):
-        ucr = make_spec("ucr", 1, 25, 25, 25)
-        with pytest.raises(ValueError, match="expected 'cr'"):
-            simulate_cr(ucr, 0)
 
     def test_burn_in_constant(self):
         assert CR_BURN_IN == 10_000
@@ -277,7 +267,7 @@ class TestArFilter:
 
 class TestRunExperiment:
     def test_deterministic(self):
-        specs = [make_spec("ucr", 1, 25, 25, 25)]
+        specs = [DgpSpec("ucr", 1, 25, 25, 25)]
         a = run_experiment(specs, methods=("dm_r", "dm_fb"), n_reps=150, seed=5)
         b = run_experiment(specs, methods=("dm_r", "dm_fb"), n_reps=150, seed=5)
         assert a.rejection_rates == b.rejection_rates
@@ -285,8 +275,8 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.archives[key], b.archives[key])
 
     def test_cell_streams_do_not_depend_on_grid(self):
-        s1 = make_spec("ucr", 1, 25, 25, 25)
-        s2 = make_spec("ucr", 1, 75, 25, 25)
+        s1 = DgpSpec("ucr", 1, 25, 25, 25)
+        s2 = DgpSpec("ucr", 1, 75, 25, 25)
         alone = run_experiment([s1], methods=("dm_r",), n_reps=120, seed=3)
         together = run_experiment([s2, s1], methods=("dm_r", "dm_m"), n_reps=120, seed=3)
         key = ("dm_r", "ucr", 25, 25, 1, 25)
@@ -294,11 +284,11 @@ class TestRunExperiment:
 
     def test_requires_enough_replications(self):
         with pytest.raises(ValueError, match="100"):
-            run_experiment([make_spec("ucr", 1, 25, 25, 25)], n_reps=99)
+            run_experiment([DgpSpec("ucr", 1, 25, 25, 25)], n_reps=99)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
-            run_experiment([make_spec("ucr", 1, 25, 25, 25)], methods=("dm_x",), n_reps=100)
+            run_experiment([DgpSpec("ucr", 1, 25, 25, 25)], methods=("dm_x",), n_reps=100)
 
     def test_arguments_checked_before_any_simulation(self, monkeypatch):
         def fail(spec, E):
@@ -306,7 +296,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "_simulate_rows", fail)
         cells = []
-        good = [make_spec("ucr", 1, 25, 25, 25), make_spec("cr", 3, 25, 25, 75)]
+        good = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("cr", 3, 25, 25, 75)]
 
         def run(specs=good, **kwargs):
             return run_experiment(specs, progress=lambda *cell: cells.append(cell), **kwargs)
@@ -320,7 +310,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="more than once"):
             run(methods=("dm_r", "dm_fb", "dm_r"), n_reps=100)
         with pytest.raises(ValueError, match="cell family=cr h=3 .* more than once"):
-            run(good + [make_spec("cr", 3, 25, 25, 75)], methods=("dm_r",), n_reps=100)
+            run(good + [DgpSpec("cr", 3, 25, 25, 75)], methods=("dm_r",), n_reps=100)
         with pytest.raises(ValueError, match="100"):
             run(n_reps=99)
         with pytest.raises(ValueError, match="n_reps must be an integer, got 150.5"):
@@ -337,11 +327,11 @@ class TestRunExperiment:
             run(n_reps=100, seed=1.5)
         # only the last cell's horizon is too long for its sample
         with pytest.raises(ValueError, match="horizon 30"):
-            run(good + [make_spec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
+            run(good + [DgpSpec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
         assert cells == []
 
     def test_integral_float_replication_count(self):
-        specs = [make_spec("ucr", 1, 25, 25, 25)]
+        specs = [DgpSpec("ucr", 1, 25, 25, 25)]
         whole = run_experiment(specs, methods=("dm_r",), n_reps=150.0, seed=1)
         exact = run_experiment(specs, methods=("dm_r",), n_reps=150, seed=1)
         assert whole.n_reps == 150 and isinstance(whole.n_reps, int)
@@ -349,7 +339,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(whole.archives[key], exact.archives[key])
 
     def test_progress_reports_each_cell(self):
-        specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("ucr", 1, 75, 25, 25)]
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("ucr", 1, 75, 25, 25)]
         seen = []
         run_experiment(specs, methods=("dm_r",), n_reps=100,
                        progress=lambda *call: seen.append(call))
@@ -358,7 +348,7 @@ class TestRunExperiment:
     def test_bartlett_labels_share_statistics(self):
         # the llsw-rule Bartlett test and its fixed-b twin differ only in
         # critical values, so their archived |statistics| coincide exactly
-        specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("cr", 3, 25, 25, 75)]
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("cr", 3, 25, 25, 75)]
         res = run_experiment(specs, methods=("dm_nw_l", "dm_fb"), n_reps=150, seed=11)
         for spec in specs:
             cell = (spec.family, spec.R, spec.R_tilde, spec.h, spec.P)
@@ -368,13 +358,13 @@ class TestRunExperiment:
 
     def test_example_cell_rejection_rate(self):
         res = run_experiment(
-            [make_spec("ucr", 1, 25, 25, 25)], methods=("dm_r",), n_reps=1500, seed=0
+            [DgpSpec("ucr", 1, 25, 25, 25)], methods=("dm_r",), n_reps=1500, seed=0
         )
         rate = res.rejection_rates[("dm_r", "ucr", 25, 25, 1, 25)]
         assert rate == pytest.approx(0.058, abs=0.02)
 
     def test_result_metadata(self):
-        specs = (make_spec("ucr", 1, 25, 25, 25),)
+        specs = (DgpSpec("ucr", 1, 25, 25, 25),)
         res = run_experiment(specs, methods=("dm_im_q2",), n_reps=100, seed=1)
         assert res.n_reps == 100 and res.seed == 1 and res.cl == 0.05
         assert res.methods == ("dm_im_q2",)
@@ -486,9 +476,9 @@ class TestSizeCorrection:
 
     def _result(self):
         specs = [
-            make_spec("ucr", 1, 25, 25, 25),
-            make_spec("ucr", 1, 75, 75, 25),
-            make_spec("ucr", 1, 75, 25, 25),
+            DgpSpec("ucr", 1, 25, 25, 25),
+            DgpSpec("ucr", 1, 75, 75, 25),
+            DgpSpec("ucr", 1, 75, 25, 25),
         ]
         return run_experiment(specs, methods=("dm_r",), n_reps=200, seed=0)
 
@@ -501,7 +491,7 @@ class TestSizeCorrection:
         )
 
     def test_diagonal_correction_at_the_run_level(self):
-        specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("ucr", 1, 75, 25, 25)]
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("ucr", 1, 75, 25, 25)]
         n = 130
         res = run_experiment(specs, methods=("dm_r",), n_reps=n, cl=0.1, seed=0)
         assert size_corrected_power(res, (25, 25, 1, 25), "dm_r") == pytest.approx(
@@ -515,13 +505,13 @@ class TestSizeCorrection:
         assert four == five
 
     def test_missing_diagonal_key(self):
-        specs = [make_spec("ucr", 1, 75, 25, 25)]
+        specs = [DgpSpec("ucr", 1, 75, 25, 25)]
         res = run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
         with pytest.raises(KeyError, match="diagonal"):
             size_corrected_power(res, (75, 25, 1, 25), "dm_r")
 
     def test_ambiguous_family_needs_five_tuple(self):
-        specs = [make_spec("ucr", 1, 25, 25, 25), make_spec("cr", 1, 25, 25, 25)]
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("cr", 1, 25, 25, 25)]
         res = run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
         with pytest.raises(ValueError, match="ambiguous"):
             size_corrected_power(res, (25, 25, 1, 25), "dm_r")

@@ -22,10 +22,9 @@ PUBLIC = {
         "dm_test_im", "fixed_b_critical_value", "im_partition", "FittedArModel",
         "TradeoffConfig", "TradeoffPoint", "fit_ar", "simulate_from_model", "size_distortion",
         "oracle_power", "max_power_loss", "default_bandwidth_grid", "build_tradeoff_curve",
-        "DgpSpec", "ExperimentResult", "DEFAULT_METHODS", "calibrate_mu", "make_spec",
-        "experiment_grid", "simulate_ucr", "simulate_cr", "run_experiment",
-        "size_corrected_critical_value", "size_corrected_power", "ForecastDataset",
-        "CsvParseError", "load_csv", "forecast_errors", "loss_series",
+        "DgpSpec", "ExperimentResult", "DEFAULT_METHODS", "calibrate_mu", "experiment_grid",
+        "simulate", "run_experiment", "size_corrected_critical_value", "size_corrected_power",
+        "ForecastDataset", "CsvParseError", "load_csv", "forecast_errors", "loss_series",
     ],
     "epatest.cli": ["main", "build_parser"],
     "epatest.data": [
@@ -45,8 +44,8 @@ PUBLIC = {
     "epatest.mc": [
         "DgpSpec", "ExperimentResult", "DEFAULT_METHODS", "DEFAULT_H_SET", "DEFAULT_R_SET",
         "DEFAULT_P_SET", "CR_BURN_IN", "ma_weights", "ma_autocovariances", "calibrate_mu",
-        "make_spec", "experiment_grid", "simulate_ucr", "simulate_cr", "run_experiment",
-        "size_corrected_critical_value", "size_corrected_power",
+        "experiment_grid", "simulate", "run_experiment", "size_corrected_critical_value",
+        "size_corrected_power",
     ],
     "epatest.series": [
         "LOSS_FUNCTIONS", "as_loss_series", "loss_differential", "autocovariance",

@@ -102,18 +102,17 @@ def test_integral_seeds_are_accepted(value):
     "spec, n_reps, seed",
     [
         # several chunks per cell, the last one partial
-        (mc.make_spec("ucr", 3, 25, 175, 1000), 130, 5),
-        (mc.make_spec("ucr", 12, 125, 25, 25), 100, 2**32),
-        (mc.make_spec("cr", 3, 25, 175, 75), 101, 0),
+        (mc.DgpSpec("ucr", 3, 25, 175, 1000), 130, 5),
+        (mc.DgpSpec("ucr", 12, 125, 25, 25), 100, 2**32),
+        (mc.DgpSpec("cr", 3, 25, 175, 75), 101, 0),
     ],
 )
 def test_batched_rows_equal_one_row_simulators(spec, n_reps, seed):
     D = mc._loss_differentials(spec, n_reps, seed)
     assert D.shape == (n_reps, spec.P)
-    one_row = mc.simulate_ucr if spec.family == "ucr" else mc.simulate_cr
     key = [seed, 0 if spec.family == "ucr" else 1, spec.h, spec.R, spec.R_tilde, spec.P]
     for rep in (0, 1, 27, 28, n_reps - 2, n_reps - 1):
-        target, f1, f2 = one_row(spec, np.random.default_rng([*key, rep]))
+        target, f1, f2 = mc.simulate(spec, np.random.default_rng([*key, rep]))
         e1 = target - f1
         e2 = target - f2
         assert D[rep].tobytes() == (e1 * e1 - e2 * e2).tobytes(), rep
@@ -122,9 +121,9 @@ def test_batched_rows_equal_one_row_simulators(spec, n_reps, seed):
 @pytest.mark.parametrize(
     "spec, n_reps, seed",
     [
-        (mc.make_spec("ucr", 3, 25, 175, 75), 120, 11),
+        (mc.DgpSpec("ucr", 3, 25, 175, 75), 120, 11),
         # about 27 rows per chunk at P = 1000: several chunks, the last partial
-        (mc.make_spec("ucr", 12, 25, 25, 1000), 100, 2**32 + 5),
+        (mc.DgpSpec("ucr", 12, 25, 25, 1000), 100, 2**32 + 5),
     ],
 )
 def test_ucr_rows_equal_direct_convolution(spec, n_reps, seed):
@@ -153,7 +152,7 @@ def _ucr_oracle_rows(spec, n_reps, seed):
 def test_ucr_filter_equals_convolution_bit_for_bit_up_to_h15(h, P):
     # At P = 1000 a chunk holds about 30 rows: 100 reps span several chunks,
     # the last one partial.
-    spec = mc.make_spec("ucr", h, 25, 25, P)
+    spec = mc.DgpSpec("ucr", h, 25, 25, P)
     n_reps, seed = 100, 31
     D = mc._loss_differentials(spec, n_reps, seed)
     assert D.tobytes() == _ucr_oracle_rows(spec, n_reps, seed).tobytes()
@@ -164,7 +163,7 @@ def test_ucr_filter_equals_convolution_bit_for_bit_up_to_h15(h, P):
 def test_ucr_filter_is_within_round_off_of_convolution_from_h16(h, P):
     # np.convolve sums 16 or more terms through a BLAS dot product, which
     # groups them differently from the left-to-right sum of the filter.
-    spec = mc.make_spec("ucr", h, 40, 40, P)
+    spec = mc.DgpSpec("ucr", h, 40, 40, P)
     n_reps, seed = 40, 32
     D = mc._loss_differentials(spec, n_reps, seed)
     want = _ucr_oracle_rows(spec, n_reps, seed)
@@ -174,7 +173,7 @@ def test_ucr_filter_is_within_round_off_of_convolution_from_h16(h, P):
 
 
 def test_ucr_cells_simulate_without_per_row_convolution(monkeypatch):
-    spec = mc.make_spec("ucr", 12, 25, 25, 75)
+    spec = mc.DgpSpec("ucr", 12, 25, 25, 75)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.convolve called while simulating a ucr cell")
@@ -182,7 +181,7 @@ def test_ucr_cells_simulate_without_per_row_convolution(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np, "convolve", refuse)
         D = mc._loss_differentials(spec, 100, 33)
-        target, _, _ = mc.simulate_ucr(spec, np.random.default_rng(0))
+        target, _, _ = mc.simulate(spec, np.random.default_rng(0))
     assert D.shape == (100, spec.P) and np.isfinite(D).all()
     assert target.shape == (spec.P,)
 
@@ -192,7 +191,7 @@ def test_ucr_cells_simulate_without_per_row_convolution(monkeypatch):
 @pytest.mark.parametrize("R_tilde", mc.DEFAULT_R_SET)
 @pytest.mark.parametrize("P", [25, 1000])
 def test_cr_rows_equal_full_length_filter(h, R, R_tilde, P):
-    spec = mc.make_spec("cr", h, R, R_tilde, P)
+    spec = mc.DgpSpec("cr", h, R, R_tilde, P)
     n_reps, seed = 3, 17
     D = mc._loss_differentials(spec, n_reps, seed)
     key = [seed, 1, h, R, R_tilde, P]

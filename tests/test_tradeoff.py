@@ -259,6 +259,34 @@ class TestIntegerCounts:
         assert fit_ar(d, max_order=2.0) == fit_ar(d, max_order=2)
 
 
+class TestSimulationCounts:
+    """The one-bandwidth functions refuse what TradeoffConfig refuses, before simulating."""
+
+    @staticmethod
+    def _no_simulation(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated paths for a count that should be refused first")
+
+        monkeypatch.setattr(tradeoff, "keyed_rows", fail)
+
+    @pytest.mark.parametrize("fn", [size_distortion, max_power_loss])
+    def test_fewer_than_100_simulations_refused(self, fn, monkeypatch):
+        self._no_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="at least 100 simulations, got 99$"):
+            fn(AR0, P=60, M=5, n_sim=99)
+
+    @pytest.mark.parametrize("fn", [size_distortion, max_power_loss])
+    def test_more_than_2_to_the_32_simulations_refused(self, fn, monkeypatch):
+        self._no_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=r"n_sim must be at most 2\*\*32 .* got 4294967297$"):
+            fn(AR0, P=60, M=5, n_sim=2**32 + 1)
+
+    def test_zero_innovation_variance_still_gives_minus_nominal(self):
+        # every null path is constant, so every replication is a degenerate non-rejection
+        model = FittedArModel(coefficients=(), innovation_variance=0.0, sample_mean=0.0)
+        assert size_distortion(model, P=60, M=5, n_sim=100) == -0.05
+
+
 class TestOraclePower:
     def test_array_of_shifts(self):
         shifts = np.linspace(-0.3, 0.5, 7)
