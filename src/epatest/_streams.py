@@ -5,10 +5,14 @@ Every simulated replication of the package draws its innovations from
 (or the tradeoff diagnostic's seed) and ``rep`` the replication. That call
 runs SeedSequence's hash in Python, which costs more than simulating a small
 replication. So :func:`seed_words` runs the hash for a block of reps at once,
-and :func:`keyed_rows` hands each rep's words to NumPy's own PCG64 seeding.
+with the four words of SeedSequence's pool as one array from the step where
+the rep enters, and :func:`keyed_rows` hands each rep's words to NumPy's own
+PCG64 seeding.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -25,7 +29,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Innovations drawn per chunk of replications: a whole 100-replication ucr
 # cell at P = 75, or two cr rows at P = 1000. Seed words are computed for a
 # block of replications at a time, since hashing a block costs about as much
-# as hashing one rep; so memory does not grow with the number of replications.
+# as hashing one rep; so memory does not grow with the number of replications
+# (a block's largest array, its eight output words, takes 64 KB).
 CHUNK_INNOVATIONS = 2**15
 STATE_BLOCK = 1024
 MAX_REPS = 2**32  # each rep is one 32-bit key word
@@ -64,14 +69,20 @@ def uint32_words(value) -> list[int]:
     return words
 
 
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiplier) constant pairs of successive hash calls."""
-    while True:
-        yield init, (init := init * mult & _MASK32)
+@lru_cache(maxsize=32)
+def _hash_constants(init: int, mult: int, n: int):
+    """The first ``n + 1`` constants of a hash: its step ``i`` xors with
+    constant ``i`` and multiplies by constant ``i + 1``. Returned as a tuple
+    of ints and as a read-only uint64 column, for steps on ints and on lanes."""
+    values = [init]
+    for _ in range(n):
+        values.append(values[-1] * mult & _MASK32)
+    column = np.array(values, dtype=np.uint64)[:, None]
+    column.flags.writeable = False
+    return tuple(values), column
 
 
-def _hashmix(value, constants):
-    xor, mult = next(constants)
+def _hashmix(value, xor, mult):
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
@@ -81,32 +92,61 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
+# For each source lane of the pool's cross-mix, the lanes it mixes into.
+_OTHERS = tuple(np.array([dst for dst in range(4) if dst != src]) for src in range(4))
+# generate_state(4, np.uint64) hashes the pool lanes cyclically into eight
+# 32-bit words, read in pairs as little-endian 64-bit words.
+_OUTPUT_LANES = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)[1]
+
+
 def seed_words(key, start: int, stop: int) -> np.ndarray:
     """Row ``rep - start`` is ``np.random.SeedSequence([*key, rep])
     .generate_state(4, np.uint64)``, the words ``default_rng([*key, rep])``
     seeds its PCG64 with, for every rep in range(start, stop).
 
     The result is a C-contiguous uint64 array. The hash runs on all reps at
-    once: each word is a Python int while it does not depend on the rep, and
-    a uint64 array of 32-bit values, one per rep, once it does. Each rep is
-    one 32-bit word, so stop must not exceed ``MAX_REPS``.
+    once, in two stages. Pool words that do not depend on the rep are Python
+    ints. From the step where the rep word enters, the four pool lanes are
+    one ``(4, reps)`` uint64 array of 32-bit values, and the steps that
+    share a source word run on all the lanes they touch in one array step:
+    the rep word's hash into each lane, a lane's cross-mix into the other
+    three, and the eight output words. Each rep is one 32-bit word, so stop
+    must not exceed ``MAX_REPS``.
     """
     entropy = [w for v in key for w in uint32_words(v)]
-    entropy.append(np.arange(start, stop, dtype=np.uint64))
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, constants) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    k = len(entropy)  # the rep word's position
+    reps = np.arange(start, stop, dtype=np.uint64)
+    a, a_column = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(k - 3, 0))
+    pool = [_hashmix(entropy[i] if i < k else 0, a[i], a[i + 1]) for i in range(4)]
+    if k < 4:  # the rep word enters pool lane k
+        pool[k] = _hashmix(reps, a[k], a[k + 1])
+    i = 4
+    for src, others in enumerate(_OTHERS):
+        if src < k:
+            for dst in others:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[i], a[i + 1]))
+                i += 1
+        else:  # lane src depends on the rep: one step per column of constants
+            if src == k:
+                lanes = np.empty((4, len(reps)), dtype=np.uint64)
+                for lane, value in zip(lanes, pool):
+                    lane[...] = value
+                pool = lanes
+            pool[others] = _mix(pool[others],
+                                _hashmix(pool[src], a_column[i:i + 3], a_column[i + 1:i + 4]))
+            i += 3
     for word in entropy[4:]:
         for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
-    # generate_state(4, np.uint64): eight 32-bit words, read in pairs as
-    # little-endian 64-bit words.
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hashmix(pool[i % 4], constants) for i in range(8)]
-    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+            pool[dst] = _mix(pool[dst], _hashmix(word, a[i], a[i + 1]))
+            i += 1
+    if k >= 4:  # the rep word enters every lane of the full pool
+        pool = _mix(np.array(pool, dtype=np.uint64)[:, None],
+                    _hashmix(reps, a_column[i:i + 4], a_column[i + 1:i + 5]))
+    words = _hashmix(pool[_OUTPUT_LANES], _OUTPUT_CONSTANTS[:8], _OUTPUT_CONSTANTS[1:])
+    out = np.empty((len(reps), 4), dtype=np.uint64)
+    np.bitwise_or(words[0::2], words[1::2] << 32, out=out.T)
+    return out
 
 
 class _SeedWords(ISeedSequence):
@@ -133,13 +173,14 @@ def keyed_rows(out: np.ndarray, key, width: int, transform) -> None:
     of ``out``. Every word of ``key`` must be a nonnegative integer.
     """
     n = out.shape[0]
-    seeds = (words for start in range(0, n, STATE_BLOCK)
-             for words in seed_words(key, start, min(start + STATE_BLOCK, n)))
     size = max(1, min(n, CHUNK_INNOVATIONS // width))
     E = np.empty((size, width))
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
     for start in range(0, n, size):
         stop = min(start + size, n)
-        chunk = E[: stop - start]
-        for row, words in zip(chunk, seeds):
-            np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
-        out[start:stop] = transform(chunk)
+        for rep in range(start, stop):
+            i = rep % STATE_BLOCK
+            if i == 0:
+                words = seed_words(key, rep, min(rep + STATE_BLOCK, n))
+            Generator(PCG64(_SeedWords(words[i]))).standard_normal(out=E[rep - start])
+        out[start:stop] = transform(E[: stop - start])

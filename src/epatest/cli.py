@@ -452,12 +452,19 @@ def cmd_mc(args) -> int:
     # with a diagonal flag, columns are the h x P groups.
     columns = list(product(h_set, p_set))
     header = ["R", "R_tilde", "diagonal", *(f"h={h}:P={P}" for h, P in columns)]
-    # Each cell's size_corrected_power, by one sort per diagonal null (none: empty)
-    crits = {key: size_corrected_critical_value(archive, result.cl)
-             for key, archive in result.archives.items() if key[2] == key[3]}
-    power = {(m, f, R, Rt, h, P): float(np.mean(archive > crits[m, f, R, R, h, P]))
-             for (m, f, R, Rt, h, P), archive in result.archives.items()
-             if (m, f, R, R, h, P) in crits}
+    # Each cell's size_corrected_power, by one sort of the diagonal nulls and
+    # one comparison of every matched archive (no diagonal: empty)
+    archives = result.archives
+    diagonal = [key for key in archives if key[2] == key[3]]
+    power = {}
+    if diagonal:
+        crits = dict(zip(diagonal, size_corrected_critical_value(
+            np.stack([archives[key] for key in diagonal]), result.cl).tolist()))
+        cells = [(m, f, R, Rt, h, P) for m, f, R, Rt, h, P in archives
+                 if (m, f, R, R, h, P) in crits]
+        crit = np.array([[crits[m, f, R, R, h, P]] for m, f, R, Rt, h, P in cells])
+        exceed = np.stack([archives[key] for key in cells]) > crit
+        power = dict(zip(cells, np.mean(exceed, axis=1).tolist()))
     matrices = {"size": result.rejection_rates, "power": power}
     outputs = []
     for family, method, metric in product(families, methods, ("size", "power")):

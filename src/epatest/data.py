@@ -101,7 +101,8 @@ def load_csv(
     Parameters
     ----------
     path : path-like
-        CSV file with a header row.
+        CSV file with a header row, in UTF-8 (a leading byte-order mark is
+        skipped).
     forecast_cols : (str, str)
         Column names of forecast 1 and forecast 2, in the order that
         defines the loss differential L(e1) - L(e2).
@@ -135,7 +136,9 @@ def load_csv(
     if f1_col == f2_col:
         raise ValueError(f"forecast_cols names the column {f1_col!r} twice")
     path = Path(path)
-    with path.open(newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put
+    # before the first column name.
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader)]

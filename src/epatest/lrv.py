@@ -178,12 +178,17 @@ def variance_rows(estimates, X: np.ndarray) -> list[np.ndarray]:
 
     ``X`` holds one validated series per row and the bandwidths are
     assumed admissible. The time-domain estimators share one
-    autocovariance array up to the largest lag any of them reads.
+    autocovariance array up to the largest lag any of them reads. A pair
+    listed more than once is evaluated once, and each listing gets the same
+    array.
     """
-    estimates = [(ESTIMATORS[kernel], bw) for kernel, bw in estimates]
-    lags = [est.maxlag(bw) for est, bw in estimates if est.maxlag is not None]
+    estimates = [(kernel, bw) for kernel, bw in estimates]
+    distinct = {(kernel, bw): ESTIMATORS[kernel] for kernel, bw in estimates}
+    lags = [est.maxlag(bw) for (_, bw), est in distinct.items() if est.maxlag is not None]
     gamma = autocovariance_rows(X, max(lags)) if lags else None
-    return [est.rows(X if est.maxlag is None else gamma, bw) for est, bw in estimates]
+    values = {(kernel, bw): est.rows(X if est.maxlag is None else gamma, bw)
+              for (kernel, bw), est in distinct.items()}
+    return [values[pair] for pair in estimates]
 
 
 def _estimate(kernel: str, d, bw: int) -> LrvEstimate:

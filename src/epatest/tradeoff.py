@@ -300,7 +300,8 @@ class TradeoffConfig:
     """Settings for :func:`build_tradeoff_curve`.
 
     ``bandwidth_grid`` may be a ``range``, which is never expanded before
-    its bandwidths are checked against the series length.
+    its bandwidths are checked against the series length. Any other grid,
+    an iterator included, is stored as a tuple.
     """
 
     bandwidth_grid: range | tuple[int, ...] | None = None
@@ -321,15 +322,19 @@ class TradeoffConfig:
         }
         if self.max_ar_order is not None:
             checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
-        if self.bandwidth_grid is not None and not self.bandwidth_grid:
-            raise ValueError("bandwidth grid is empty")
-        # A range repeats nothing, and listing it could take any amount of memory.
-        if not isinstance(self.bandwidth_grid, range):
+        grid = self.bandwidth_grid
+        # A range repeats nothing, and listing it could take any amount of
+        # memory; any other grid is stored as a tuple, so an iterator is
+        # read once, here.
+        if grid is not None and not isinstance(grid, range):
+            grid = checked["bandwidth_grid"] = tuple(grid)
             seen = set()
-            for M in self.bandwidth_grid or ():
+            for M in grid:
                 if M in seen:
                     raise ValueError(f"bandwidth {M} is listed more than once")
                 seen.add(M)
+        if grid is not None and not grid:
+            raise ValueError("bandwidth grid is empty")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

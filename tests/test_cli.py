@@ -218,6 +218,21 @@ class TestTestCommand:
         payload = json.loads(text)
         assert json.dumps(payload, indent=2) + "\n" == text
 
+    def test_byte_order_mark_gives_the_same_output(self, data_csv, tmp_path, capsys):
+        # The mark sits before X1, the date column asked for here. Both runs
+        # read one path, which the JSON output records.
+        path = tmp_path / "forecasts.csv"
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + data_csv.read_bytes())
+            out_dir = tmp_path / f"out{len(mark)}"
+            argv = ["test", "--data", str(path), *BASE, "--date-col", "X1", "--from", "1995:01",
+                    "--out", str(out_dir)]
+            code, out, err = run(argv, capsys)
+            assert code == 0, err
+            outputs.append((out, (out_dir / "test_results.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(["test", "--data", str(tmp_path / "none.csv")] + BASE, capsys)
         assert code == 1

@@ -98,6 +98,18 @@ class TestLoadCsv:
             load_csv(write(tmp_path, text), ("f1", "f2"), "y")
         assert exc.value.row == 3
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # A UTF-8 spreadsheet export starts with a byte-order mark, which used
+        # to stay on the first column name ("column 'date' not found").
+        plain = write(tmp_path, BASIC)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want = load_csv(plain, ("f1", "f2"), "y", date_col="date")
+        got = load_csv(marked, ("f1", "f2"), "y", date_col="date")
+        assert got.dates == want.dates
+        for name in ("f1", "f2", "realization"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_missing_column(self, tmp_path):
         with pytest.raises(ValueError, match="column 'z' not found"):
             load_csv(write(tmp_path, BASIC), ("f1", "z"), "y")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from epatest import lrv
 from epatest.lrv import (
     BANDWIDTH_RULES,
     LrvEstimate,
@@ -242,3 +243,24 @@ class TestIntegerBandwidths:
         with pytest.raises(ValueError, match="forecast horizon must be an integer, got 3.5"):
             lrv_rectangular(self.D, 3.5)
         assert lrv_rectangular(self.D, 3.0) == lrv_rectangular(self.D, 3)
+
+
+class TestVarianceRows:
+    def test_repeated_pairs_are_evaluated_once(self, monkeypatch):
+        # The default mc battery asks twice for rectangular h - 1 (dm_r, dm_m)
+        # and twice for Bartlett at one bandwidth (dm_nw_l, dm_fb).
+        X = np.random.default_rng(4).standard_normal((5, 60))
+        pairs = [("rectangular", 2), ("bartlett", 5), ("rectangular", 2), ("ewc", 4),
+                 ("bartlett", 5), ("wpe", 3)]
+        want = [lrv.variance_rows([pair], X)[0] for pair in pairs]
+        calls = []
+        for kernel, est in list(lrv.ESTIMATORS.items()):
+            def rows(data, bw, kernel=kernel, rows=est.rows):
+                calls.append((kernel, bw))
+                return rows(data, bw)
+            monkeypatch.setitem(lrv.ESTIMATORS, kernel, dataclasses.replace(est, rows=rows))
+        got = lrv.variance_rows(pairs, X)
+        assert calls == [("rectangular", 2), ("bartlett", 5), ("ewc", 4), ("wpe", 3)]
+        assert got[0] is got[2] and got[1] is got[4]
+        for values, want_values in zip(got, want):
+            assert values.tobytes() == want_values.tobytes()

@@ -64,6 +64,48 @@ def test_states_equal_default_rng_on_random_keys(key, n):
     _check_reps(key, 0, n)
 
 
+def _key_of_words(n_words):
+    # A key of n_words 32-bit words; from two words on its first word is
+    # the two-word seed 2**40.
+    key = [2**40, *range(3, n_words + 1)] if n_words >= 2 else [5] * n_words
+    assert sum(len(_streams.uint32_words(v)) for v in key) == n_words
+    return key
+
+
+@pytest.mark.parametrize("start", [0, 1023, 5000])
+@pytest.mark.parametrize("n_words", range(9))
+def test_seed_words_for_every_key_length(n_words, start):
+    # Below four key words the rep word enters pool lane n_words before the
+    # cross-mix; from four on it is mixed in after the pool is full.
+    key = _key_of_words(n_words)
+    words = _streams.seed_words(key, start, start + 30)
+    assert words.shape == (30, 4) and words.dtype == np.uint64 and words.flags.c_contiguous
+    for rep, row in enumerate(words, start):
+        want = np.random.SeedSequence([*key, rep]).generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes(), (key, rep)
+
+
+@pytest.mark.parametrize("width", [3, 40])
+@pytest.mark.parametrize("n", [1, 100, _streams.STATE_BLOCK, _streams.STATE_BLOCK + 1,
+                               2 * _streams.STATE_BLOCK + 5])
+def test_keyed_rows_hashes_each_seed_block_once(n, width, monkeypatch):
+    block = _streams.STATE_BLOCK
+    calls = []
+    seed_words = _streams.seed_words
+
+    def spy(key, start, stop):
+        calls.append((start, stop))
+        return seed_words(key, start, stop)
+
+    monkeypatch.setattr(_streams, "seed_words", spy)
+    out = np.empty((n, width))
+    _streams.keyed_rows(out, [4], width, lambda E: E)
+    assert len(calls) == -(-n // block)
+    assert calls == [(start, min(start + block, n)) for start in range(0, n, block)]
+    for rep in (0, n - 1):
+        assert out[rep].tobytes() == np.random.default_rng([4, rep]).standard_normal(width).tobytes()
+
+
 def test_keyed_rows_across_seed_blocks_and_chunks():
     # 819-row chunks at width 40 end inside the 1024-rep seed blocks.
     width, n = 40, _streams.STATE_BLOCK + 5

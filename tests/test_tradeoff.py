@@ -404,6 +404,21 @@ class TestTradeoffConfig:
         assert cfg.bandwidth_grid is grid
         assert peak < 1 << 20
 
+    def test_iterator_grid_gives_the_list_grids_curve(self):
+        # The duplicate check used to consume the iterator, leaving an empty grid.
+        d = np.random.default_rng(21).standard_normal(60) * 0.5 + 0.05
+        cfg = TradeoffConfig(bandwidth_grid=(M for M in (2, 4)), n_sim=100)
+        assert cfg.bandwidth_grid == (2, 4)
+        want = build_tradeoff_curve(d, TradeoffConfig(bandwidth_grid=[2, 4], n_sim=100))
+        assert build_tradeoff_curve(d, cfg) == want
+        assert len(want) == 2
+
+    def test_iterator_grid_is_checked(self):
+        with pytest.raises(ValueError, match="^bandwidth 4 is listed more than once$"):
+            TradeoffConfig(bandwidth_grid=iter((4, 2, 4)))
+        with pytest.raises(ValueError, match="^bandwidth grid is empty$"):
+            TradeoffConfig(bandwidth_grid=iter(()))
+
     def test_defaults(self):
         cfg = TradeoffConfig()
         assert cfg.n_sim == 5000
