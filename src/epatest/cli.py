@@ -42,7 +42,7 @@ from .mc import (
     DEFAULT_R_SET,
     experiment_grid,
     run_experiment,
-    size_corrected_critical_value,
+    size_corrected_powers,
 )
 from .tradeoff import TradeoffConfig, TradeoffPoint, build_tradeoff_curve
 
@@ -261,30 +261,27 @@ def cmd_test(args) -> int:
     if not planned:
         raise results[names[0]]
     results.update(zip(planned, outcomes(list(planned.values()), d, strict=False)))
+    records = [_outcome_record(name, planned.get(name), results[name], args.cl)
+               for name in names]
     print(f"n = {d.size} loss-differential observations")
     header = (f"{'method':<8} {'statistic':>10} {'critical':>9} {'p-value':>8} "
               f"{'bandwidth':>9} {'df':>4}  reject@{args.cl:g}")
     print(header)
     print("-" * len(header))
-    for name in names:
-        p, r = planned.get(name), results[name]
-        if p is None:
-            print(f"{name:<8} {'unsupported':>10} {'-':>9} {'-':>8} {'-':>9} {'-':>4}  -")
-            continue
-        ok = isinstance(r, TestOutcome)
-        stat = f"{r.stat:10.4f}" if ok else f"{'degenerate':>10}"
-        pval = f"{r.pval:8.4f}" if ok and r.pval is not None else f"{'-':>8}"
-        df = f"{p.df:4.0f}" if p.df is not None else f"{'-':>4}"
-        rej = ("yes" if r.rej else "no") if ok else "-"
-        print(f"{name:<8} {stat} {p.critical_value:9.4f} {pval} {p.bandwidth:9d} {df}  {rej}")
+    for r in records:
+        stat, crit, pval, bw, df = ("-" if r[k] is None else format(r[k], f) for k, f in zip(
+            ("stat", "critical_value", "pval", "bandwidth", "df"), (".4f",) * 3 + ("d", ".0f")))
+        if r["stat"] is None:  # no critical value: the method refused the arguments
+            stat = "unsupported" if r["critical_value"] is None else "degenerate"
+        rej = "-" if r["rej"] is None else ("yes" if r["rej"] else "no")
+        print(f"{r['method']:<8} {stat:>10} {crit:>9} {pval:>8} {bw:>9} {df:>4}  {rej}")
     if args.out is not None:
         target = _write_manifest(
             Path(args.out) / "test_results.json", "test",
             _options(args, *_DATA_OPTIONS, "method", "h", "cl", "M", "B", "m", "q"),
             seed=None,
             n_obs=int(d.size),
-            results=[_outcome_record(name, planned.get(name), results[name], args.cl)
-                     for name in names],
+            results=records,
         )
         print(f"wrote {target}", file=sys.stderr)
     problems = [results[name] for name in names if not isinstance(results[name], TestOutcome)]
@@ -448,24 +445,11 @@ def cmd_mc(args) -> int:
     result = run_experiment(specs, methods, args.n_reps, args.cl, args.seed, progress)
 
     out_dir = Path(args.out)
-    # One matrix per (family, method, metric): rows are (R, R_tilde) pairs
-    # with a diagonal flag, columns are the h x P groups.
+    # One matrix per (family, method, metric): rows are (R, R_tilde) pairs with a
+    # diagonal flag, columns the h x P groups; no diagonal null cell, no power entry.
     columns = list(product(h_set, p_set))
     header = ["R", "R_tilde", "diagonal", *(f"h={h}:P={P}" for h, P in columns)]
-    # Each cell's size_corrected_power, by one sort of the diagonal nulls and
-    # one comparison of every matched archive (no diagonal: empty)
-    archives = result.archives
-    diagonal = [key for key in archives if key[2] == key[3]]
-    power = {}
-    if diagonal:
-        crits = dict(zip(diagonal, size_corrected_critical_value(
-            np.stack([archives[key] for key in diagonal]), result.cl).tolist()))
-        cells = [(m, f, R, Rt, h, P) for m, f, R, Rt, h, P in archives
-                 if (m, f, R, R, h, P) in crits]
-        crit = np.array([[crits[m, f, R, R, h, P]] for m, f, R, Rt, h, P in cells])
-        exceed = np.stack([archives[key] for key in cells]) > crit
-        power = dict(zip(cells, np.mean(exceed, axis=1).tolist()))
-    matrices = {"size": result.rejection_rates, "power": power}
+    matrices = {"size": result.rejection_rates, "power": size_corrected_powers(result)}
     outputs = []
     for family, method, metric in product(families, methods, ("size", "power")):
         rows = (

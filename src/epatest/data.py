@@ -19,6 +19,7 @@ statistic is computed:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,66 +125,72 @@ def load_csv(
         For a malformed row or a numeric cell that is neither a finite
         number nor a missing marker, naming the 1-based row and the column.
     ValueError
-        For one column named as both forecasts (before the file is opened),
-        a missing column, a requested column the header names more than
-        once, an unknown policy, or a date range without a date column.
+        For a ``forecast_cols`` that is not two different names (before the
+        file is opened), a file that is not UTF-8 (naming its first bad
+        line), a missing column, a requested column the header names more
+        than once, an unknown policy, or a date range without a date column.
     """
     if na_policy not in NA_POLICIES:
         raise ValueError(f"unknown na_policy {na_policy!r}; expected one of {NA_POLICIES}")
     if date_range is not None and date_col is None:
         raise ValueError("date_range requires date_col")
-    f1_col, f2_col = forecast_cols
+    cols = () if isinstance(forecast_cols, str) else tuple(forecast_cols)
+    if len(cols) != 2:
+        raise ValueError(f"forecast_cols needs exactly two column names, got {forecast_cols!r}")
+    f1_col, f2_col = cols
     if f1_col == f2_col:
         raise ValueError(f"forecast_cols names the column {f1_col!r} twice")
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the first column name.
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        positions = {}
-        wanted = [f1_col, f2_col, realization_col] + ([date_col] if date_col else [])
-        for name in wanted:
-            if name not in header:
-                raise ValueError(
-                    f"{path}: column {name!r} not found; available: {', '.join(header)}"
-                )
-            if header.count(name) > 1:
-                raise ValueError(f"{path}: column {name!r} appears more than once in the header")
-            positions[name] = header.index(name)
-        i1, i2, ir = (positions[name] for name in (f1_col, f2_col, realization_col))
-        f1_vals: list[float] = []
-        f2_vals: list[float] = []
-        realiz_vals: list[float] = []
-        dates: list[str] = []
-        lo, hi = date_range if date_range is not None else (None, None)
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: not UTF-8 text (line {line})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: file is empty") from None
+    positions = {}
+    wanted = [f1_col, f2_col, realization_col] + ([date_col] if date_col else [])
+    for name in wanted:
+        if name not in header:
+            raise ValueError(f"{path}: column {name!r} not found; available: {', '.join(header)}")
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: column {name!r} appears more than once in the header")
+        positions[name] = header.index(name)
+    i1, i2, ir = (positions[name] for name in (f1_col, f2_col, realization_col))
+    f1_vals: list[float] = []
+    f2_vals: list[float] = []
+    realiz_vals: list[float] = []
+    dates: list[str] = []
+    lo, hi = date_range if date_range is not None else (None, None)
+    for row_num, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvParseError(
+                row_num, header[min(len(row), len(header) - 1)],
+                f"expected {len(header)} fields, got {len(row)}",
+            )
+        if date_col is not None:
+            date = row[positions[date_col]].strip()
+            if lo is not None and date < lo:
                 continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    row_num, header[min(len(row), len(header) - 1)],
-                    f"expected {len(header)} fields, got {len(row)}",
-                )
-            if date_col is not None:
-                date = row[positions[date_col]].strip()
-                if lo is not None and date < lo:
-                    continue
-                if hi is not None and date > hi:
-                    continue
-            v1 = _parse_cell(row[i1], row_num, f1_col)
-            v2 = _parse_cell(row[i2], row_num, f2_col)
-            vr = _parse_cell(row[ir], row_num, realization_col)
-            if na_policy == "drop" and (math.isnan(v1) or math.isnan(v2) or math.isnan(vr)):
+            if hi is not None and date > hi:
                 continue
-            f1_vals.append(v1)
-            f2_vals.append(v2)
-            realiz_vals.append(vr)
-            if date_col is not None:
-                dates.append(date)
+        v1 = _parse_cell(row[i1], row_num, f1_col)
+        v2 = _parse_cell(row[i2], row_num, f2_col)
+        vr = _parse_cell(row[ir], row_num, realization_col)
+        if na_policy == "drop" and (math.isnan(v1) or math.isnan(v2) or math.isnan(vr)):
+            continue
+        f1_vals.append(v1)
+        f2_vals.append(v2)
+        realiz_vals.append(vr)
+        if date_col is not None:
+            dates.append(date)
     return ForecastDataset(
         f1=np.asarray(f1_vals, dtype=float),
         f2=np.asarray(f2_vals, dtype=float),

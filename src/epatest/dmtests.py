@@ -54,7 +54,7 @@ stats = SimpleNamespace(
 
 class DegenerateVarianceError(ArithmeticError):
     """A variance estimate came out nonpositive, or at the round-off level of
-    the series (see :func:`evaluate`), so no statistic exists."""
+    the series (see :func:`tally`), so no statistic exists."""
 
     def __init__(self, kernel: str, bandwidth: int, value: float):
         self.kernel = kernel
@@ -96,7 +96,7 @@ class Procedure:
     """One test at one sample size and level: everything that does not depend on the data.
 
     Built by :func:`procedure`, which checks the test's arguments and
-    evaluates its reference distribution once; :func:`evaluate` then
+    evaluates its reference distribution once; :func:`tally` then
     applies it to any number of series of that length. ``kernel`` names the
     variance estimator (a key of :data:`epatest.lrv.ESTIMATORS`, or
     ``block-means``) and ``bandwidth`` its size (h - 1 lags, M, B, m or q).
@@ -239,8 +239,17 @@ def _block_means_rows(X: np.ndarray, q: int, floor: np.ndarray) -> tuple[np.ndar
     return stat, s2
 
 
-def _evaluate(procedures, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`evaluate` as two (procedures x rows) matrices; the kernel tests in one pass."""
+def tally(procedures, X: np.ndarray) -> list[tuple]:
+    """Every procedure on every row of ``X``, one validated series of the procedures' length each.
+
+    Per procedure: the statistic, variance estimate and |statistic| of every
+    row, then the counts of rows that reject at the critical value and of
+    degenerate rows, whose variance estimate is at most the round-off floor
+    (P eps)^2 mean(x^2). The floor is zero for a row of zeros, so every
+    nonpositive estimate is degenerate too. A degenerate row's statistic is
+    NaN and its |statistic| 0.0, which never rejects. This is the one
+    degenerate rule; :func:`outcomes` and :func:`dm_statistic` read it.
+    """
     stat = np.empty((len(procedures), X.shape[0]))
     variance = np.empty_like(stat)
     floor = _variance_floor(X)
@@ -253,31 +262,6 @@ def _evaluate(procedures, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i, p in enumerate(procedures):
         if p.kernel == "block-means":
             stat[i], variance[i] = _block_means_rows(X, p.bandwidth, floor)
-    return stat, variance
-
-
-def evaluate(procedures, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Statistic and variance estimate of every procedure on every row of ``X``.
-
-    ``X`` holds one validated series per row, all of the length the
-    procedures were built for. Returns one (statistic, variance) pair of
-    arrays per procedure. The statistic is NaN on degenerate rows: those
-    whose variance estimate is at most the row's round-off floor
-    (P eps)^2 mean(x^2), which is zero for a row of zeros, so every
-    nonpositive estimate is degenerate too. This is the one degenerate
-    rule; :func:`tally`, :func:`outcomes` and :func:`dm_statistic` read it.
-    """
-    return list(zip(*_evaluate(procedures, X)))
-
-
-def tally(procedures, X: np.ndarray) -> list[tuple]:
-    """:func:`evaluate`'s (statistic, variance) per procedure, with what a simulation counts.
-
-    Each tuple adds the |statistic| of every row, 0.0 where the row is
-    degenerate by :func:`evaluate`'s rule (so it never rejects), then the
-    counts of rows that reject at the critical value and of degenerate rows.
-    """
-    stat, variance = _evaluate(procedures, X)
     degenerate = np.isnan(stat)
     abs_stat = np.where(degenerate, 0.0, np.abs(stat))
     crit = np.array([[p.critical_value] for p in procedures])
@@ -287,16 +271,16 @@ def tally(procedures, X: np.ndarray) -> list[tuple]:
 
 
 def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
-    """Every procedure on the single validated series ``d``: the one-row case of :func:`evaluate`.
+    """Every procedure on the single validated series ``d``: the one-row case of :func:`tally`.
 
     A degenerate variance estimate (nonpositive or round-off, by
-    :func:`evaluate`'s rule) raises :class:`DegenerateVarianceError`; with
+    :func:`tally`'s rule) raises :class:`DegenerateVarianceError`; with
     ``strict=False`` the error stands unraised in that procedure's place
     instead, so one degenerate estimator leaves the other outcomes intact.
     """
     results = []
-    stat_column, variance_column = (a[:, 0].tolist() for a in _evaluate(procedures, d[None, :]))
-    for p, stat, variance in zip(procedures, stat_column, variance_column):
+    for p, (stat, variance, *_) in zip(procedures, tally(procedures, d[None, :])):
+        stat, variance = stat.item(), variance.item()
         if np.isnan(stat):
             error = DegenerateVarianceError(p.kernel, p.bandwidth, variance)
             if strict:
@@ -324,7 +308,7 @@ def dm_statistic(d, lrv: LrvEstimate) -> float:
     """sqrt(P) * mean(d) / sqrt(lrv.value), the common studentized statistic.
 
     Raises :class:`DegenerateVarianceError` when the variance estimate is
-    nonpositive or round-off by :func:`evaluate`'s rule, rather than
+    nonpositive or round-off by :func:`tally`'s rule, rather than
     fabricating a sign via a complex root or a statistic from rounding.
     """
     d = as_loss_series(d)

@@ -45,6 +45,7 @@ __all__ = [
     "run_experiment",
     "size_corrected_critical_value",
     "size_corrected_power",
+    "size_corrected_powers",
 ]
 
 DEFAULT_H_SET = (1, 3, 12)
@@ -418,5 +419,27 @@ def size_corrected_power(result: ExperimentResult, cell: tuple, method: str) -> 
     cell_key = (method,) + cell
     if cell_key not in result.archives:
         raise KeyError(f"cell {cell!r} for method {method!r} is not in the experiment")
-    crit = size_corrected_critical_value(result.archives[diag_key], result.cl)
-    return float(np.mean(result.archives[cell_key] > crit))
+    return _column_powers(result, {cell_key: diag_key})[cell_key]
+
+
+def size_corrected_powers(result: ExperimentResult) -> dict:
+    """:func:`size_corrected_power` of every archived cell whose diagonal null cell was run.
+
+    One (method, family, h, P) column of archives is stacked at a time, so
+    the extra memory is one column's archives, not the grid's.
+    """
+    columns = {}
+    for m, f, R, Rt, h, P in result.archives:
+        if (m, f, R, R, h, P) in result.archives:
+            columns.setdefault((m, f, h, P), {})[m, f, R, Rt, h, P] = (m, f, R, R, h, P)
+    return {k: v for col in columns.values() for k, v in _column_powers(result, col).items()}
+
+
+def _column_powers(result: ExperimentResult, diagonal_of: dict) -> dict:
+    """The powers of the cells of one column, keys of ``diagonal_of``, which maps
+    each to its diagonal null cell: one sort of the nulls, one comparison of the cells."""
+    nulls = list(dict.fromkeys(diagonal_of.values()))
+    crit = size_corrected_critical_value([result.archives[k] for k in nulls], result.cl)
+    rows = [nulls.index(k) for k in diagonal_of.values()]
+    exceed = np.array([result.archives[k] for k in diagonal_of]) > crit[rows, None]
+    return dict(zip(diagonal_of, np.mean(exceed, axis=1).tolist()))

@@ -322,6 +322,8 @@ class TradeoffConfig:
         }
         if self.max_ar_order is not None:
             checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
+            if checked["max_ar_order"] < 0:
+                raise ValueError(f"max_ar_order must be nonnegative, got {self.max_ar_order!r}")
         grid = self.bandwidth_grid
         # A range repeats nothing, and listing it could take any amount of
         # memory; any other grid is stored as a tuple, so an iterator is

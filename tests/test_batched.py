@@ -25,7 +25,6 @@ from epatest.dmtests import (
     dm_test_m,
     dm_test_r,
     dm_test_wpe_fb,
-    evaluate,
     outcomes,
     procedure,
     tally,
@@ -79,7 +78,7 @@ def check_battery(X, h, cl=0.05):
                     one_row(d, h, cl)
                 assert str(exc.value) == str(planned)
             continue
-        ((stat, variance),) = evaluate([proc], X)
+        ((stat, variance, *_),) = tally([proc], X)
         assert stat.shape == variance.shape == (n_rows,)
         for i, d in enumerate(X):
             if np.isnan(stat[i]):
@@ -128,8 +127,8 @@ def test_one_shared_autocovariance_array_changes_nothing(n_rows, P, h, seed):
             procedures.append(procedure(label, P, h, 0.05))
         except ValueError:
             pass
-    for proc, (stat, variance) in zip(procedures, evaluate(procedures, X)):
-        ((alone_stat, alone_variance),) = evaluate([proc], X)
+    for proc, (stat, variance, *_) in zip(procedures, tally(procedures, X)):
+        ((alone_stat, alone_variance, *_),) = tally([proc], X)
         assert stat.tobytes() == alone_stat.tobytes(), proc
         assert variance.tobytes() == alone_variance.tobytes(), proc
 
@@ -209,10 +208,10 @@ def test_stacked_pass_equals_one_procedure_calls(name):
     X[5] = 0.1   # every estimate is round-off
     X[7] = -2.5
     X[11] *= 1e-150  # tiny, not round-off
-    stacked, tallies = evaluate(procedures, X), tally(procedures, X)
+    stacked, tallies = tally(procedures, X), tally(procedures, X)
     assert len(stacked) == len(tallies) == len(procedures)
-    for proc, (stat, variance), counts in zip(procedures, stacked, tallies):
-        ((alone_stat, alone_variance),) = evaluate([proc], X)
+    for proc, (stat, variance, *_), counts in zip(procedures, stacked, tallies):
+        ((alone_stat, alone_variance, *_),) = tally([proc], X)
         ((*alone_arrays, alone_rejections, alone_degenerate),) = tally([proc], X)
         assert stat.tobytes() == alone_stat.tobytes(), proc
         assert variance.tobytes() == alone_variance.tobytes(), proc

@@ -238,6 +238,17 @@ class TestTestCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_non_utf8_file_exits_1_naming_it(self, data_csv, tmp_path, capsys):
+        rows = data_csv.read_text().splitlines()
+        rows[3] = rows[3].replace(":", "\xe9", 1)  # a Latin-1 date cell on line 4
+        path = tmp_path / "latin.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(path)] + BASE + ["--out", str(out_dir)],
+                             capsys)
+        assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text (line 4)\n")
+        assert not out_dir.exists()
+
     def test_directory_as_data_exits_1(self, tmp_path, capsys):
         code, out, err = run(["test", "--data", str(tmp_path)] + BASE, capsys)
         assert (code, out) == (1, "")
@@ -576,6 +587,13 @@ class TestTradeoffCommand:
                              + ["--grid", "5:4", "--out", str(out_dir)], capsys)
         assert (code, out) == (1, "")
         assert err == "error: bandwidth grid is empty\n"
+        assert not out_dir.exists()
+
+    def test_negative_max_ar_order_is_refused_before_loading(self, tmp_path, capsys):
+        out_dir = tmp_path / "t"
+        code, out, err = run(["tradeoff", "--data", str(tmp_path / "none.csv")] + BASE
+                             + ["--max-ar-order", "-1", "--out", str(out_dir)], capsys)
+        assert (code, out, err) == (1, "", "error: max_ar_order must be nonnegative, got -1\n")
         assert not out_dir.exists()
 
     # Runs main in a child process whose address space is capped, so a grid

@@ -127,6 +127,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="^forecast_cols names the column 'f1' twice$"):
             load_csv(tmp_path / "nope.csv", ("f1", "f1"), "y")
 
+    @pytest.mark.parametrize("cols", ["f1", "AB", ("f1",), ("f1", "f2", "y"), ()])
+    def test_forecast_cols_not_two_names_is_refused_before_opening(self, tmp_path, cols):
+        # A bare string used to be read as its characters: "AB" as columns A and B.
+        with pytest.raises(ValueError) as exc:
+            load_csv(tmp_path / "nope.csv", cols, "y")
+        assert str(exc.value) == f"forecast_cols needs exactly two column names, got {cols!r}"
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_file_is_named(self, tmp_path, mark):
+        # A Latin-1 date cell on line 4: the error names the file and the line,
+        # not a position inside a decoding chunk.
+        path = tmp_path / "latin.csv"
+        path.write_bytes(mark + BASIC.replace("2000:03", "2000:03 \xe9t\xe9").encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, ("f1", "f2"), "y", date_col="date")
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{path}: not UTF-8 text (line 4)"
+
     def test_repeated_column_not_requested_is_allowed(self, tmp_path):
         ds = load_csv(write(tmp_path, "x,f1,x,f2,y\n9,1.0,8,2.0,1.5\n"), ("f1", "f2"), "y")
         np.testing.assert_array_equal(ds.f2, [2.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from epatest.mc import (
     simulate,
     size_corrected_critical_value,
     size_corrected_power,
+    size_corrected_powers,
 )
 from reference import ar_lfilter, cr_recursion_lfilter
 
@@ -521,3 +523,30 @@ class TestSizeCorrection:
         res = self._result()
         with pytest.raises(ValueError, match="cell"):
             size_corrected_power(res, (25, 25, 1), "dm_r")
+
+    def test_powers_equal_one_cell_at_a_time(self):
+        # R = 125 has no diagonal null cell in either family, so its cells are left out
+        specs = experiment_grid(("ucr", "cr"), (1, 3), (25, 75, 125), (25, 75), (25,))
+        res = run_experiment(specs, methods=("dm_r", "dm_im_q2"), n_reps=100, cl=0.1, seed=4)
+        powers = size_corrected_powers(res)
+        assert set(powers) == {key for key in res.archives if key[2] != 125}
+        for (method, *cell), power in powers.items():
+            assert repr(power) == repr(size_corrected_power(res, cell, method))
+
+    def test_powers_hold_one_column_of_archives(self):
+        # 96 cells x 9 methods x 5000 reps (33 MB of archives); a (method,
+        # family, h, P) column is 16 cells, 0.64 MB of them.
+        specs = experiment_grid(("ucr",), DEFAULT_H_SET, DEFAULT_R_SET, DEFAULT_R_SET, (75, 1000))
+        rng = np.random.default_rng(6)
+        archives = {(m,) + mc._cell_key(spec): np.abs(rng.standard_normal(5000))
+                    for spec in specs for m in DEFAULT_METHODS}
+        res = ExperimentResult(archives=archives, n_reps=5000, methods=DEFAULT_METHODS,
+                               specs=tuple(specs))
+        tracemalloc.start()
+        try:
+            powers = size_corrected_powers(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(specs) == 96 and set(powers) == set(archives)
+        assert peak < 4e6

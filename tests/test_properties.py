@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epatest.dmtests import evaluate, procedure
+from epatest.dmtests import procedure, tally
 from epatest.mc import DEFAULT_METHODS
 
 # The battery plus dm_wpe, so that every lrv.ESTIMATORS entry is covered.
@@ -55,7 +55,7 @@ def _assert_statistics_close(got, want):
 def test_statistics_are_scale_invariant(n_rows, P, h_frac, seed, c):
     h, X = _draw(n_rows, P, h_frac, seed)
     procedures = _battery(P, h)
-    for (stat, _), (scaled, _) in zip(evaluate(procedures, X), evaluate(procedures, c * X)):
+    for (stat, *_), (scaled, *_) in zip(tally(procedures, X), tally(procedures, c * X)):
         _assert_statistics_close(scaled, stat)
 
 
@@ -64,7 +64,7 @@ def test_statistics_are_scale_invariant(n_rows, P, h_frac, seed, c):
 def test_negation_negates_every_statistic(n_rows, P, h_frac, seed):
     h, X = _draw(n_rows, P, h_frac, seed)
     procedures = _battery(P, h)
-    for (stat, _), (negated, _) in zip(evaluate(procedures, X), evaluate(procedures, -X)):
+    for (stat, *_), (negated, *_) in zip(tally(procedures, X), tally(procedures, -X)):
         _assert_statistics_close(negated, -stat)
 
 
@@ -77,7 +77,7 @@ def test_variance_estimates_ignore_a_level_shift(n_rows, P, h_frac, seed, shift)
     # quadratic form in P deviations moves by at most a few P * eps * |shift| * sd.
     gamma0 = X.var(axis=1)
     tol = 1e-12 * P * (1.0 + abs(shift) / np.sqrt(gamma0)) * gamma0
-    for p, (_, variance), (_, shifted) in zip(
-        procedures, evaluate(procedures, X), evaluate(procedures, X + shift)
+    for p, (_, variance, *_), (_, shifted, *_) in zip(
+        procedures, tally(procedures, X), tally(procedures, X + shift)
     ):
         assert np.all(np.abs(shifted - variance) <= tol), p.method

@@ -24,7 +24,7 @@ PUBLIC = {
         "oracle_power", "max_power_loss", "default_bandwidth_grid", "build_tradeoff_curve",
         "DgpSpec", "ExperimentResult", "DEFAULT_METHODS", "calibrate_mu", "experiment_grid",
         "simulate", "run_experiment", "size_corrected_critical_value", "size_corrected_power",
-        "ForecastDataset", "CsvParseError", "load_csv", "forecast_errors", "loss_series",
+        "size_corrected_powers", "ForecastDataset", "CsvParseError", "load_csv", "forecast_errors", "loss_series",
     ],
     "epatest.cli": ["main", "build_parser"],
     "epatest.data": [
@@ -45,7 +45,7 @@ PUBLIC = {
         "DgpSpec", "ExperimentResult", "DEFAULT_METHODS", "DEFAULT_H_SET", "DEFAULT_R_SET",
         "DEFAULT_P_SET", "CR_BURN_IN", "ma_weights", "ma_autocovariances", "calibrate_mu",
         "experiment_grid", "simulate", "run_experiment", "size_corrected_critical_value",
-        "size_corrected_power",
+        "size_corrected_power", "size_corrected_powers",
     ],
     "epatest.series": [
         "LOSS_FUNCTIONS", "as_loss_series", "loss_differential", "autocovariance",

@@ -19,7 +19,7 @@ from numpy.random import bit_generator
 from reference import cr_loss_differential, ucr_loss_differential
 
 from epatest import _streams, mc, tradeoff
-from epatest.dmtests import evaluate, procedure
+from epatest.dmtests import procedure, tally
 
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3, 20260818, 7_135_200_448_213)
 N_REPS = 5000
@@ -255,7 +255,7 @@ def test_null_paths_equal_one_path_simulator(order):
         for rep in range(n_sim)
     ])
     got = tradeoff._null_statistics(model, P, procedures, n_sim, seed)
-    want = evaluate(procedures, paths)
-    for (stat, variance, *_), (want_stat, want_variance) in zip(got, want):
+    want = tally(procedures, paths)
+    for (stat, variance, *_), (want_stat, want_variance, *_) in zip(got, want):
         assert stat.tobytes() == want_stat.tobytes()
         assert variance.tobytes() == want_variance.tobytes()

@@ -375,6 +375,12 @@ class TestTradeoffConfig:
         assert all(isinstance(v, int) for v in (cfg.n_sim, cfg.alternative_grid_size,
                                                 cfg.max_ar_order))
 
+    def test_nonnegative_max_ar_order(self):
+        # refused when the config is made, naming the field, not fit_ar's max_order
+        with pytest.raises(ValueError, match=r"^max_ar_order must be nonnegative, got -1$"):
+            TradeoffConfig(max_ar_order=-1)
+        assert TradeoffConfig(max_ar_order=0).max_ar_order == 0
+
     def test_integral_float_counts_give_the_integer_curve(self):
         d = simulate_from_model(ar1_model(0.5), 60, 0.0, 9)
         whole = build_tradeoff_curve(d, TradeoffConfig((2, 5), n_sim=150.0, max_ar_order=2.0))
@@ -521,7 +527,7 @@ class TestDegeneratePaths:
 
     def test_round_off_paths_count_as_non_rejections(self, monkeypatch, caplog):
         # paths at 0.1 give round-off estimates, which the floor of
-        # dmtests.evaluate makes degenerate too
+        # dmtests.tally makes degenerate too
         self._check_constant_paths(0.1, monkeypatch, caplog)
 
     def _check_constant_paths(self, level, monkeypatch, caplog):
