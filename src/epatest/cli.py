@@ -146,7 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--p-set", default=",".join(map(str, DEFAULT_P_SET)),
                       help="comma list of evaluation sample sizes P (default %(default)s)")
     p_mc.add_argument("--methods", default=",".join(DEFAULT_METHODS),
-                      help="comma list of methods (default: the full battery)")
+                      help=f"comma list of tests, each at most once: {', '.join(METHODS)}, "
+                      "or dm_im_q<q> for the block test with q blocks (default: all but dm_wpe, "
+                      "with dm_im as dm_im_q2, dm_im_q5 and dm_im_q10)")
     p_mc.add_argument("--n-reps", type=int, default=5000,
                       help="replications per cell (default 5000)")
     p_mc.add_argument("--cl", type=float, default=0.05, help="significance level (default 0.05)")

@@ -164,12 +164,13 @@ def procedure(
     """The test ``label`` at sample size ``P``, horizon ``h`` and level ``cl``.
 
     ``label`` is a key of :data:`METHODS`, or ``dm_im_q<q>`` for the block
-    test with q blocks. ``bandwidth`` overrides the entry's default and
+    test with q blocks, q in ASCII digits without leading zeros, so each
+    test has one spelling. ``bandwidth`` overrides the entry's default and
     ``rule`` its bandwidth rule. Every argument is checked here, before any
     data is seen; only the rectangular-kernel tests read ``h``.
     """
     blocks = label.removeprefix("dm_im_q")
-    if blocks != label and blocks.isdigit():
+    if blocks.isdecimal() and label == f"dm_im_q{int(blocks)}":
         label, bandwidth = "dm_im", int(blocks)
     if label not in METHODS:
         raise ValueError(f"unknown method {label!r}; expected one of: {', '.join(METHODS)}")

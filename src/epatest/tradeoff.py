@@ -385,6 +385,10 @@ def build_tradeoff_curve(
     if P < 10:
         raise ValueError(f"need at least 10 observations for the diagnostic, got {P}")
     procedures = _procedures(P, config.bandwidth_grid)
+    # fit_ar checks this too, under its own argument name, max_order.
+    if config.max_ar_order is not None and P < 2 * config.max_ar_order + 2:
+        raise ValueError(f"series of length {P} is too short for max_ar_order="
+                         f"{config.max_ar_order}; need at least 2 * max_ar_order + 2 observations")
     model = fit_ar(d, config.max_ar_order)
     sizes, losses = _null_summary(model, P, procedures, config)
     return [TradeoffPoint(proc.bandwidth, sd, loss, outcome.rej)

@@ -596,6 +596,17 @@ class TestTradeoffCommand:
         assert (code, out, err) == (1, "", "error: max_ar_order must be nonnegative, got -1\n")
         assert not out_dir.exists()
 
+    def test_max_ar_order_too_long_for_the_series(self, data_csv, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(tradeoff, "fit_ar", _no_fit)
+        out_dir = tmp_path / "t"
+        code, out, err = run(["tradeoff", "--data", str(data_csv)] + BASE
+                             + ["--max-ar-order", "24", "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: series of length 48 is too short for max_ar_order=24; "
+                       "need at least 2 * max_ar_order + 2 observations\n")
+        assert not out_dir.exists()
+
     # Runs main in a child process whose address space is capped, so a grid
     # that is listed before it is checked, or a matrix too large for memory,
     # fails there instead of filling memory.
@@ -767,6 +778,34 @@ class TestMcCommand:
         )
         assert code == 1
         assert "unknown method" in err
+
+    def test_any_procedure_label(self, tmp_path, capsys):
+        out_dir = tmp_path / "mc"
+        argv = self.ARGS + ["--out", str(out_dir)]
+        argv[argv.index("--methods") + 1] = "dm_wpe,dm_im_q3"
+        assert run(argv, capsys)[0] == 0
+        names = [f"ucr_{m}_{metric}.csv" for m in ("dm_wpe", "dm_im_q3")
+                 for metric in ("size", "power")]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(names)
+        assert all((out_dir / name).exists() for name in names)
+        assert list(manifest["degenerate_counts"]) == ["dm_wpe", "dm_im_q3"]
+
+    @pytest.mark.parametrize("methods, p_set, message", [
+        ("dm_r,dm_wpe,dm_r", "25", "method 'dm_r' is listed more than once"),
+        ("dm_im_q02", "25", "unknown method 'dm_im_q02'; expected one of: dm_r, dm_m, dm_nw, "
+                            "dm_nw_l, dm_fb, dm_ewc, dm_wpe, dm_im"),
+        ("dm_im_q30", "75,25", "cannot split 25 observations into 30 blocks"),
+    ])
+    def test_bad_label_fails_before_any_cell(self, methods, p_set, message, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code, out, err = run(
+            ["mc", "--families", "ucr", "--h-set", "1", "--r-set", "25", "--rt-set", "25",
+             "--p-set", p_set, "--methods", methods, "--n-reps", "100", "--out", str(out_dir)],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_dir.exists()
 
     def test_unsupported_level_fails_before_any_cell(self, tmp_path, capsys):
         out_dir = tmp_path / "x"

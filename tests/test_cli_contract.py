@@ -78,7 +78,8 @@ COMMANDS = {
         "--n-reps": (("100",), ("99", "1.5", "100000000000")),
         "--out": (OUT[0], OUT[1] + (OMIT,)),
     }, {
-        "--methods": (("dm_r", "dm_r,dm_fb", "dm_im_q5"), ("dm_r,dm_r", "dm_wpe", ",")),
+        "--methods": (("dm_r", "dm_r,dm_fb", "dm_im_q5", "dm_wpe"),
+                      ("dm_r,dm_r", "dm_im_q1", "dm_im_q02", ",")),
         "--cl": (("0.05", "0.1"), ("2", "0")),
         "--seed": (("0", "7"), ("-1",)),
     }),

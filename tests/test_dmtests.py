@@ -346,6 +346,14 @@ class TestDmIm:
         out = dm_test_im(_series(23, n=45), q=5)
         assert out.pval == pytest.approx(2.0 * (1.0 - t_cdf(abs(out.stat), 4)), abs=1e-9)
 
+    # Each block count has one label: a superscript digit, a leading zero or
+    # a full-width digit is no second spelling of it.
+    @pytest.mark.parametrize("label", ["dm_im_q²", "dm_im_q02", "dm_im_q３"])
+    def test_block_label_has_one_spelling(self, label):
+        with pytest.raises(ValueError, match=f"^unknown method '{label}'; expected one of: "):
+            procedure(label, 40, 1, 0.05)
+        assert procedure("dm_im_q3", 40, 1, 0.05).bandwidth == 3
+
 
 class TestOutcomeRecord:
     def test_frozen(self):

@@ -8,7 +8,7 @@ import pytest
 from scipy import fft
 
 from epatest import mc, series
-from epatest.dmtests import UnsupportedLevelError
+from epatest.dmtests import UnsupportedLevelError, procedure, tally
 from epatest.mc import (
     CR_BURN_IN,
     DEFAULT_H_SET,
@@ -330,7 +330,32 @@ class TestRunExperiment:
         # only the last cell's horizon is too long for its sample
         with pytest.raises(ValueError, match="horizon 30"):
             run(good + [DgpSpec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
+        # 30 blocks fit the P = 75 cell but not the P = 25 one
+        with pytest.raises(ValueError, match="cannot split 25 observations into 30 blocks"):
+            run(methods=("dm_r", "dm_im_q30"), n_reps=100)
         assert cells == []
+
+    def test_any_procedure_label_runs(self):
+        # labels outside the default battery run beside it without changing it
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("cr", 3, 25, 75, 75)]
+        labels = ("dm_r", "dm_wpe", "dm_im_q3")
+        wide = run_experiment(specs, methods=labels, n_reps=150, seed=9)
+        alone = run_experiment(specs, methods=("dm_r",), n_reps=150, seed=9)
+        assert wide.methods == labels
+        for spec in specs:
+            cell = mc._cell_key(spec)
+            key = ("dm_r",) + cell
+            np.testing.assert_array_equal(wide.archives[key], alone.archives[key])
+            assert wide.rejection_rates[key] == alone.rejection_rates[key]
+            assert wide.degenerate_counts[key] == alone.degenerate_counts[key]
+            D = mc._loss_differentials(spec, 150, 9)
+            (_, _, abs_stat, rejections, degenerate), = tally(
+                [procedure("dm_wpe", spec.P, spec.h, 0.05)], D)
+            key = ("dm_wpe",) + cell
+            np.testing.assert_array_equal(wide.archives[key], abs_stat)
+            assert wide.rejection_rates[key] == rejections / 150
+            assert wide.degenerate_counts[key] == degenerate
+            assert wide.archives[("dm_im_q3",) + cell].shape == (150,)
 
     def test_integral_float_replication_count(self):
         specs = [DgpSpec("ucr", 1, 25, 25, 25)]
