@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run equal-predictive-ability tests on CSV data")
     _add_data_arguments(p_test)
-    p_test.add_argument("--method", choices=(*METHODS, "all"), default="all",
-                        help="which test to run (default: all)")
+    p_test.add_argument("--method", default="all", help=f"test to run: {', '.join(METHODS)}, "
+                        "dm_im_q<q> for the block test with q blocks, or all (default)")
     p_test.add_argument("--h", type=int, default=1, help="forecast horizon (default 1)")
     p_test.add_argument("--cl", type=float, default=0.05, help="significance level (default 0.05)")
     p_test.add_argument("--M", type=int, default=None,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of cosine basis functions for dm_ewc")
     p_test.add_argument("--m", type=int, default=None,
                         help="number of periodogram ordinates for dm_wpe")
-    p_test.add_argument("--q", type=int, default=2, help="number of blocks for dm_im (default 2)")
+    p_test.add_argument("--q", type=int, default=2, help="blocks for dm_im only (default 2)")
     p_test.add_argument("--out", default=None, metavar="DIR",
                         help="directory for the JSON results file")
     p_test.set_defaults(func=cmd_test)
@@ -249,7 +249,7 @@ def cmd_test(args) -> int:
     names = tuple(METHODS) if args.method == "all" else (args.method,)
     planned, results = {}, {}
     for name in names:
-        param = METHODS[name].param
+        param = METHODS[name].param if name in METHODS else None  # dm_im_q<q> sets its q
         try:
             planned[name] = procedure(name, d.size, args.h, args.cl,
                                       getattr(args, param) if param else None)

@@ -321,7 +321,8 @@ def run_experiment(
     run's numbers exactly.
 
     Every argument is checked before anything is simulated: ``dmtests.procedure``
-    plans each label of ``methods`` at ``cl`` for every distinct (P, h).
+    plans each label of ``methods`` at ``cl`` for every distinct (P, h), and two
+    labels that plan one test (``dm_im`` and ``dm_im_q2``) are refused.
     ``progress``, if given, is called as ``progress(i, n_cells, spec)``
     before the work of the i-th cell (1-based) starts.
     """
@@ -331,9 +332,6 @@ def run_experiment(
         raise ValueError("the experiment grid has no cells")
     if not methods:
         raise ValueError("the method list is empty")
-    for i, m in enumerate(methods):
-        if m in methods[:i]:
-            raise ValueError(f"method {m!r} is listed more than once")
     cells = [_cell_key(spec) for spec in specs]
     for i, spec in enumerate(specs):
         if cells[i] in cells[:i]:
@@ -346,6 +344,12 @@ def run_experiment(
     for spec in specs:
         if (spec.P, spec.h) not in plans:
             plans[spec.P, spec.h] = [procedure(m, spec.P, spec.h, cl) for m in methods]
+    plan = plans[specs[0].P, specs[0].h]  # equal here means equal at every (P, h)
+    for i, m in enumerate(methods):
+        if plan[i] in plan[:i]:
+            first = methods[plan.index(plan[i])]
+            raise ValueError(f"method {m!r} is listed more than once" if m == first
+                             else f"methods {first!r} and {m!r} are the same test")
     result = ExperimentResult(
         n_reps=n_reps, cl=cl, seed=seed, methods=methods, specs=specs
     )

@@ -80,7 +80,7 @@ class TestParser:
     def test_bad_choice_exits_2(self, data_csv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
-                ["test", "--data", str(data_csv)] + BASE + ["--method", "dm_zzz"]
+                ["test", "--data", str(data_csv)] + BASE + ["--loss", "cubic"]
             )
         assert exc.value.code == 2
 
@@ -136,7 +136,7 @@ class TestSharedParser:
             ["test", "--data", "DATA"] + BASE,
         ],
         "argument error, then a valid call": [
-            ["test", "--data", "DATA"] + BASE + ["--method", "dm_zzz"],
+            ["test", "--data", "DATA"] + BASE + ["--loss", "cubic"],
             ["test", "--data", "DATA"] + BASE,
         ],
     }
@@ -204,6 +204,28 @@ class TestTestCommand:
             }
         fb = next(r for r in payload["results"] if r["method"] == "dm_fb")
         assert fb["pval"] is None
+
+    def test_block_label_equals_dm_im_with_its_q(self, data_csv, tmp_path, capsys):
+        records = []
+        for i, argv in enumerate((["--method", "dm_im_q3"], ["--method", "dm_im", "--q", "3"])):
+            out_dir = tmp_path / f"out{i}"
+            code, _, err = run(["test", "--data", str(data_csv)] + BASE + argv
+                               + ["--out", str(out_dir)], capsys)
+            assert code == 0, err
+            (record,) = json.loads((out_dir / "test_results.json").read_text())["results"]
+            records.append(record)
+        labelled, flagged = records
+        assert (labelled.pop("method"), flagged.pop("method")) == ("dm_im_q3", "dm_im")
+        assert labelled == flagged and labelled["bandwidth"] == 3 and labelled["df"] == 2
+
+    def test_unknown_label_exits_1_and_writes_nothing(self, data_csv, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(data_csv)] + BASE
+                             + ["--method", "dm_zzz", "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: unknown method 'dm_zzz'; expected one of: dm_r, dm_m, dm_nw, "
+                       "dm_nw_l, dm_fb, dm_ewc, dm_wpe, dm_im\n")
+        assert not out_dir.exists()
 
     def test_json_rerun_byte_identical(self, data_csv, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -796,6 +818,7 @@ class TestMcCommand:
         ("dm_im_q02", "25", "unknown method 'dm_im_q02'; expected one of: dm_r, dm_m, dm_nw, "
                             "dm_nw_l, dm_fb, dm_ewc, dm_wpe, dm_im"),
         ("dm_im_q30", "75,25", "cannot split 25 observations into 30 blocks"),
+        ("dm_im,dm_im_q2", "25", "methods 'dm_im' and 'dm_im_q2' are the same test"),
     ])
     def test_bad_label_fails_before_any_cell(self, methods, p_set, message, tmp_path, capsys):
         out_dir = tmp_path / "x"

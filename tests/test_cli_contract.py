@@ -50,7 +50,8 @@ DATA_OPTIONS = {
 COMMANDS = {
     "test": (DATA_FLAGS, {
         **DATA_OPTIONS,
-        "--method": (("all", "dm_r", "dm_fb", "dm_im", "dm_wpe"), ("dm_zzz",)),
+        "--method": (("all", "dm_r", "dm_fb", "dm_im", "dm_wpe", "dm_im_q3"),
+                     ("dm_zzz", "dm_im_q1", "dm_im_q02")),
         "--h": (("1", "3"), ("0", "48", "-1", "a")),
         "--cl": (("0.05", "0.1"), ("0", "1.5", "nan")),
         "--M": (("2", "5"), ("0", "60")),
@@ -79,7 +80,7 @@ COMMANDS = {
         "--out": (OUT[0], OUT[1] + (OMIT,)),
     }, {
         "--methods": (("dm_r", "dm_r,dm_fb", "dm_im_q5", "dm_wpe"),
-                      ("dm_r,dm_r", "dm_im_q1", "dm_im_q02", ",")),
+                      ("dm_r,dm_r", "dm_im_q1", "dm_im_q02", "dm_im,dm_im_q2", ",")),
         "--cl": (("0.05", "0.1"), ("2", "0")),
         "--seed": (("0", "7"), ("-1",)),
     }),

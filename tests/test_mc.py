@@ -311,6 +311,8 @@ class TestRunExperiment:
             run(methods=("dm_r", "dm_x"), n_reps=100)
         with pytest.raises(ValueError, match="more than once"):
             run(methods=("dm_r", "dm_fb", "dm_r"), n_reps=100)
+        with pytest.raises(ValueError, match="^methods 'dm_im' and 'dm_im_q2' are the same test$"):
+            run(methods=("dm_r", "dm_im", "dm_im_q2"), n_reps=100)
         with pytest.raises(ValueError, match="cell family=cr h=3 .* more than once"):
             run(good + [DgpSpec("cr", 3, 25, 25, 75)], methods=("dm_r",), n_reps=100)
         with pytest.raises(ValueError, match="100"):
