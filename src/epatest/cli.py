@@ -57,9 +57,11 @@ _ENVIRONMENT = {
     "machine": platform.machine(),
 }
 
-# The data-loading options of ``test`` and ``tradeoff``, in manifest order.
+# The data-loading options of ``test`` and ``tradeoff``, in manifest order, and
+# the bandwidth flags of ``test``: the registry's params, in METHODS order.
 _DATA_OPTIONS = ("data", "forecast_cols", "realization_col", "na_policy", "date_col",
                  "date_from", "date_to", "loss")
+_BANDWIDTH_FLAGS = tuple(dict.fromkeys(m.param for m in METHODS.values() if m.param))
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
@@ -105,13 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "dm_im_q<q> for the block test with q blocks, or all (default)")
     p_test.add_argument("--h", type=int, default=1, help="forecast horizon (default 1)")
     p_test.add_argument("--cl", type=float, default=0.05, help="significance level (default 0.05)")
-    p_test.add_argument("--M", type=int, default=None,
-                        help="explicit kernel bandwidth for dm_nw and dm_fb")
-    p_test.add_argument("--B", type=int, default=None,
-                        help="number of cosine basis functions for dm_ewc")
-    p_test.add_argument("--m", type=int, default=None,
-                        help="number of periodogram ordinates for dm_wpe")
-    p_test.add_argument("--q", type=int, default=2, help="blocks for dm_im only (default 2)")
+    for param in _BANDWIDTH_FLAGS:
+        users = [name for name, method in METHODS.items() if method.param == param]
+        p_test.add_argument(f"--{param}", type=int, help=f"bandwidth of {' and '.join(users)} "
+                            f"(default: {' and '.join(str(METHODS[u].default) for u in users)})")
     p_test.add_argument("--out", default=None, metavar="DIR",
                         help="directory for the JSON results file")
     p_test.set_defaults(func=cmd_test)
@@ -280,7 +279,7 @@ def cmd_test(args) -> int:
     if args.out is not None:
         target = _write_manifest(
             Path(args.out) / "test_results.json", "test",
-            _options(args, *_DATA_OPTIONS, "method", "h", "cl", "M", "B", "m", "q"),
+            _options(args, *_DATA_OPTIONS, "method", "h", "cl", *_BANDWIDTH_FLAGS),
             seed=None,
             n_obs=int(d.size),
             results=records,
@@ -307,7 +306,7 @@ def cmd_tradeoff(args) -> int:
                             max_ar_order=args.max_ar_order)
     d = _load_series(args)
     points = build_tradeoff_curve(d, config)
-    default_M = bandwidth("llsw", d.size)
+    default_M = bandwidth(METHODS["dm_fb"].default, d.size)
 
     out_dir = Path(args.out)
     names = [f.name for f in fields(TradeoffPoint)]

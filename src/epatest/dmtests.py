@@ -122,9 +122,9 @@ class Method:
     sets its bandwidth (``M``, ``B``, ``m`` or ``q``; None when the label
     fixes it), and ``default`` gives the bandwidth when that argument is
     absent: a rule of :data:`epatest.lrv.BANDWIDTH_RULES`, a fixed count,
-    or None for the horizon's h - 1 lags. ``reference`` is ``normal``,
-    ``t`` with ``df(P, bandwidth)`` degrees of freedom, or ``fixed-b``.
-    ``scale(P, h)``, when given, multiplies the statistic.
+    or None for the horizon's h - 1 lags; no wrapper or CLI flag restates it.
+    ``reference`` is ``normal``, ``t`` with ``df(P, bandwidth)`` degrees of
+    freedom, or ``fixed-b``. ``scale(P, h)``, when given, multiplies the statistic.
     """
 
     kernel: str
@@ -339,15 +339,15 @@ def dm_test_m(d, h: int = 1, cl: float = 0.05) -> TestOutcome:
     return _one_row("dm_m", d, h, cl)
 
 
-def dm_test_bt(d, M: int | None = None, rule: str = "nw1994", cl: float = 0.05) -> TestOutcome:
+def dm_test_bt(d, M: int | None = None, rule: str | None = None, cl: float = 0.05) -> TestOutcome:
     """Bartlett-kernel test under standard asymptotics (normal critical values).
 
     ``M`` overrides the automatic bandwidth; otherwise ``rule`` picks it
-    (default the data-size rule ceil(4 (P/100)^{2/9})). The outcome is
-    labelled ``dm_nw_l`` when the wider ceil(1.3 sqrt(P)) rule is selected
-    automatically, ``dm_nw`` otherwise.
+    (default ``METHODS["dm_nw"]``'s, the data-size rule ceil(4 (P/100)^{2/9})).
+    The outcome is labelled ``dm_nw_l`` when ``dm_nw_l``'s wider rule,
+    ceil(1.3 sqrt(P)), is selected automatically, ``dm_nw`` otherwise.
     """
-    label = "dm_nw_l" if (M is None and rule == "llsw") else "dm_nw"
+    label = "dm_nw_l" if (M is None and rule == METHODS["dm_nw_l"].default) else "dm_nw"
     return _one_row(label, d, cl=cl, bandwidth=M, rule=rule)
 
 
@@ -363,13 +363,14 @@ def fixed_b_critical_value(b: float) -> float:
     return 1.9600 + 2.9694 * b + 0.4160 * b**2 - 0.5324 * b**3
 
 
-def dm_test_bt_fb(d, M: int | None = None, rule: str = "llsw", cl: float = 0.05) -> TestOutcome:
+def dm_test_bt_fb(d, M: int | None = None, rule: str | None = None,
+                  cl: float = 0.05) -> TestOutcome:
     """Bartlett-kernel test under fixed-b asymptotics.
 
-    Same statistic as :func:`dm_test_bt` but compared against the fixed-b
-    critical value at b = M/P, so a generous bandwidth no longer inflates
-    size. Only the 5% level is tabulated; other levels raise
-    :class:`UnsupportedLevelError`. No p-value is produced.
+    Same statistic as :func:`dm_test_bt` (by default at ``METHODS["dm_fb"]``'s
+    bandwidth, ceil(1.3 sqrt(P))) but compared against the fixed-b critical
+    value at b = M/P, so a generous bandwidth no longer inflates size. Only the
+    5% level is tabulated (others raise :class:`UnsupportedLevelError`); no p-value.
     """
     return _one_row("dm_fb", d, cl=cl, bandwidth=M, rule=rule)
 
@@ -425,12 +426,12 @@ def im_partition(P: int, q: int) -> ImPartition:
     return ImPartition(block_sizes=sizes)
 
 
-def dm_test_im(d, q: int = 2, cl: float = 0.05) -> TestOutcome:
+def dm_test_im(d, q: int | None = None, cl: float = 0.05) -> TestOutcome:
     """Block t-test: an ordinary t-test on q contiguous block means.
 
-    The series is split into q balanced blocks, each block mean is treated
-    as one approximately independent observation, and the usual one-sample
-    t statistic with q - 1 degrees of freedom is applied. Exact under
-    Gaussian independence for any q, robust to dependence for modest q.
+    The series is split into q balanced blocks (default ``METHODS["dm_im"]``'s
+    q = 2), each block mean is treated as one approximately independent
+    observation, and the one-sample t statistic with q - 1 degrees of freedom
+    is applied. Exact under Gaussian independence, robust to dependence for modest q.
     """
     return _one_row("dm_im", d, cl=cl, bandwidth=q)

@@ -23,7 +23,7 @@ from scipy import special
 from ._streams import check_reps, check_seed, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
-from .dmtests import outcomes, procedure, tally
+from .dmtests import METHODS, outcomes, procedure, tally
 from .lrv import bandwidth
 from .mc import size_corrected_critical_value
 from .series import ar_filter_rows, as_integer, as_loss_series
@@ -357,8 +357,8 @@ class TradeoffPoint:
 
 
 def default_bandwidth_grid(P: int) -> tuple[int, ...]:
-    """Bandwidths 1..min(2 ceil(1.3 sqrt(P)), P - 1); always contains the automatic M."""
-    top = min(2 * bandwidth("llsw", P), P - 1)
+    """Bandwidths 1..min(2 M, P - 1), M dm_fb's automatic bandwidth in ``METHODS``; contains M."""
+    top = min(2 * bandwidth(METHODS["dm_fb"].default, P), P - 1)
     return tuple(range(1, top + 1))
 
 

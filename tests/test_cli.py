@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import pytest
 import epatest
 from epatest import cli, mc, tradeoff
 from epatest.cli import build_parser, main
-from epatest.dmtests import DegenerateVarianceError, dm_test_r
+from epatest.dmtests import METHODS, DegenerateVarianceError, dm_test_r
 from epatest.lrv import bandwidth
 
 
@@ -69,13 +71,23 @@ class TestParser:
 
     def test_defaults(self, data_csv):
         args = build_parser().parse_args(["test", "--data", str(data_csv)] + BASE)
-        assert args.method == "all" and args.h == 1 and args.cl == 0.05 and args.q == 2
+        assert args.method == "all" and args.h == 1 and args.cl == 0.05 and args.q is None
         args = build_parser().parse_args(
             ["tradeoff", "--data", str(data_csv)] + BASE + ["--out", "x"]
         )
         assert args.n_sim == 5000 and args.alt_grid_size == 20 and args.seed == 0
         args = build_parser().parse_args(["mc", "--out", "x"])
         assert args.n_reps == 5000 and args.p_set == "25,75,125,175,1000"
+
+    def test_bandwidth_flags_are_the_registry_params(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = [a.dest for a in sub.choices["test"]._actions]
+        flags = dests[dests.index("cl") + 1:dests.index("out")]
+        assert flags == list(dict.fromkeys(m.param for m in METHODS.values() if m.param))
+        assert flags == ["M", "B", "m", "q"]
+        args = parser.parse_args(["test", "--data", "x"] + BASE)
+        assert [getattr(args, flag) for flag in flags] == [None] * 4
 
     def test_bad_choice_exits_2(self, data_csv):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +229,27 @@ class TestTestCommand:
         labelled, flagged = records
         assert (labelled.pop("method"), flagged.pop("method")) == ("dm_im_q3", "dm_im")
         assert labelled == flagged and labelled["bandwidth"] == 3 and labelled["df"] == 2
+
+    def test_manifest_records_the_q_given(self, data_csv, tmp_path, capsys):
+        # the label sets its own q, so an unset --q is recorded as null
+        for i, (argv, q) in enumerate(((["--method", "dm_im_q3"], None),
+                                       (["--method", "dm_im", "--q", "3"], 3))):
+            out_dir = tmp_path / f"out{i}"
+            code, _, err = run(["test", "--data", str(data_csv)] + BASE + argv
+                               + ["--out", str(out_dir)], capsys)
+            assert code == 0, err
+            payload = json.loads((out_dir / "test_results.json").read_text())
+            assert payload["parameters"]["q"] == q
+            assert [r["bandwidth"] for r in payload["results"]] == [3]
+
+    def test_battery_records_no_q_and_the_pinned_results(self, data_csv, tmp_path, capsys):
+        code, argv = TestPinnedOutput.RUNS["test"]
+        argv = [str(data_csv) if a == "DATA" else a for a in argv]
+        assert run(argv + ["--out", str(tmp_path)], capsys)[0] == code
+        payload = json.loads((tmp_path / "test_results.json").read_text())
+        pinned = json.loads((GOLDEN / "test" / "test_results.json").read_text())
+        assert payload["parameters"]["q"] is None
+        assert payload["results"] == pinned["results"]
 
     def test_unknown_label_exits_1_and_writes_nothing(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "res"
@@ -582,6 +615,27 @@ class TestTradeoffCommand:
         assert payload["command"] == "tradeoff"
         assert payload["default_bandwidth"] == bandwidth("llsw", 48)
         assert [p["M"] for p in payload["points"]] == [2, 4]
+
+    def test_default_bandwidth_follows_the_registry(self, data_csv, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setitem(METHODS, "dm_fb", dataclasses.replace(METHODS["dm_fb"],
+                                                                  default="nw1994"))
+        out_dir = tmp_path / "t"
+        assert self._run(data_csv, out_dir, capsys, extra=["--no-svg"])[0] == 0
+        payload = json.loads((out_dir / "tradeoff.json").read_text())
+        assert payload["default_bandwidth"] == bandwidth("nw1994", 48) != bandwidth("llsw", 48)
+
+    def test_svg_failure_warns_and_keeps_the_data_files(self, data_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        def fail(points, default_M):
+            raise RuntimeError("no renderer")
+
+        monkeypatch.setattr(cli, "_tradeoff_svg", fail)
+        out_dir = tmp_path / "t"
+        code, _, err = self._run(data_csv, out_dir, capsys)
+        assert code == 0
+        assert "warning: SVG rendering failed: no renderer\n" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["tradeoff.csv", "tradeoff.json"]
 
     def test_rerun_byte_identical(self, data_csv, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -35,6 +35,19 @@ WITH_MISSING = """date,f1,f2,y
 
 
 class TestLoadCsv:
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(ValueError, match="file is empty$"):
+            load_csv(path, ("f1", "f2"), "y")
+
+    def test_blank_row_is_skipped(self, tmp_path):
+        lines = BASIC.splitlines(keepends=True)
+        ds = load_csv(write(tmp_path, "".join(lines[:3] + ["\n"] + lines[3:])), ("f1", "f2"), "y")
+        plain = load_csv(write(tmp_path, BASIC, "plain.csv"), ("f1", "f2"), "y")
+        assert ds.n_rows == 4
+        np.testing.assert_array_equal(ds.f1, plain.f1)
+        np.testing.assert_array_equal(ds.realization, plain.realization)
+
     def test_basic_columns(self, tmp_path):
         ds = load_csv(write(tmp_path, BASIC), ("f1", "f2"), "y")
         assert ds.n_rows == 4

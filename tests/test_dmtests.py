@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -353,6 +355,30 @@ class TestDmIm:
         with pytest.raises(ValueError, match=f"^unknown method '{label}'; expected one of: "):
             procedure(label, 40, 1, 0.05)
         assert procedure("dm_im_q3", 40, 1, 0.05).bandwidth == 3
+
+
+class TestRegistryDefaults:
+    """The wrappers leave every default to ``METHODS``, through :func:`procedure`."""
+
+    CASES = [(dm_test_bt, "dm_nw", "rule", "nw1994", "llsw"),
+             (dm_test_bt_fb, "dm_fb", "rule", "llsw", "nw1994"),
+             (dm_test_im, "dm_im", "q", 2, 3)]
+
+    @pytest.mark.parametrize("wrapper, label, arg, old, other", CASES)
+    def test_defaults_equal_the_old_literals(self, wrapper, label, arg, old, other):
+        d = _series(24, n=100)
+        assert inspect.signature(wrapper).parameters[arg].default is None
+        assert METHODS[label].default == old
+        assert wrapper(d) == wrapper(d, **{arg: old})
+
+    @pytest.mark.parametrize("wrapper, label, arg, old, other", CASES)
+    def test_defaults_follow_the_registry(self, wrapper, label, arg, old, other, monkeypatch):
+        d = _series(25, n=100)
+        monkeypatch.setitem(METHODS, label, dataclasses.replace(METHODS[label], default=other))
+        swapped, named = wrapper(d), wrapper(d, **{arg: other})
+        # every field but the label: dm_test_bt labels a call naming the llsw rule dm_nw_l
+        assert dataclasses.astuple(swapped)[1:] == dataclasses.astuple(named)[1:]
+        assert wrapper(d).bandwidth != wrapper(d, **{arg: old}).bandwidth
 
 
 class TestOutcomeRecord:

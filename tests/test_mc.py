@@ -36,6 +36,10 @@ class TestMaStructure:
         assert ma_weights(1) == pytest.approx([1.0])
         assert ma_weights(3) == pytest.approx([1.0, 0.5, 0.25])
 
+    def test_horizon_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
+            ma_weights(0)
+
     def test_autocovariances_hand_values(self):
         gamma = ma_autocovariances(2)  # weights (1, 1/2)
         assert gamma[0] == pytest.approx(1.25)
@@ -510,6 +514,12 @@ class TestSizeCorrection:
             DgpSpec("ucr", 1, 75, 25, 25),
         ]
         return run_experiment(specs, methods=("dm_r",), n_reps=200, seed=0)
+
+    def test_cell_outside_the_run_with_its_diagonal_present(self):
+        # (25, 125) was never run, though its diagonal (25, 25) was
+        with pytest.raises(KeyError, match=r"cell \('ucr', 25, 125, 1, 25\) for method 'dm_r' "
+                                           "is not in the experiment"):
+            size_corrected_power(self._result(), (25, 125, 1, 25), "dm_r")
 
     def test_diagonal_correction_is_exact_by_construction(self):
         res = self._result()

@@ -9,7 +9,7 @@ from scipy import signal, stats
 
 from epatest import tradeoff
 from epatest.data import ForecastDataset
-from epatest.dmtests import dm_test_bt_fb, procedure
+from epatest.dmtests import METHODS, dm_test_bt_fb, procedure
 from epatest.lrv import bandwidth
 from epatest.tradeoff import (
     FittedArModel,
@@ -335,6 +335,10 @@ class TestMaxPowerLoss:
         val = max_power_loss(AR0, P=200, M=3, n_sim=500, seed=3)
         assert 0.0 <= val <= 1.0
 
+    def test_zero_innovation_variance_is_refused(self):
+        with pytest.raises(ValueError, match="nonpositive long-run variance"):
+            max_power_loss(ar1_model(0.5, var=0.0), P=40, M=3, n_sim=100)
+
     def test_deterministic(self):
         a = max_power_loss(AR0, P=80, M=4, n_sim=300, seed=4)
         b = max_power_loss(AR0, P=80, M=4, n_sim=300, seed=4)
@@ -444,6 +448,11 @@ class TestDefaultGrid:
     def test_capped_by_sample_size(self):
         assert max(default_bandwidth_grid(10)) <= 9
 
+    def test_follows_the_registry(self, monkeypatch):
+        monkeypatch.setitem(METHODS, "dm_fb", dataclasses.replace(METHODS["dm_fb"],
+                                                                  default="nw1994"))
+        assert default_bandwidth_grid(100) == tuple(range(1, 2 * bandwidth("nw1994", 100) + 1))
+
 
 class TestBuildTradeoffCurve:
     def _series(self, n=60, seed=21):
@@ -455,6 +464,10 @@ class TestBuildTradeoffCurve:
         points = build_tradeoff_curve(d, cfg)
         assert [p.M for p in points] == [2, 5, 9]
         assert all(isinstance(p, TradeoffPoint) for p in points)
+
+    def test_no_config_is_the_default_config(self):
+        d = self._series(n=30)
+        assert build_tradeoff_curve(d) == build_tradeoff_curve(d, TradeoffConfig())
 
     def test_deterministic(self):
         d = self._series()
