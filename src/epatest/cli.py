@@ -40,6 +40,7 @@ from .mc import (
     DEFAULT_METHODS,
     DEFAULT_P_SET,
     DEFAULT_R_SET,
+    _default_jobs,
     experiment_grid,
     run_experiment,
     size_corrected_powers,
@@ -152,6 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replications per cell (default 5000)")
     p_mc.add_argument("--cl", type=float, default=0.05, help="significance level (default 0.05)")
     p_mc.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
+    p_mc.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N",
+                      help="worker processes, one cell each at a time; every N writes the same "
+                      "bytes (default: the CPUs this process may use, here %(default)s)")
     p_mc.add_argument("--out", required=True, metavar="DIR", help="directory for result matrices")
     p_mc.set_defaults(func=cmd_mc)
     return parser
@@ -443,7 +447,8 @@ def cmd_mc(args) -> int:
             file=sys.stderr, flush=True,
         )
 
-    result = run_experiment(specs, methods, args.n_reps, args.cl, args.seed, progress)
+    result = run_experiment(specs, methods, args.n_reps, args.cl, args.seed, progress,
+                            args.jobs)
 
     out_dir = Path(args.out)
     # One matrix per (family, method, metric): rows are (R, R_tilde) pairs with a

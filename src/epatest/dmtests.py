@@ -65,6 +65,9 @@ class DegenerateVarianceError(ArithmeticError):
             f"({kernel} kernel, bandwidth {bandwidth}); statistic undefined"
         )
 
+    def __reduce__(self):  # pickled by its fields, so that it crosses a process boundary
+        return type(self), (self.kernel, self.bandwidth, self.value)
+
 
 class UnsupportedLevelError(ValueError):
     """The procedure has no critical values at the requested level."""

@@ -18,6 +18,9 @@ size-corrected power can be computed against the matched null cell.
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -305,6 +308,77 @@ def _loss_differentials(spec: DgpSpec, n_reps: int, seed: int) -> np.ndarray:
     return D
 
 
+def _default_jobs() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` if unknown), or 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _cells(run_cell, specs, workers: int, progress):
+    """``run_cell(i)`` of every cell i in grid order, by ``workers`` processes: this one, or
+    forked ones, each sent the next cell index when free; ``progress`` is called as a cell
+    is handed out. However the generator ends, every worker is killed and joined."""
+    n = len(specs)
+    if workers == 1:
+        for i, spec in enumerate(specs):
+            progress(i + 1, n, spec)
+            yield run_cell(i)
+        return
+    import multiprocessing.connection
+
+    def serve(conn, k):  # worker k: send back each cell's result, or the exception it raised
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        if hasattr(os, "sched_setaffinity"):  # unpinned, workers of short cells took turns
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        for i in iter(conn.recv, None):
+            try:
+                conn.send(run_cell(i))
+            except Exception as exc:
+                conn.send(exc)
+
+    if any(spec.family == "cr" for spec in specs):  # loaded once here, not in every worker
+        import scipy.fft, scipy.linalg  # noqa: E401, F401
+    ctx, procs, free, busy, done, handed = multiprocessing.get_context("fork"), [], [], {}, {}, 0
+
+    def start_worker():  # when a cell first finds no worker free
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()  # or the worker could write the buffered text again
+        conn, child = ctx.Pipe()
+        procs.append(ctx.Process(target=serve, args=(child, len(procs)), daemon=True))
+        procs[-1].start()
+        child.close()  # so that the worker's death reads as EOF here
+        return conn
+
+    try:
+        for i in range(n):
+            while i not in done:
+                while handed < n and (free or len(procs) < workers):
+                    conn = free.pop() if free else start_worker()
+                    progress(handed + 1, n, specs[handed])
+                    busy[conn] = handed
+                    conn.send(handed)
+                    handed += 1
+                while free and handed == n:  # a worker with nothing left exits at once
+                    free.pop().send(None)
+                for conn in multiprocessing.connection.wait(list(busy)):
+                    j = busy.pop(conn)
+                    try:
+                        done[j] = conn.recv()
+                    except EOFError:
+                        raise RuntimeError(f"a worker died on cell {j + 1}, {specs[j]}") from None
+                    free.append(conn)
+            if isinstance(done[i], Exception):  # raised in grid order, as in one process
+                raise done[i]
+            yield done.pop(i)
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+
+
 def run_experiment(
     specs,
     methods=DEFAULT_METHODS,
@@ -312,6 +386,7 @@ def run_experiment(
     cl: float = 0.05,
     seed: int = 0,
     progress: Callable[[int, int, DgpSpec], None] | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Run every method on ``n_reps`` replications of every cell in ``specs``.
 
@@ -324,7 +399,11 @@ def run_experiment(
     plans each label of ``methods`` at ``cl`` for every distinct (P, h), and two
     labels that plan one test (``dm_im`` and ``dm_im_q2``) are refused.
     ``progress``, if given, is called as ``progress(i, n_cells, spec)``
-    before the work of the i-th cell (1-based) starts.
+    as the i-th cell (1-based) is handed out, before its work starts. The
+    cells run in ``min(jobs, n_cells)`` worker processes: this one, or forked
+    ones (``jobs`` above 1 needs the fork start method), each holding one cell
+    at a time. The result, key order and every bit included, is the same for
+    any ``jobs``.
     """
     specs = tuple(specs)
     methods = tuple(methods)
@@ -339,6 +418,11 @@ def run_experiment(
                              f"R_tilde={spec.R_tilde} P={spec.P} is listed more than once")
     n_reps = check_reps(n_reps, "n_reps", "replication")
     seed = check_seed(seed)
+    jobs = as_integer(jobs, "jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError("jobs above 1 need the fork start method, which this platform lacks")
     # Reference distributions depend on the cell only through (P, h).
     plans = {}
     for spec in specs:
@@ -353,11 +437,14 @@ def run_experiment(
     result = ExperimentResult(
         n_reps=n_reps, cl=cl, seed=seed, methods=methods, specs=specs
     )
-    for i, spec in enumerate(specs, start=1):
-        if progress is not None:
-            progress(i, len(specs), spec)
-        tallies = tally(plans[spec.P, spec.h], _loss_differentials(spec, n_reps, seed))
-        for m, (_, _, abs_stat, rejections, degenerate) in zip(methods, tallies):
+
+    def run_cell(i: int) -> list:  # (abs_stat, rejections, degenerate) per method
+        D = _loss_differentials(specs[i], n_reps, seed)
+        return [t[2:] for t in tally(plans[specs[i].P, specs[i].h], D)]
+
+    cells = _cells(run_cell, specs, min(jobs, len(specs)), progress or (lambda *cell: None))
+    for tallies, spec in zip(cells, specs):
+        for m, (abs_stat, rejections, degenerate) in zip(methods, tallies):
             key = (m,) + _cell_key(spec)
             result.rejection_rates[key] = rejections / n_reps
             result.archives[key] = abs_stat

@@ -70,7 +70,7 @@ def ucr_size_result():
 def cr_size_result():
     """Null rejection rates on the diagonal at P = 1000, h = 3, block test."""
     specs = [mc.DgpSpec("cr", 3, R, R, 1000) for R in mc.DEFAULT_R_SET]
-    return mc.run_experiment(specs, methods=("dm_im_q5",), n_reps=N_REPS, seed=SEED)
+    return mc.run_experiment(specs, methods=("dm_im_q5",), n_reps=N_REPS, seed=SEED, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def power_result():
     pairs = ((75, 25), (125, 25), (175, 25), (75, 75), (125, 125), (175, 175))
     specs = [mc.DgpSpec("ucr", 1, R, Rt, 1000) for R, Rt in pairs]
     return mc.run_experiment(
-        specs, methods=("dm_fb", "dm_nw_l"), n_reps=N_REPS, seed=SEED
+        specs, methods=("dm_fb", "dm_nw_l"), n_reps=N_REPS, seed=SEED, jobs=2
     )
 
 

@@ -78,6 +78,7 @@ class TestParser:
         assert args.n_sim == 5000 and args.alt_grid_size == 20 and args.seed == 0
         args = build_parser().parse_args(["mc", "--out", "x"])
         assert args.n_reps == 5000 and args.p_set == "25,75,125,175,1000"
+        assert args.jobs == mc._default_jobs()
 
     def test_bandwidth_flags_are_the_registry_params(self):
         parser = build_parser()
@@ -956,6 +957,24 @@ class TestMcCommand:
                             assert got == want, (family, method, cell)
                             entries += want != ""
         assert entries == (32 if r_set == "25,75,125" else 0)
+
+    def test_jobs_write_the_same_bytes(self, tmp_path, capsys):
+        runs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / jobs
+            code, out, err = run(TestPinnedOutput.RUNS["mc"][1]
+                                 + ["--jobs", jobs, "--out", str(out_dir)], capsys)
+            files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+            runs.append((code, out, err.replace(str(out_dir), "OUT"), files))
+        assert runs[0] == runs[1]
+        assert runs[0][2].startswith("[1/4] family=ucr h=1 R=25 R_tilde=25 P=25\n[2/4] ")
+        assert len(runs[0][3]) == 5
+
+    def test_jobs_below_one_fails_before_any_cell(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code, out, err = run(self.ARGS + ["--jobs", "0", "--out", str(out_dir)], capsys)
+        assert (code, out, err) == (1, "", "error: jobs must be a positive integer, got 0\n")
+        assert not out_dir.exists()
 
     def test_progress_line_per_cell(self, tmp_path, capsys):
         code, _, err = run(self.ARGS + ["--out", str(tmp_path / "mc")], capsys)

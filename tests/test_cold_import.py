@@ -86,3 +86,24 @@ def test_each_command_loads_only_the_subpackages_it_uses(tmp_path):
         [0, ["scipy.linalg"]],
         [0, ["scipy.fft", "scipy.linalg"]],
     ]
+
+
+def test_forked_cells_load_scipy_in_the_parent_only_for_cr(tmp_path):
+    # Two workers run the cells. The parent loads scipy.fft and scipy.linalg
+    # before it forks a grid with a cr cell, so that the workers inherit
+    # them, and loads neither for a ucr grid.
+    cells = ["--h-set", "1", "--r-set", "25,75", "--rt-set", "25", "--p-set", "25",
+             "--n-reps", "100", "--jobs", "2"]
+    steps = [["mc", "--families", family, *cells, "--out", str(tmp_path / family)]
+             for family in ("ucr", "cr")]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from epatest import cli\n"
+        "loaded = []\n"
+        f"for argv in {steps!r}:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        f"    loaded.append([code, sorted(m for m in {DEFERRED!r} if m in sys.modules)])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert _fresh_python(code) == [[0, []], [0, ["scipy.fft", "scipy.linalg"]]]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from scipy import fft
 
 from epatest import mc, series
-from epatest.dmtests import UnsupportedLevelError, procedure, tally
+from epatest.dmtests import DegenerateVarianceError, UnsupportedLevelError, procedure, tally
 from epatest.mc import (
     CR_BURN_IN,
     DEFAULT_H_SET,
@@ -339,6 +341,14 @@ class TestRunExperiment:
         # 30 blocks fit the P = 75 cell but not the P = 25 one
         with pytest.raises(ValueError, match="cannot split 25 observations into 30 blocks"):
             run(methods=("dm_r", "dm_im_q30"), n_reps=100)
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match=f"^jobs must be a positive integer, got {jobs}$"):
+                run(n_reps=100, jobs=jobs)
+        with pytest.raises(ValueError, match="^jobs must be an integer, got 1.5$"):
+            run(n_reps=100, jobs=1.5)
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match="fork start method"):
+            run(n_reps=100, jobs=2)
         assert cells == []
 
     def test_any_procedure_label_runs(self):
@@ -378,6 +388,81 @@ class TestRunExperiment:
                        progress=lambda *call: seen.append(call))
         assert seen == [(1, 2, specs[0]), (2, 2, specs[1])]
 
+    def test_forked_workers_equal_one_process(self):
+        specs = experiment_grid(("ucr", "cr"), (1, 3), (25,), (25, 75), (25, 75))
+        runs = {}
+        for jobs in (1, 2):
+            seen = []
+            result = run_experiment(specs, ("dm_r", "dm_fb", "dm_im_q2"), 100, seed=6, jobs=jobs,
+                                    progress=lambda *call: seen.append(call))
+            runs[jobs] = result, seen
+        (serial, serial_seen), (forked, forked_seen) = runs[1], runs[2]
+        assert forked_seen == serial_seen == [(i, 16, s) for i, s in enumerate(specs, start=1)]
+        for field in ("rejection_rates", "degenerate_counts", "archives"):
+            assert list(getattr(forked, field)) == list(getattr(serial, field))
+        assert forked.rejection_rates == serial.rejection_rates
+        assert forked.degenerate_counts == serial.degenerate_counts
+        for key, archive in serial.archives.items():
+            assert np.array_equal(forked.archives[key], archive)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_an_error_or_an_interrupt(self, monkeypatch):
+        specs = experiment_grid(("ucr", "cr"), (1,), (25,), (25, 75), (25, 75))
+        simulate_rows = mc._simulate_rows
+
+        def fail_on_cr(spec, E):
+            if spec.family == "cr":  # an exception whose constructor takes more than a message
+                raise DegenerateVarianceError("bartlett", spec.P, -1.0)
+            return simulate_rows(spec, E)
+
+        def interrupt(i, n, spec):
+            if i == 3:
+                raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_simulate_rows", fail_on_cr)
+            with pytest.raises(DegenerateVarianceError, match=r"^nonpositive .*bandwidth 25\)"):
+                run_experiment(specs, ("dm_r",), 100, jobs=2)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(specs, ("dm_r",), 100, jobs=2, progress=interrupt)
+        assert multiprocessing.active_children() == []
+        cells = mc._cells(lambda i: i, specs, 2, lambda *cell: None)
+        assert next(cells) == 0
+        cells.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_names_its_cell(self, monkeypatch):
+        simulate_rows = mc._simulate_rows
+
+        def die(spec, E):
+            if spec.R_tilde == 75:
+                os._exit(3)
+            return simulate_rows(spec, E)
+
+        monkeypatch.setattr(mc, "_simulate_rows", die)
+        spec = DgpSpec("ucr", 1, 25, 75, 25)
+        with pytest.raises(RuntimeError, match=r"^a worker died on cell 2, DgpSpec\(family="
+                                               r"'ucr', h=1, R=25, R_tilde=75, P=25, mu=.*\)$"):
+            run_experiment([DgpSpec("ucr", 1, 25, 25, 25), spec], ("dm_r",), 100, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_each_worker_runs_on_one_cpu_of_the_parents(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("ucr", 1, 25, 75, 25)]
+        seen = list(mc._cells(lambda i: os.sched_getaffinity(0), specs, 2, lambda *cell: None))
+        assert seen == [{cpus[0]}, {cpus[1 % len(cpus)]}]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+
+    def test_default_jobs_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert mc._default_jobs() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert mc._default_jobs() == 7
+        monkeypatch.delattr(os, "fork")
+        assert mc._default_jobs() == 1
+
     def test_bartlett_labels_share_statistics(self):
         # the llsw-rule Bartlett test and its fixed-b twin differ only in
         # critical values, so their archived |statistics| coincide exactly
@@ -415,7 +500,7 @@ class TestRunExperiment:
         # Recorded with the direct two-filter recursion: the FFT evaluation
         # must not move any rejection or degenerate count on this grid.
         specs = experiment_grid(("cr",), (1, 3, 12), (25, 175), (25, 175), (25, 1000))
-        res = run_experiment(specs, n_reps=500, seed=3)
+        res = run_experiment(specs, n_reps=500, seed=3, jobs=2)
         for spec in specs:
             cell = (spec.h, spec.R, spec.R_tilde, spec.P)
             keys = [(m, "cr", spec.R, spec.R_tilde, spec.h, spec.P) for m in DEFAULT_METHODS]
