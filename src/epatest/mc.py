@@ -22,6 +22,7 @@ import os
 import signal
 import sys
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import lru_cache
@@ -327,16 +328,19 @@ def _cells(run_cell, specs, workers: int, progress):
         return
     import multiprocessing.connection
 
-    def serve(conn, k):  # worker k: send back each cell's result, or the exception it raised
+    def serve(parent_end, conn, k):  # worker k: send back each cell's result or exception
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        for end in (parent_end, *busy):  # the parent's ends, so that its death reads as EOF
+            end.close()
         if hasattr(os, "sched_setaffinity"):  # unpinned, workers of short cells took turns
             cpus = sorted(os.sched_getaffinity(0))
             os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        for i in iter(conn.recv, None):
-            try:
-                conn.send(run_cell(i))
-            except Exception as exc:
-                conn.send(exc)
+        with suppress(EOFError, OSError):  # the parent is gone: exit quietly
+            for i in iter(conn.recv, None):
+                try:
+                    conn.send(run_cell(i))
+                except Exception as exc:
+                    conn.send(exc)
 
     if any(spec.family == "cr" for spec in specs):  # loaded once here, not in every worker
         import scipy.fft, scipy.linalg  # noqa: E401, F401
@@ -346,7 +350,7 @@ def _cells(run_cell, specs, workers: int, progress):
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()  # or the worker could write the buffered text again
         conn, child = ctx.Pipe()
-        procs.append(ctx.Process(target=serve, args=(child, len(procs)), daemon=True))
+        procs.append(ctx.Process(target=serve, args=(conn, child, len(procs)), daemon=True))
         procs[-1].start()
         child.close()  # so that the worker's death reads as EOF here
         return conn

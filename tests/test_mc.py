@@ -2,8 +2,12 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +450,41 @@ class TestRunExperiment:
                                                r"'ucr', h=1, R=25, R_tilde=75, P=25, mu=.*\)$"):
             run_experiment([DgpSpec("ucr", 1, 25, 25, 25), spec], ("dm_r",), 100, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # SIGKILL skips every cleanup, so the workers must notice the closed pipe
+        code = (
+            "import multiprocessing, os\n"
+            "from epatest import mc\n"
+            "specs = mc.experiment_grid(('cr',), (1,), (25,), (25, 75), (1000,))\n"
+            "def stop(i, n, spec):\n"
+            "    if i == 2:\n"
+            "        print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "        os.kill(os.getpid(), 9)\n"
+            "mc.run_experiment(specs, ('dm_r',), 100, jobs=2, progress=stop)\n"
+        )
+        src = str(Path(mc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open(tmp_path / "pids", "w") as out:  # a file: a pipe would wait for the workers
+            returncode = subprocess.run([sys.executable, "-c", code], env=env, stdout=out,
+                                        timeout=60).returncode
+        pids = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+        assert returncode == -9 and len(pids) == 2
+
+        def running(pid):  # an exited orphan may linger as a zombie
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if running(pid)]
+        for pid in alive:
+            os.kill(pid, 9)
+        assert alive == []
 
     def test_each_worker_runs_on_one_cpu_of_the_parents(self):
         cpus = sorted(os.sched_getaffinity(0))
