@@ -344,7 +344,8 @@ def _cells(run_cell, specs, workers: int, progress):
 
     if any(spec.family == "cr" for spec in specs):  # loaded once here, not in every worker
         import scipy.fft, scipy.linalg  # noqa: E401, F401
-    ctx, procs, free, busy, done, handed = multiprocessing.get_context("fork"), [], [], {}, {}, 0
+    ctx = multiprocessing.get_context("fork")
+    procs, free, busy, done, handed = [], [], {}, {}, 0  # busy: conn -> cell; done: cell -> result
 
     def start_worker():  # when a cell first finds no worker free
         for stream in filter(None, (sys.stdout, sys.stderr)):
