@@ -36,18 +36,6 @@ STATE_BLOCK = 1024
 MAX_REPS = 2**32  # each rep is one 32-bit key word
 
 
-def check_seed(seed) -> int:
-    """``seed`` as an int if it is a nonnegative integer (by the rule of
-    :func:`series.as_integer`); anything else raises ValueError."""
-    try:
-        value = as_integer(seed, "seed")
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return value
-
-
 def check_reps(value, name: str, noun: str) -> int:
     """``value`` as an int if it is a whole count of ``noun``s from 100, enough for
     a rejection rate, to ``MAX_REPS``; anything else raises ValueError."""
@@ -62,7 +50,7 @@ def check_reps(value, name: str, noun: str) -> int:
 
 def uint32_words(value) -> list[int]:
     """A key word as NumPy coerces it: little-endian 32-bit words, one word for 0."""
-    value = check_seed(value)
+    value = as_integer(value, "seed", 0)
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)

@@ -185,6 +185,7 @@ def procedure(
             )
     elif not 0.0 < cl < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {cl}")
+    P = as_integer(P, "sample size", 2)
     scale = 1.0 if method.scale is None else method.scale(P, h)
     if bandwidth is None:
         default = rule or method.default
@@ -417,13 +418,11 @@ def im_partition(P: int, q: int) -> ImPartition:
 
     With P = q*b0 + r, the first r blocks get b0 + 1 observations and the
     remaining q - r blocks get b0, so sizes differ by at most one and sum
-    to P exactly. ``q`` may be any integral number (3.0 gives 3 blocks).
+    to P exactly. ``q`` may be any integral number (3.0 gives 3 blocks)
+    from 2 to P.
     """
-    q = as_integer(q)
-    if q < 2:
-        raise ValueError(f"need at least 2 blocks, got {q}")
-    if q > P:
-        raise ValueError(f"cannot split {P} observations into {q} blocks")
+    P = as_integer(P, "sample size", 2)
+    q = as_integer(q, "bandwidth", 2, P)
     b0, r = divmod(P, q)
     sizes = (b0 + 1,) * r + (b0,) * (q - r)
     return ImPartition(block_sizes=sizes)

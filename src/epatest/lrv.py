@@ -70,19 +70,17 @@ BANDWIDTH_RULES = {
 def bandwidth(rule: str, P: int) -> int:
     """Evaluate a named automatic bandwidth rule at sample size ``P``.
 
-    The raw rule value is clamped to the estimator's admissible range:
-    [1, P - 1] for the lag-window and cosine rules, [1, floor(P/2)] for the
-    periodogram rule ``wpe_default``.
+    The raw rule value is clamped to [1, P - 1]. No rule leaves an
+    estimator's own range: ``wpe_default``'s floor(P^(1/3)) never exceeds
+    floor(P/2), the largest number of periodogram ordinates.
     """
     try:
         rule_fn = BANDWIDTH_RULES[rule]
     except KeyError:
         known = ", ".join(sorted(BANDWIDTH_RULES))
         raise ValueError(f"unknown bandwidth rule {rule!r}; expected one of: {known}") from None
-    if P < 2:
-        raise ValueError(f"sample size must be at least 2, got {P}")
-    upper = P // 2 if rule == "wpe_default" else P - 1
-    return max(1, min(rule_fn(P), upper))
+    P = as_integer(P, "sample size", 2)
+    return max(1, min(rule_fn(P), P - 1))
 
 
 @dataclass(frozen=True)
@@ -102,24 +100,6 @@ class LrvEstimate:
 
     def __post_init__(self):
         object.__setattr__(self, "nonpositive", bool(self.value <= 0.0))
-
-
-def _check_lags(lags: int, P: int) -> int:
-    h = as_integer(lags + 1, "forecast horizon")
-    if h < 1:
-        raise ValueError(f"forecast horizon must be at least 1, got {h}")
-    if h >= P:
-        raise ValueError(f"horizon {h} needs at least {h + 1} observations, got {P}")
-    return h - 1
-
-
-def _check_range(what: str, upper: Callable[[int], int]) -> Callable[[int, int], int]:
-    def check(bw, P: int) -> int:
-        bw = as_integer(bw)
-        if not 1 <= bw <= upper(P):
-            raise ValueError(f"{what} must lie in [1, {upper(P)}], got {bw}")
-        return bw
-    return check
 
 
 @functools.lru_cache(maxsize=256)  # bounded: a sweep over every M would keep O(P^2) doubles
@@ -150,23 +130,23 @@ class Estimator:
 # count, h - 1 for an h-step forecast.
 ESTIMATORS = {
     "rectangular": Estimator(
-        _check_lags,
+        lambda lags, P: as_integer(lags + 1, "forecast horizon", 1, P - 1) - 1,
         lambda lags: lags,
         lambda gamma, lags: gamma[:, 0] + 2.0 * np.sum(gamma[:, 1 : lags + 1], axis=1),
     ),
     "bartlett": Estimator(
-        _check_range("bandwidth", lambda P: P - 1),
+        lambda M, P: as_integer(M, "bandwidth", 1, P - 1),
         lambda M: M - 1,
         lambda gamma, M: np.maximum(gamma[:, 0] + 2.0 * np.sum(
             _bartlett_weights(M) * gamma[:, 1:M], axis=1), 0.0),
     ),
     "ewc": Estimator(
-        _check_range("number of basis functions", lambda P: P - 1),
+        lambda B, P: as_integer(B, "bandwidth", 1, P - 1),
         None,
         lambda X, B: np.mean(cosine_coefficient_rows(X, range(1, B + 1)) ** 2, axis=1),
     ),
     "wpe": Estimator(
-        _check_range("number of ordinates", lambda P: P // 2),
+        lambda m, P: as_integer(m, "bandwidth", 1, P // 2),
         None,
         lambda X, m: (2.0 * np.pi / m) * np.sum(periodogram_rows(X, np.arange(1, m + 1)), axis=1),
     ),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import signal
 import sys
+import traceback
 from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import check_reps, check_seed, keyed_rows
+from ._streams import check_reps, keyed_rows
 from .dmtests import procedure, tally
 from .series import ar_filter_rows, as_integer
 
@@ -97,25 +98,20 @@ class DgpSpec:
         if self.family not in _FAMILY_CODES:
             raise ValueError(f"unknown DGP family {self.family!r}; expected 'ucr' or 'cr'")
         for name in ("h", "R", "R_tilde", "P"):
-            v = as_integer(getattr(self, name), name)
-            if v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
         mu = calibrate_mu(self.h, self.R) if self.family == "ucr" else 0.0
         object.__setattr__(self, "mu", mu)
 
 
 def ma_weights(h: int) -> np.ndarray:
     """Moving-average weights (1, 0.5, ..., 0.5^{h-1}) shared by both DGPs."""
-    if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
-    return 0.5 ** np.arange(h)
+    return 0.5 ** np.arange(as_integer(h, "horizon", 1))
 
 
 def ma_autocovariances(h: int) -> np.ndarray:
     """Autocovariances gamma_0..gamma_{h-1} of the MA(h-1) with weights 0.5^k."""
     theta = ma_weights(h)
-    return np.array([np.dot(theta[: h - j], theta[j:]) for j in range(h)])
+    return np.array([np.dot(theta[: theta.size - j], theta[j:]) for j in range(theta.size)])
 
 
 def calibrate_mu(h: int, R: int) -> float:
@@ -125,17 +121,13 @@ def calibrate_mu(h: int, R: int) -> float:
     R-window rolling mean errs by independent noise plus its own sampling
     variance. Equality of mean squared errors requires
     mu^2 = Var(rolling mean) = R^{-2} [R gamma_0 + 2 sum_{j=1}^{h-1} (R-j) gamma_j].
+    The formula assumes the window covers the MA dependence, so R must be at
+    least h.
     """
-    if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
-    if R < h:
-        raise ValueError(
-            f"the variance formula assumes the window covers the MA dependence; "
-            f"need R >= h, got R={R}, h={h}"
-        )
     gamma = ma_autocovariances(h)
+    R = as_integer(R, "R", gamma.size)
     acc = R * gamma[0]
-    for j in range(1, h):
+    for j in range(1, gamma.size):
         acc += 2.0 * (R - j) * gamma[j]
     return float(np.sqrt(acc) / R)
 
@@ -319,7 +311,9 @@ def _default_jobs() -> int:
 def _cells(run_cell, specs, workers: int, progress):
     """``run_cell(i)`` of every cell i in grid order, by ``workers`` processes: this one, or
     forked ones, each sent the next cell index when free; ``progress`` is called as a cell
-    is handed out. However the generator ends, every worker is killed and joined."""
+    is handed out. A worker's exception is raised from one that holds its traceback, so
+    ``run_cell`` must not return a tuple, the form that carries them back. However the
+    generator ends, every worker is killed and joined."""
     n = len(specs)
     if workers == 1:
         for i, spec in enumerate(specs):
@@ -328,7 +322,7 @@ def _cells(run_cell, specs, workers: int, progress):
         return
     import multiprocessing.connection
 
-    def serve(parent_end, conn, k):  # worker k: send back each cell's result or exception
+    def serve(parent_end, conn, k):  # worker k: each cell's result or (exception, traceback)
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
         for end in (parent_end, *busy):  # the parent's ends, so that its death reads as EOF
             end.close()
@@ -340,7 +334,7 @@ def _cells(run_cell, specs, workers: int, progress):
                 try:
                     conn.send(run_cell(i))
                 except Exception as exc:
-                    conn.send(exc)
+                    conn.send((exc, traceback.format_exc()))
 
     if any(spec.family == "cr" for spec in specs):  # loaded once here, not in every worker
         import scipy.fft, scipy.linalg  # noqa: E401, F401
@@ -374,8 +368,9 @@ def _cells(run_cell, specs, workers: int, progress):
                     except EOFError:
                         raise RuntimeError(f"a worker died on cell {j + 1}, {specs[j]}") from None
                     free.append(conn)
-            if isinstance(done[i], Exception):  # raised in grid order, as in one process
-                raise done[i]
+            if isinstance(done[i], tuple):  # raised in grid order, as in one process
+                exc, text = done[i]
+                raise exc from RuntimeError(f"raised in a worker process:\n{text}")
             yield done.pop(i)
     finally:
         for proc in procs:
@@ -422,10 +417,8 @@ def run_experiment(
             raise ValueError(f"cell family={spec.family} h={spec.h} R={spec.R} "
                              f"R_tilde={spec.R_tilde} P={spec.P} is listed more than once")
     n_reps = check_reps(n_reps, "n_reps", "replication")
-    seed = check_seed(seed)
-    jobs = as_integer(jobs, "jobs")
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    seed = as_integer(seed, "seed", 0)
+    jobs = as_integer(jobs, "jobs", 1)
     if jobs > 1 and not hasattr(os, "fork"):
         raise ValueError("jobs above 1 need the fork start method, which this platform lacks")
     # Reference distributions depend on the cell only through (P, h).

@@ -43,11 +43,17 @@ def as_loss_series(d) -> np.ndarray:
     return arr
 
 
-def as_integer(value, what: str = "bandwidth") -> int:
-    """``value`` as an int if it is integral: 3, ``np.int64(3)`` and 3.0 all give 3.
+def as_integer(value, what: str = "bandwidth", lo: int | None = None,
+               hi: int | None = None) -> int:
+    """``value`` as an int if it is integral and within [``lo``, ``hi``]; 3,
+    ``np.int64(3)`` and 3.0 all give 3. Either bound may be None (no bound).
 
-    Anything else raises ValueError("<what> must be an integer, got <value>"),
-    the one message every integer argument of the package gives.
+    This is the one rule every integer argument of the package follows. A
+    value that is not integral raises ValueError("<what> must be an integer,
+    got <value!r>"). One out of range raises ValueError("<what> must <rule>,
+    got <int>"), the rule being "be a nonnegative integer" at ``lo`` 0, "be a
+    positive integer" at ``lo`` 1, "lie in [lo, hi]" when ``hi`` is given and
+    "be at least <lo>" otherwise.
     """
     try:
         integer = int(value)
@@ -55,6 +61,14 @@ def as_integer(value, what: str = "bandwidth") -> int:
         integer = None
     if integer is None or integer != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if (lo is not None and integer < lo) or (hi is not None and integer > hi):
+        if hi is not None:
+            rule = f"lie in [{lo}, {hi}]"
+        elif lo in (0, 1):
+            rule = f"be a {('nonnegative', 'positive')[lo]} integer"
+        else:
+            rule = f"be at least {lo}"
+        raise ValueError(f"{what} must {rule}, got {integer}")
     return integer
 
 
@@ -95,10 +109,7 @@ def autocovariance(d, maxlag: int) -> np.ndarray:
     divisor P at every lag so that kernel-weighted sums stay well behaved.
     """
     d = as_loss_series(d)
-    maxlag = as_integer(maxlag, "maxlag")
-    P = d.size
-    if not 0 <= maxlag <= P - 1:
-        raise ValueError(f"maxlag must lie in [0, {P - 1}], got {maxlag}")
+    maxlag = as_integer(maxlag, "maxlag", 0, d.size - 1)
     return autocovariance_rows(d[None, :], maxlag)[0]
 
 
@@ -110,10 +121,7 @@ def periodogram(d, j: int) -> float:
     ordinate is invariant to adding a constant to the series.
     """
     d = as_loss_series(d)
-    j = as_integer(j, "frequency index")
-    P = d.size
-    if not 1 <= j <= P // 2:
-        raise ValueError(f"frequency index must lie in [1, {P // 2}], got {j}")
+    j = as_integer(j, "frequency index", 1, d.size // 2)
     return float(periodogram_rows(d[None, :], [j])[0, 0])
 
 
@@ -125,10 +133,7 @@ def cosine_coefficient(d, j: int) -> float:
     to adding a constant to the series and no demeaning is applied.
     """
     d = as_loss_series(d)
-    j = as_integer(j, "basis index")
-    P = d.size
-    if not 1 <= j <= P - 1:
-        raise ValueError(f"basis index must lie in [1, {P - 1}], got {j}")
+    j = as_integer(j, "basis index", 1, d.size - 1)
     return float(cosine_coefficient_rows(d[None, :], range(j, j + 1))[0, 0])
 
 

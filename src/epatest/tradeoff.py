@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._streams import check_reps, check_seed, keyed_rows
+from ._streams import check_reps, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import METHODS, outcomes, procedure, tally
@@ -44,7 +44,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SIMULATION_BURN_IN = 500
-NOMINAL_LEVEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -117,14 +116,9 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
     """
     d = as_loss_series(d)
     P = d.size
-    max_order = min(10, P // 4) if max_order is None else as_integer(max_order, "max_order")
-    if max_order < 0:
-        raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    if P < 2 * max_order + 2:
-        raise ValueError(
-            f"series of length {P} is too short for max_order={max_order}; "
-            "need at least 2 * max_order + 2 observations"
-        )
+    # A fit of order max_order needs P >= 2 * max_order + 2.
+    max_order = (min(10, P // 4) if max_order is None
+                 else as_integer(max_order, "max_order", 0, (P - 2) // 2))
     x = d - d.mean()
     fits = [_conditional_ls(x, p, max_order) for p in range(max_order + 1)]
     aics = [n * math.log(rss / (n - p)) + 2.0 * p if rss / (n - p) > 0.0 else -math.inf
@@ -166,8 +160,7 @@ def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.n
     retained path is effectively stationary. ``shift`` = 0 simulates the
     null of zero mean, nonzero values simulate alternatives.
     """
-    if P < 1:
-        raise ValueError(f"path length must be positive, got {P}")
+    P = as_integer(P, "path length", 1)
     E = np.random.default_rng(rng).standard_normal((1, SIMULATION_BURN_IN + P))
     return _model_paths(model, E, shift)[0]
 
@@ -204,16 +197,18 @@ def _procedures(P: int, grid) -> list:
     """The fixed-b test at each bandwidth of ``grid`` (None: :func:`default_bandwidth_grid`)."""
     if grid is None:
         grid = default_bandwidth_grid(P)
-    return [procedure("dm_fb", P, 1, NOMINAL_LEVEL, M) for M in grid]
+    return [procedure("dm_fb", P, 1, 0.05, M) for M in grid]
 
 
 def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: bool = True):
     """Size distortions and max power losses (None without ``with_power``) of
     ``procedures``, both read off one set of ``config.n_sim`` null paths."""
+    P = as_integer(P, "sample size", 2)  # the one-bandwidth functions pass theirs as given
     if with_power and model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
     tallies = _null_statistics(model, P, procedures, config.n_sim, config.seed)
-    sizes = [rejections / config.n_sim - NOMINAL_LEVEL for *_, rejections, _ in tallies]
+    sizes = [rejections / config.n_sim - proc.cl
+             for proc, (*_, rejections, _) in zip(procedures, tallies)]
     if not with_power:
         return sizes, None
     sqrt_p = math.sqrt(P)
@@ -225,7 +220,8 @@ def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: 
     # Rows are bandwidths, columns replications.
     stat0, variance, null_abs, _, _ = map(np.array, zip(*tallies))
     sd = np.sqrt(np.where(np.isnan(stat0), np.nan, variance))
-    crit = size_corrected_critical_value(null_abs)[:, None]
+    # dm_fb is tabulated at one level only, so every procedure here has the same cl.
+    crit = size_corrected_critical_value(null_abs, procedures[0].cl)[:, None]
     # Common random numbers: an alternative path is the null path plus the
     # shift, and the Bartlett variance estimate is shift-invariant (so a
     # path degenerate under the null stays NaN and never rejects).
@@ -263,6 +259,7 @@ def oracle_power(true_lrv: float, P: int, shift: float) -> float:
     """
     if true_lrv <= 0.0:
         raise ValueError(f"long-run variance must be positive, got {true_lrv}")
+    P = as_integer(P, "sample size", 1)
     z = special.ndtri(0.975)
     u = np.asarray(shift) * math.sqrt(P) / math.sqrt(true_lrv)
     power = special.ndtr(-z + u) + special.ndtr(-z - u)
@@ -312,18 +309,14 @@ class TradeoffConfig:
 
     def __post_init__(self):
         # Integral floats are stored as ints (150.0 -> 150); other values are refused.
-        grid_size = as_integer(self.alternative_grid_size, "alternative_grid_size")
-        if grid_size < 1:
-            raise ValueError(f"alternative_grid_size must be positive, got {grid_size}")
         checked = {
             "n_sim": check_reps(self.n_sim, "n_sim", "simulation"),
-            "alternative_grid_size": grid_size,
-            "seed": check_seed(self.seed),
+            "alternative_grid_size": as_integer(self.alternative_grid_size,
+                                                "alternative_grid_size", 1),
+            "seed": as_integer(self.seed, "seed", 0),
         }
         if self.max_ar_order is not None:
-            checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order")
-            if checked["max_ar_order"] < 0:
-                raise ValueError(f"max_ar_order must be nonnegative, got {self.max_ar_order!r}")
+            checked["max_ar_order"] = as_integer(self.max_ar_order, "max_ar_order", 0)
         grid = self.bandwidth_grid
         # A range repeats nothing, and listing it could take any amount of
         # memory; any other grid is stored as a tuple, so an iterator is
@@ -386,9 +379,8 @@ def build_tradeoff_curve(
         raise ValueError(f"need at least 10 observations for the diagnostic, got {P}")
     procedures = _procedures(P, config.bandwidth_grid)
     # fit_ar checks this too, under its own argument name, max_order.
-    if config.max_ar_order is not None and P < 2 * config.max_ar_order + 2:
-        raise ValueError(f"series of length {P} is too short for max_ar_order="
-                         f"{config.max_ar_order}; need at least 2 * max_ar_order + 2 observations")
+    if config.max_ar_order is not None:
+        as_integer(config.max_ar_order, "max_ar_order", 0, (P - 2) // 2)
     model = fit_ar(d, config.max_ar_order)
     sizes, losses = _null_summary(model, P, procedures, config)
     return [TradeoffPoint(proc.bandwidth, sd, loss, outcome.rej)

@@ -496,7 +496,7 @@ class TestUnsupportedMethod:
     def test_horizon_as_long_as_the_sample(self, short_csv, tmp_path, capsys):
         # at h = P the flat-weight sum behind dm_r is zero in exact arithmetic
         unsupported = {
-            "dm_r": "horizon 12 needs at least 13 observations, got 12",
+            "dm_r": "forecast horizon must lie in [1, 11], got 12",
             "dm_m": "small-sample correction factor is nonpositive at P=12, h=12; "
                     "the horizon is too large for this sample",
         }
@@ -670,7 +670,8 @@ class TestTradeoffCommand:
         out_dir = tmp_path / "t"
         code, out, err = run(["tradeoff", "--data", str(tmp_path / "none.csv")] + BASE
                              + ["--max-ar-order", "-1", "--out", str(out_dir)], capsys)
-        assert (code, out, err) == (1, "", "error: max_ar_order must be nonnegative, got -1\n")
+        assert (code, out, err) == (
+            1, "", "error: max_ar_order must be a nonnegative integer, got -1\n")
         assert not out_dir.exists()
 
     def test_max_ar_order_too_long_for_the_series(self, data_csv, tmp_path, capsys,
@@ -680,8 +681,7 @@ class TestTradeoffCommand:
         code, out, err = run(["tradeoff", "--data", str(data_csv)] + BASE
                              + ["--max-ar-order", "24", "--out", str(out_dir)], capsys)
         assert (code, out) == (1, "")
-        assert err == ("error: series of length 48 is too short for max_ar_order=24; "
-                       "need at least 2 * max_ar_order + 2 observations\n")
+        assert err == "error: max_ar_order must lie in [0, 23], got 24\n"
         assert not out_dir.exists()
 
     # Runs main in a child process whose address space is capped, so a grid
@@ -872,7 +872,7 @@ class TestMcCommand:
         ("dm_r,dm_wpe,dm_r", "25", "method 'dm_r' is listed more than once"),
         ("dm_im_q02", "25", "unknown method 'dm_im_q02'; expected one of: dm_r, dm_m, dm_nw, "
                             "dm_nw_l, dm_fb, dm_ewc, dm_wpe, dm_im"),
-        ("dm_im_q30", "75,25", "cannot split 25 observations into 30 blocks"),
+        ("dm_im_q30", "75,25", "bandwidth must lie in [2, 25], got 30"),
         ("dm_im,dm_im_q2", "25", "methods 'dm_im' and 'dm_im_q2' are the same test"),
     ])
     def test_bad_label_fails_before_any_cell(self, methods, p_set, message, tmp_path, capsys):

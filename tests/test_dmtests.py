@@ -139,7 +139,7 @@ class TestDmR:
     def test_horizon_as_long_as_the_sample(self):
         # the flat-weight sum of every autocovariance is zero at h = P
         d = _series(6, n=12)
-        with pytest.raises(ValueError, match="^horizon 12 needs at least 13 observations, got 12$"):
+        with pytest.raises(ValueError, match=r"^forecast horizon must lie in \[1, 11\], got 12$"):
             dm_test_r(d, h=d.size)
         assert dm_test_r(d, h=d.size - 1).bandwidth == 10
 
@@ -263,7 +263,7 @@ class TestDmEwcFb:
         assert out.pval == pytest.approx(2.0 * (1.0 - t_cdf(abs(out.stat), 6)), abs=1e-9)
 
     def test_bounds(self):
-        with pytest.raises(ValueError, match="basis functions"):
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[1, 19\], got 20$"):
             dm_test_ewc_fb(_series(18, n=20), B=20)
 
 
@@ -280,7 +280,7 @@ class TestDmWpeFb:
         assert out.pval == pytest.approx(2.0 * (1.0 - t_cdf(abs(out.stat), 8)), abs=1e-9)
 
     def test_bounds(self):
-        with pytest.raises(ValueError, match="ordinates"):
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[1, 10\], got 11$"):
             dm_test_wpe_fb(_series(21, n=20), m=11)
 
 
@@ -307,9 +307,9 @@ class TestImPartition:
                 assert max(sizes) - min(sizes) <= 1
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[2, 10\], got 1$"):
             im_partition(10, 1)
-        with pytest.raises(ValueError, match="cannot split"):
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[2, 3\], got 4$"):
             im_partition(3, 4)
 
 

@@ -43,7 +43,7 @@ class TestMaStructure:
         assert ma_weights(3) == pytest.approx([1.0, 0.5, 0.25])
 
     def test_horizon_below_one_is_refused(self):
-        with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="^horizon must be a positive integer, got 0$"):
             ma_weights(0)
 
     def test_autocovariances_hand_values(self):
@@ -71,12 +71,16 @@ class TestCalibrateMu:
     def test_three_step_value(self):
         assert calibrate_mu(3, 25) == pytest.approx(0.34482, abs=1e-5)
 
+    def test_integral_floats_equal_the_ints(self):
+        assert calibrate_mu(3.0, 25.0) == calibrate_mu(3, 25)
+        assert ma_autocovariances(np.int64(3)).tolist() == ma_autocovariances(3.0).tolist()
+
     def test_window_shorter_than_dependence(self):
-        with pytest.raises(ValueError, match="R >= h"):
+        with pytest.raises(ValueError, match="^R must be at least 4, got 2$"):
             calibrate_mu(4, 2)
 
     def test_bad_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match="^horizon must be a positive integer, got 0$"):
             calibrate_mu(0, 10)
 
     def test_loss_equality_by_simulation(self):
@@ -277,6 +281,16 @@ class TestArFilter:
         assert series.ar_filter_rows([1.0], X).tobytes() == X.tobytes()
 
 
+_SIMULATE_ROWS = mc._simulate_rows
+
+
+def _fail_on_cr_cells(spec, E):
+    """``mc._simulate_rows``, except that every ``cr`` cell raises."""
+    if spec.family == "cr":
+        raise DegenerateVarianceError("bartlett", spec.P, -1.0)
+    return _SIMULATE_ROWS(spec, E)
+
+
 class TestRunExperiment:
     def test_deterministic(self):
         specs = [DgpSpec("ucr", 1, 25, 25, 25)]
@@ -335,15 +349,15 @@ class TestRunExperiment:
             run(methods=(), n_reps=100)
         with pytest.raises(ValueError, match="the experiment grid has no cells"):
             run((), n_reps=100)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             run(n_reps=100, seed=-1)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got 1.5"):
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
             run(n_reps=100, seed=1.5)
         # only the last cell's horizon is too long for its sample
-        with pytest.raises(ValueError, match="horizon 30"):
+        with pytest.raises(ValueError, match=r"^forecast horizon must lie in \[1, 24\], got 30$"):
             run(good + [DgpSpec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
         # 30 blocks fit the P = 75 cell but not the P = 25 one
-        with pytest.raises(ValueError, match="cannot split 25 observations into 30 blocks"):
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[2, 25\], got 30$"):
             run(methods=("dm_r", "dm_im_q30"), n_reps=100)
         for jobs in (0, -1):
             with pytest.raises(ValueError, match=f"^jobs must be a positive integer, got {jobs}$"):
@@ -434,6 +448,15 @@ class TestRunExperiment:
         cells = mc._cells(lambda i: i, specs, 2, lambda *cell: None)
         assert next(cells) == 0
         cells.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_carries_its_traceback(self, monkeypatch):
+        monkeypatch.setattr(mc, "_simulate_rows", _fail_on_cr_cells)
+        specs = experiment_grid(("ucr", "cr"), (1,), (25,), (25,), (25,))
+        with pytest.raises(DegenerateVarianceError) as err:
+            run_experiment(specs, ("dm_r",), 100, jobs=2)
+        assert str(err.value) == str(DegenerateVarianceError("bartlett", 25, -1.0))
+        assert ", in _fail_on_cr_cells\n" in str(err.value.__cause__)
         assert multiprocessing.active_children() == []
 
     def test_a_dead_worker_names_its_cell(self, monkeypatch):

@@ -128,16 +128,21 @@ def test_seed_words_split_as_numpy_does(value):
 @pytest.mark.parametrize("value", [-1, -(2**40), 1.5, "3", None])
 def test_key_words_must_be_nonnegative_integers(value):
     # -1 used to loop for ever splitting into words: -1 >> 32 == -1
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    message = (f"seed must be a nonnegative integer, got {value}" if isinstance(value, int)
+               else f"seed must be an integer, got {value!r}")
+    with pytest.raises(ValueError) as err:
         _streams.uint32_words(value)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
         _streams.keyed_rows(np.empty((3, 4)), [value], 4, lambda E: E)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", [0, 7, np.int64(7), 7.0, 2**64 + 3])
 def test_integral_seeds_are_accepted(value):
-    assert _streams.check_seed(value) == int(value)
-    assert type(_streams.check_seed(value)) is int
+    # TradeoffConfig keeps the seed as checked, so its type shows
+    seed = tradeoff.TradeoffConfig(seed=value).seed
+    assert seed == int(value) and type(seed) is int
 
 
 @pytest.mark.parametrize(

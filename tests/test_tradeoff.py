@@ -65,11 +65,11 @@ class TestFitAr:
         assert fit_ar(d).order <= 7
 
     def test_too_short_series(self):
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match=r"^max_order must lie in \[0, 4\], got 5$"):
             fit_ar(np.arange(10.0), max_order=5)
 
     def test_negative_max_order(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^max_order must lie in \[0, 19\], got -1$"):
             fit_ar(np.arange(40.0), max_order=-1)
 
 
@@ -224,12 +224,15 @@ class TestSizeDistortion:
 
 
 class TestSeedChecks:
+    MESSAGES = {-1: "seed must be a nonnegative integer, got -1",
+                1.5: "seed must be an integer, got 1.5"}
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_refused_by_simulating_functions(self, seed):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            size_distortion(AR0, P=60, M=5, n_sim=300, seed=seed)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            max_power_loss(AR0, P=60, M=5, n_sim=300, seed=seed)
+        for fn in (size_distortion, max_power_loss):
+            with pytest.raises(ValueError) as err:
+                fn(AR0, P=60, M=5, n_sim=300, seed=seed)
+            assert str(err.value) == self.MESSAGES[seed]
 
     def test_integral_float_seed_is_that_integer(self):
         assert size_distortion(AR0, P=60, M=5, n_sim=300, seed=2.0) == size_distortion(
@@ -362,9 +365,12 @@ class TestTradeoffConfig:
 
     def test_integer_seed(self):
         # refused when the config is made, before any model is fitted
-        for seed in (1.5, "3", -1):
-            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        for seed, message in [(1.5, "seed must be an integer, got 1.5"),
+                              ("3", "seed must be an integer, got '3'"),
+                              (-1, "seed must be a nonnegative integer, got -1")]:
+            with pytest.raises(ValueError) as err:
                 TradeoffConfig(seed=seed)
+            assert str(err.value) == message
         assert TradeoffConfig(seed=np.int64(2**40)).seed == 2**40
         TradeoffConfig(seed=2.0)
 
@@ -381,7 +387,8 @@ class TestTradeoffConfig:
 
     def test_nonnegative_max_ar_order(self):
         # refused when the config is made, naming the field, not fit_ar's max_order
-        with pytest.raises(ValueError, match=r"^max_ar_order must be nonnegative, got -1$"):
+        with pytest.raises(ValueError,
+                           match="^max_ar_order must be a nonnegative integer, got -1$"):
             TradeoffConfig(max_ar_order=-1)
         assert TradeoffConfig(max_ar_order=0).max_ar_order == 0
 
