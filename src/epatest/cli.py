@@ -199,8 +199,16 @@ def _options(args, *names) -> dict:
 
 
 def _write(path: Path, text: str) -> Path:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``:
+    an interrupted or failed write leaves the previous file, or none, and no temporary."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +274,26 @@ def tally(procedures, X: np.ndarray) -> list[tuple]:
     return list(zip(stat, variance, abs_stat,
                     np.count_nonzero(abs_stat > crit, axis=1).tolist(),
                     np.count_nonzero(degenerate, axis=1).tolist()))
+
+
+def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float | np.ndarray:
+    """Empirical (1 - cl) quantile critical value from archived null statistics.
+
+    Returns the ceil((1 - cl) n)-th order statistic (1-based) of the
+    absolute statistics; the index is computed in integer arithmetic on
+    the decimal value of ``cl``, so at cl = 0.05 sample sizes divisible by
+    20 land exactly on the intended element. A 1-D ``abs_stats`` gives a
+    float; a 2-D one gives the array of its rows' critical values.
+    """
+    a = np.asarray(abs_stats, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] == 0:
+        raise ValueError("need a 1-D or 2-D array of absolute statistics with nonempty rows")
+    if not 0.0 < cl < 1.0:
+        raise ValueError(f"significance level must lie in (0, 1), got {cl}")
+    num, den = Decimal(repr(float(cl))).as_integer_ratio()
+    idx = -(-(den - num) * a.shape[-1] // den)
+    crit = np.sort(a, axis=-1)[..., idx - 1]
+    return float(crit) if crit.ndim == 0 else crit
 
 
 def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:

@@ -25,13 +25,12 @@ import traceback
 from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
-from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
 
 from ._streams import check_reps, keyed_rows
-from .dmtests import procedure, tally
+from .dmtests import procedure, size_corrected_critical_value, tally
 from .series import ar_filter_rows, as_integer
 
 __all__ = [
@@ -312,8 +311,8 @@ def _cells(run_cell, specs, workers: int, progress):
     """``run_cell(i)`` of every cell i in grid order, by ``workers`` processes: this one, or
     forked ones, each sent the next cell index when free; ``progress`` is called as a cell
     is handed out. A worker's exception is raised from one that holds its traceback, so
-    ``run_cell`` must not return a tuple, the form that carries them back. However the
-    generator ends, every worker is killed and joined."""
+    ``run_cell`` must not return a tuple, the form that carries them back; a dead worker
+    gives ChildProcessError. However the generator ends, every worker is killed and joined."""
     n = len(specs)
     if workers == 1:
         for i, spec in enumerate(specs):
@@ -339,14 +338,14 @@ def _cells(run_cell, specs, workers: int, progress):
     if any(spec.family == "cr" for spec in specs):  # loaded once here, not in every worker
         import scipy.fft, scipy.linalg  # noqa: E401, F401
     ctx = multiprocessing.get_context("fork")
-    procs, free, busy, done, handed = [], [], {}, {}, 0  # busy: conn -> cell; done: cell -> result
+    procs, free, busy, done, handed = {}, [], {}, {}, 0  # procs, busy: by conn; done: by cell
 
     def start_worker():  # when a cell first finds no worker free
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()  # or the worker could write the buffered text again
         conn, child = ctx.Pipe()
-        procs.append(ctx.Process(target=serve, args=(conn, child, len(procs)), daemon=True))
-        procs[-1].start()
+        procs[conn] = ctx.Process(target=serve, args=(conn, child, len(procs)), daemon=True)
+        procs[conn].start()
         child.close()  # so that the worker's death reads as EOF here
         return conn
 
@@ -365,17 +364,21 @@ def _cells(run_cell, specs, workers: int, progress):
                     j = busy.pop(conn)
                     try:
                         done[j] = conn.recv()
-                    except EOFError:
-                        raise RuntimeError(f"a worker died on cell {j + 1}, {specs[j]}") from None
+                    except EOFError:  # the worker died, say by the out-of-memory killer
+                        procs[conn].join()
+                        code = procs[conn].exitcode
+                        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                        raise ChildProcessError(
+                            f"a worker died on cell {j + 1}, {specs[j]}: {how}") from None
                     free.append(conn)
             if isinstance(done[i], tuple):  # raised in grid order, as in one process
                 exc, text = done[i]
                 raise exc from RuntimeError(f"raised in a worker process:\n{text}")
             yield done.pop(i)
     finally:
-        for proc in procs:
+        for proc in procs.values():
             proc.kill()
-        for proc in procs:
+        for proc in procs.values():
             proc.join()
 
 
@@ -448,26 +451,6 @@ def run_experiment(
             result.archives[key] = abs_stat
             result.degenerate_counts[key] = degenerate
     return result
-
-
-def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float | np.ndarray:
-    """Empirical (1 - cl) quantile critical value from archived null statistics.
-
-    Returns the ceil((1 - cl) n)-th order statistic (1-based) of the
-    absolute statistics; the index is computed in integer arithmetic on
-    the decimal value of ``cl``, so at cl = 0.05 sample sizes divisible by
-    20 land exactly on the intended element. A 1-D ``abs_stats`` gives a
-    float; a 2-D one gives the array of its rows' critical values.
-    """
-    a = np.asarray(abs_stats, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] == 0:
-        raise ValueError("need a 1-D or 2-D array of absolute statistics with nonempty rows")
-    if not 0.0 < cl < 1.0:
-        raise ValueError(f"significance level must lie in (0, 1), got {cl}")
-    num, den = Decimal(repr(float(cl))).as_integer_ratio()
-    idx = -(-(den - num) * a.shape[-1] // den)
-    crit = np.sort(a, axis=-1)[..., idx - 1]
-    return float(crit) if crit.ndim == 0 else crit
 
 
 def size_corrected_power(result: ExperimentResult, cell: tuple, method: str) -> float:

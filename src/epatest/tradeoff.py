@@ -23,9 +23,8 @@ from scipy import special
 from ._streams import check_reps, keyed_rows
 from .data import ForecastDataset
 from .data import loss_series as data_loss_series
-from .dmtests import METHODS, outcomes, procedure, tally
+from .dmtests import METHODS, outcomes, procedure, size_corrected_critical_value, tally
 from .lrv import bandwidth
-from .mc import size_corrected_critical_value
 from .series import ar_filter_rows, as_integer, as_loss_series
 
 __all__ = [
@@ -166,31 +165,10 @@ def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.n
 
 
 def _null_rng(seed: int, rep: int) -> np.random.Generator:
-    """The generator of null path ``rep``: :func:`_null_statistics` draws
+    """The generator of null path ``rep``: :func:`_null_summary` draws
     ``simulate_from_model(model, P, 0.0, _null_rng(seed, rep))`` as that
     path, without constructing the generator."""
     return np.random.default_rng([seed, rep])
-
-
-def _null_statistics(model: FittedArModel, P: int, procedures, n_sim: int, seed: int):
-    """Tallies of the fixed-b ``procedures`` on one set of null paths.
-
-    Simulates the ``n_sim`` null paths once, as rows of a matrix, and
-    evaluates the test at every bandwidth from one autocovariance array.
-    Returns :func:`epatest.dmtests.tally`'s tuple per procedure; by its
-    rule a degenerate variance estimate is a non-rejection with
-    |statistic| 0. Degenerate paths are counted in the debug log.
-    """
-    paths = np.empty((n_sim, P))
-    keyed_rows(paths, [seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(model, E, 0.0))
-    tallies = tally(procedures, paths)
-    for proc, (*_, degenerate) in zip(procedures, tallies):
-        if degenerate:
-            logger.debug(
-                "fixed-b null statistics (P=%d, M=%d): %d of %d replications degenerate",
-                P, proc.bandwidth, degenerate, n_sim,
-            )
-    return tallies
 
 
 def _procedures(P: int, grid) -> list:
@@ -201,14 +179,21 @@ def _procedures(P: int, grid) -> list:
 
 
 def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: bool = True):
-    """Size distortions and max power losses (None without ``with_power``) of
-    ``procedures``, both read off one set of ``config.n_sim`` null paths."""
+    """Size distortions and max power losses (None without ``with_power``) of ``procedures``,
+    all read off one tally of ``config.n_sim`` null paths, drawn once as rows of a matrix; a
+    degenerate path (by :func:`epatest.dmtests.tally`) never rejects and is counted in the log."""
     P = as_integer(P, "sample size", 2)  # the one-bandwidth functions pass theirs as given
     if with_power and model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
-    tallies = _null_statistics(model, P, procedures, config.n_sim, config.seed)
-    sizes = [rejections / config.n_sim - proc.cl
-             for proc, (*_, rejections, _) in zip(procedures, tallies)]
+    paths = np.empty((config.n_sim, P))
+    keyed_rows(paths, [config.seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(model, E, 0.0))
+    tallies = tally(procedures, paths)
+    sizes = []
+    for proc, (*_, rejections, degenerate) in zip(procedures, tallies):
+        if degenerate:
+            logger.debug("fixed-b null statistics (P=%d, M=%d): %d of %d replications degenerate",
+                         P, proc.bandwidth, degenerate, config.n_sim)
+        sizes.append(rejections / config.n_sim - proc.cl)
     if not with_power:
         return sizes, None
     sqrt_p = math.sqrt(P)

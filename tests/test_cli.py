@@ -970,6 +970,25 @@ class TestMcCommand:
         assert runs[0][2].startswith("[1/4] family=ucr h=1 R=25 R_tilde=25 P=25\n[2/4] ")
         assert len(runs[0][3]) == 5
 
+    def test_a_dead_worker_is_one_error_line(self, tmp_path, capfd, monkeypatch):
+        # os._exit skips the worker's cleanup, as the out-of-memory killer does
+        simulate_rows = mc._simulate_rows
+
+        def die(spec, E):
+            if spec.R_tilde == 75:
+                os._exit(3)
+            return simulate_rows(spec, E)
+
+        monkeypatch.setattr(mc, "_simulate_rows", die)
+        out_dir = tmp_path / "x"
+        code = main(self.ARGS + ["--p-set", "25", "--jobs", "2", "--out", str(out_dir)])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1] == ("error: a worker died on cell 2, DgpSpec(family='ucr', "
+                                        "h=1, R=25, R_tilde=75, P=25, mu=0.2): exit code 3")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_jobs_below_one_fails_before_any_cell(self, tmp_path, capsys):
         out_dir = tmp_path / "x"
         code, out, err = run(self.ARGS + ["--jobs", "0", "--out", str(out_dir)], capsys)
@@ -1029,6 +1048,38 @@ def test_too_many_replications_fail_before_any_simulation(command, data_csv, tmp
     assert err == (f"error: {name} must be at most 2**32 (one stream key word per {kind}), "
                    "got 100000000000\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, target, previous", [
+    ("test", "test_results.json", ["--cl", "0.1"]),
+    ("tradeoff", "tradeoff.json", ["--seed", "1"]),
+    ("mc", "ucr_dm_fb_size.csv", ["--seed", "1"]),
+])
+def test_a_failed_write_leaves_the_previous_file(command, target, previous, data_csv, tmp_path,
+                                                 capsys, monkeypatch):
+    argv = {
+        "test": ["test", "--data", str(data_csv)] + BASE,
+        "tradeoff": ["tradeoff", "--data", str(data_csv)] + BASE + ["--grid", "2,4",
+                                                                    "--n-sim", "120"],
+        "mc": TestMcCommand.ARGS,
+    }[command] + ["--out", str(tmp_path)]
+    assert run(argv + previous, capsys)[0] in (0, 3)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    write_text = Path.write_text
+
+    def fail_partway(self, text, *args, **kwargs):  # a full disk, say
+        if target in self.name:
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_partway)
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: No space left on device"] == err.splitlines()[-1:]
+    assert (tmp_path / target).read_bytes() == before[target]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before)
 
 
 @pytest.mark.parametrize("command", ["mc", "tradeoff"])

@@ -469,8 +469,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "_simulate_rows", die)
         spec = DgpSpec("ucr", 1, 25, 75, 25)
-        with pytest.raises(RuntimeError, match=r"^a worker died on cell 2, DgpSpec\(family="
-                                               r"'ucr', h=1, R=25, R_tilde=75, P=25, mu=.*\)$"):
+        with pytest.raises(ChildProcessError, match=r"^a worker died on cell 2, DgpSpec\(family="
+                           r"'ucr', h=1, R=25, R_tilde=75, P=25, mu=.*\): exit code 3$"):
             run_experiment([DgpSpec("ucr", 1, 25, 25, 25), spec], ("dm_r",), 100, jobs=2)
         assert multiprocessing.active_children() == []
 
@@ -515,6 +515,19 @@ class TestRunExperiment:
         seen = list(mc._cells(lambda i: os.sched_getaffinity(0), specs, 2, lambda *cell: None))
         assert seen == [{cpus[0]}, {cpus[1 % len(cpus)]}]
         assert sorted(os.sched_getaffinity(0)) == cpus
+
+    def test_workers_that_cannot_pin_give_the_same_result(self, monkeypatch):
+        # as on macOS, which has no affinity API
+        monkeypatch.delattr(os, "sched_setaffinity")
+        specs = [DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("ucr", 1, 25, 75, 25)]
+        serial, forked = (run_experiment(specs, ("dm_r", "dm_fb"), 100, seed=2, jobs=jobs)
+                          for jobs in (1, 2))
+        assert forked.rejection_rates == serial.rejection_rates
+        assert forked.degenerate_counts == serial.degenerate_counts
+        assert list(forked.archives) == list(serial.archives)
+        for key, archive in serial.archives.items():
+            assert np.array_equal(forked.archives[key], archive)
+        assert multiprocessing.active_children() == []
 
     def test_default_jobs_are_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)

@@ -259,7 +259,10 @@ def test_null_paths_equal_one_path_simulator(order):
         tradeoff.simulate_from_model(model, P, 0.0, tradeoff._null_rng(seed, rep))
         for rep in range(n_sim)
     ])
-    got = tradeoff._null_statistics(model, P, procedures, n_sim, seed)
+    keyed = np.empty((n_sim, P))  # the null paths as tradeoff._null_summary draws them
+    _streams.keyed_rows(keyed, [seed], tradeoff.SIMULATION_BURN_IN + P,
+                        lambda E: tradeoff._model_paths(model, E, 0.0))
+    got = tally(procedures, keyed)
     want = tally(procedures, paths)
     for (stat, variance, *_), (want_stat, want_variance, *_) in zip(got, want):
         assert stat.tobytes() == want_stat.tobytes()

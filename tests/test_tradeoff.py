@@ -8,8 +8,9 @@ import pytest
 from scipy import signal, stats
 
 from epatest import tradeoff
+from epatest._streams import keyed_rows
 from epatest.data import ForecastDataset
-from epatest.dmtests import METHODS, dm_test_bt_fb, procedure
+from epatest.dmtests import METHODS, dm_test_bt_fb, procedure, tally
 from epatest.lrv import bandwidth
 from epatest.tradeoff import (
     FittedArModel,
@@ -554,7 +555,10 @@ class TestDegeneratePaths:
         d = simulate_from_model(ar1_model(0.5), self.P, 0.0, 4)
         model = fit_ar(d)
         procedures = [procedure("dm_fb", self.P, 1, 0.05, M) for M in self.GRID]
-        clean = tradeoff._null_statistics(model, self.P, procedures, self.N_SIM, 0)
+        paths = np.empty((self.N_SIM, self.P))  # the null paths as _null_summary draws them
+        keyed_rows(paths, [0], tradeoff.SIMULATION_BURN_IN + self.P,
+                   lambda E: tradeoff._model_paths(model, E, 0.0))
+        clean = tally(procedures, paths)
         live = np.arange(self.N_SIM) % 10 != 0
         want = [np.count_nonzero(np.abs(stat[live]) > p.critical_value) / self.N_SIM - 0.05
                 for p, (stat, *_) in zip(procedures, clean)]
