@@ -206,9 +206,8 @@ def _write(path: Path, text: str) -> Path:
     try:
         temp.write_text(text)
         os.replace(temp, path)
-    except BaseException:
+    finally:  # after the rename there is nothing left to remove
         temp.unlink(missing_ok=True)
-        raise
     return path
 
 
