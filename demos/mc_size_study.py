@@ -9,7 +9,7 @@ procedures; the fixed-smoothing ones hold their size.
 The grid here is deliberately small so it runs in seconds. The full
 crossed design — both families, all window pairs, five sample sizes — is
 the same call with ``epatest.mc.experiment_grid()`` and 5000
-replications, and takes about 11 minutes (see the README).
+replications; the README gives its running time.
 """
 
 import time

@@ -13,7 +13,9 @@ Human-readable tables go to standard output, progress and warnings to the
 error stream, and machine-readable results to files under ``--out``. Every
 file-producing run also writes a manifest recording the command, its
 parameters, the seed, the package version, and the environment (Python,
-NumPy and SciPy versions, operating system and machine type).
+NumPy and SciPy versions, operating system and machine type). A command
+renders all its files before it writes the first, so a failure while
+rendering leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -45,7 +47,7 @@ from .mc import (
     run_experiment,
     size_corrected_powers,
 )
-from .tradeoff import TradeoffConfig, TradeoffPoint, build_tradeoff_curve
+from .tradeoff import TradeoffConfig, build_tradeoff_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -188,9 +190,12 @@ def _load_series(args) -> np.ndarray:
     if len(cols) != 2:
         raise ValueError(f"--forecast-cols needs exactly two names, got {args.forecast_cols!r}")
     date_range = (args.date_from, args.date_to)
+    if date_range == (None, None):
+        date_range = None
+    elif args.date_col is None:  # before the file is opened
+        raise ValueError("--from and --to require --date-col")
     ds = load_csv(args.data, cols, args.realization_col, na_policy=args.na_policy,
-                  date_col=args.date_col,
-                  date_range=None if date_range == (None, None) else date_range)
+                  date_col=args.date_col, date_range=date_range)
     return loss_series(ds, args.loss)
 
 
@@ -211,11 +216,11 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _write_manifest(path: Path, command: str, parameters: dict, seed, **results) -> Path:
+def _manifest(command: str, parameters: dict, seed, **results) -> str:
     """A JSON record of the run, then the command's own ``results`` in the order given."""
     payload = {"command": command, "parameters": parameters, "seed": seed,
                "software_version": __version__, "environment": _ENVIRONMENT, **results}
-    return _write(path, json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv_field(value) -> str:
@@ -229,9 +234,8 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> Path:
-    lines = (",".join(map(_csv_field, row)) + "\n" for row in [header, *rows])
-    return _write(path, "".join(lines))
+def _csv(header, rows) -> str:
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in [header, *rows])
 
 
 def _outcome_record(method: str, proc, outcome, cl: float) -> dict:
@@ -288,14 +292,10 @@ def cmd_test(args) -> int:
         rej = "-" if r["rej"] is None else ("yes" if r["rej"] else "no")
         print(f"{r['method']:<8} {stat:>10} {crit:>9} {pval:>8} {bw:>9} {df:>4}  {rej}")
     if args.out is not None:
-        target = _write_manifest(
-            Path(args.out) / "test_results.json", "test",
-            _options(args, *_DATA_OPTIONS, "method", "h", "cl", *_BANDWIDTH_FLAGS),
-            seed=None,
-            n_obs=int(d.size),
-            results=records,
-        )
-        print(f"wrote {target}", file=sys.stderr)
+        text = _manifest("test", _options(args, *_DATA_OPTIONS, "method", "h", "cl",
+                                          *_BANDWIDTH_FLAGS),
+                         seed=None, n_obs=int(d.size), results=records)
+        print(f"wrote {_write(Path(args.out) / 'test_results.json', text)}", file=sys.stderr)
     problems = [results[name] for name in names if not isinstance(results[name], TestOutcome)]
     for exc in problems:
         print(f"warning: {exc}", file=sys.stderr)
@@ -319,28 +319,22 @@ def cmd_tradeoff(args) -> int:
     points = build_tradeoff_curve(d, config)
     default_M = bandwidth(METHODS["dm_fb"].default, d.size)
 
-    out_dir = Path(args.out)
-    names = [f.name for f in fields(TradeoffPoint)]
-    records = [{name: getattr(p, name) for name in names} for p in points]
-    written = [
-        _write_csv(out_dir / "tradeoff.csv", names, [r.values() for r in records]),
-        _write_manifest(
-            out_dir / "tradeoff.json", "tradeoff",
+    records = [asdict(p) for p in points]
+    files = {
+        "tradeoff.csv": _csv(records[0].keys(), [r.values() for r in records]),
+        "tradeoff.json": _manifest(
+            "tradeoff",
             {**_options(args, *_DATA_OPTIONS), "grid": [p.M for p in points],
              **_options(args, "n_sim", "alt_grid_size", "max_ar_order")},
-            seed=args.seed,
-            n_obs=int(d.size),
-            default_bandwidth=default_M,
-            points=records,
-        ),
-    ]
+            seed=args.seed, n_obs=int(d.size), default_bandwidth=default_M, points=records),
+    }
     if not args.no_svg:
         try:
-            written.append(_write(out_dir / "tradeoff.svg", _tradeoff_svg(points, default_M)))
+            files["tradeoff.svg"] = _tradeoff_svg(points, default_M)
         except Exception as exc:  # plot failure must not invalidate the data files
             print(f"warning: SVG rendering failed: {exc}", file=sys.stderr)
-    for path in written:
-        print(f"wrote {path}", file=sys.stderr)
+    for name, text in files.items():
+        print(f"wrote {_write(Path(args.out) / name, text)}", file=sys.stderr)
     return 0
 
 
@@ -457,34 +451,31 @@ def cmd_mc(args) -> int:
     result = run_experiment(specs, methods, args.n_reps, args.cl, args.seed, progress,
                             args.jobs)
 
-    out_dir = Path(args.out)
     # One matrix per (family, method, metric): rows are (R, R_tilde) pairs with a
     # diagonal flag, columns the h x P groups; no diagonal null cell, no power entry.
     columns = list(product(h_set, p_set))
     header = ["R", "R_tilde", "diagonal", *(f"h={h}:P={P}" for h, P in columns)]
     matrices = {"size": result.rejection_rates, "power": size_corrected_powers(result)}
-    outputs = []
+    files = {}
     for family, method, metric in product(families, methods, ("size", "power")):
         rows = (
             [R, Rt, R == Rt,
              *(matrices[metric].get((method, family, R, Rt, h, P)) for h, P in columns)]
             for R, Rt in product(r_set, rt_set)
         )
-        outputs.append(_write_csv(out_dir / f"{family}_{method}_{metric}.csv", header, rows).name)
+        files[f"{family}_{method}_{metric}.csv"] = _csv(header, rows)
 
     degenerate_totals = {}
     for (method, *_rest), count in result.degenerate_counts.items():
         degenerate_totals[method] = degenerate_totals.get(method, 0) + count
-    manifest_path = _write_manifest(
-        out_dir / "manifest.json", "mc",
+    files["manifest.json"] = _manifest(
+        "mc",
         {"families": list(families), "h_set": list(h_set), "r_set": list(r_set),
          "rt_set": list(rt_set), "p_set": list(p_set), "methods": list(methods),
          "n_reps": args.n_reps, "cl": args.cl},
-        seed=args.seed,
-        outputs=outputs,
-        degenerate_counts=degenerate_totals,
-    )
-    print(f"wrote {len(outputs)} matrices and {manifest_path}", file=sys.stderr)
+        seed=args.seed, outputs=list(files), degenerate_counts=degenerate_totals)
+    written = [_write(Path(args.out) / name, text) for name, text in files.items()]
+    print(f"wrote {len(written) - 1} matrices and {written[-1]}", file=sys.stderr)
     return 0
 
 

@@ -360,7 +360,8 @@ def _cells(run_cell, specs, workers: int, progress):
                     handed += 1
                 while free and handed == n:  # a worker with nothing left exits at once
                     free.pop().send(None)
-                for conn in multiprocessing.connection.wait(list(busy)):
+                # in cell order, so that of two workers found dead the first cell is named
+                for conn in sorted(multiprocessing.connection.wait(list(busy)), key=busy.get):
                     j = busy.pop(conn)
                     try:
                         done[j] = conn.recv()

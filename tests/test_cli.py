@@ -1054,6 +1054,7 @@ def test_too_many_replications_fail_before_any_simulation(command, data_csv, tmp
     ("test", "test_results.json", ["--cl", "0.1"]),
     ("tradeoff", "tradeoff.json", ["--seed", "1"]),
     ("mc", "ucr_dm_fb_size.csv", ["--seed", "1"]),
+    ("tradeoff", "tradeoff.svg", ["--seed", "1"]),
 ])
 def test_a_failed_write_leaves_the_previous_file(command, target, previous, data_csv, tmp_path,
                                                  capsys, monkeypatch):
@@ -1080,6 +1081,39 @@ def test_a_failed_write_leaves_the_previous_file(command, target, previous, data
         "error: No space left on device"] == err.splitlines()[-1:]
     assert (tmp_path / target).read_bytes() == before[target]
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before)
+
+
+@pytest.mark.parametrize("command", ["mc", "tradeoff"])
+def test_a_failed_render_writes_nothing(command, data_csv, tmp_path, capsys, monkeypatch):
+    argv = {
+        "tradeoff": ["tradeoff", "--data", str(data_csv)] + BASE + ["--grid", "2,4",
+                                                                    "--n-sim", "120"],
+        "mc": TestMcCommand.ARGS,
+    }[command] + ["--out", str(tmp_path)]
+    assert run(argv + ["--seed", "1"], capsys)[0] == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_manifest", fail)
+    code, _, err = run(argv, capsys)
+    assert (code, err.splitlines()[-1]) == (1, "error: boom")
+    assert "wrote" not in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["test", "tradeoff"])
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_a_date_bound_without_date_col_names_the_flags(command, flag, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(tradeoff, "fit_ar", _no_fit)
+    out_dir = tmp_path / "x"
+    code, out, err = run([command, "--data", str(tmp_path / "none.csv")] + BASE
+                         + [flag, "2000:01", "--out", str(out_dir)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: --from and --to require --date-col"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["mc", "tradeoff"])
