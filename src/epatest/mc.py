@@ -309,10 +309,9 @@ def _default_jobs() -> int:
 
 def _cells(run_cell, specs, workers: int, progress):
     """``run_cell(i)`` of every cell i in grid order, by ``workers`` processes: this one, or
-    forked ones, each sent the next cell index when free; ``progress`` is called as a cell
-    is handed out. A worker's exception is raised from one that holds its traceback, so
-    ``run_cell`` must not return a tuple, the form that carries them back; a dead worker
-    gives ChildProcessError. However the generator ends, every worker is killed and joined."""
+    forked ones, each sent the next cell index when free; ``progress`` is called as a cell is
+    handed out. The first failure in grid order is raised, as in one process; a worker's death
+    is a ChildProcessError. However the generator ends, every worker is killed and joined."""
     n = len(specs)
     if workers == 1:
         for i, spec in enumerate(specs):
@@ -321,9 +320,9 @@ def _cells(run_cell, specs, workers: int, progress):
         return
     import multiprocessing.connection
 
-    def serve(parent_end, conn, k):  # worker k: each cell's result or (exception, traceback)
+    def serve(conn, k):  # worker k: (None, each cell's result) or (exception, traceback)
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        for end in (parent_end, *busy):  # the parent's ends, so that its death reads as EOF
+        for end in procs:  # the parent's ends, so that its death reads as EOF
             end.close()
         if hasattr(os, "sched_setaffinity"):  # unpinned, workers of short cells took turns
             cpus = sorted(os.sched_getaffinity(0))
@@ -331,37 +330,36 @@ def _cells(run_cell, specs, workers: int, progress):
         with suppress(EOFError, OSError):  # the parent is gone: exit quietly
             for i in iter(conn.recv, None):
                 try:
-                    conn.send(run_cell(i))
+                    conn.send((None, run_cell(i)))
                 except Exception as exc:
                     conn.send((exc, traceback.format_exc()))
 
     if any(spec.family == "cr" for spec in specs):  # loaded once here, not in every worker
         import scipy.fft, scipy.linalg  # noqa: E401, F401
     ctx = multiprocessing.get_context("fork")
-    procs, free, busy, done, handed = {}, [], {}, {}, 0  # procs, busy: by conn; done: by cell
+    procs, busy, done, order = {}, {}, {}, iter(range(n))  # procs, busy: by conn; done: by cell
 
-    def start_worker():  # when a cell first finds no worker free
-        for stream in filter(None, (sys.stdout, sys.stderr)):
-            stream.flush()  # or the worker could write the buffered text again
-        conn, child = ctx.Pipe()
-        procs[conn] = ctx.Process(target=serve, args=(conn, child, len(procs)), daemon=True)
-        procs[conn].start()
-        child.close()  # so that the worker's death reads as EOF here
-        return conn
+    def hand_out(conn):  # the next cell, or None once every cell is out: the worker exits
+        i = next(order, None)
+        if i is not None:
+            progress(i + 1, n, specs[i])
+            busy[conn] = i
+        conn.send(i)
 
     try:
+        for k in range(workers):  # workers <= n: each is forked as it takes its first cell
+            for stream in filter(None, (sys.stdout, sys.stderr)):
+                stream.flush()  # or the worker could write the buffered text again
+            conn, child = ctx.Pipe()
+            procs[conn] = ctx.Process(target=serve, args=(child, k), daemon=True)
+            procs[conn].start()
+            child.close()  # so that the worker's death reads as EOF here
+            hand_out(conn)
         for i in range(n):
+            # each cell before i came back from a live worker that took the next cell, so cell i
+            # is recorded or held by a worker wait() reports, alive or dead: never an empty wait
             while i not in done:
-                while handed < n and (free or len(procs) < workers):
-                    conn = free.pop() if free else start_worker()
-                    progress(handed + 1, n, specs[handed])
-                    busy[conn] = handed
-                    conn.send(handed)
-                    handed += 1
-                while free and handed == n:  # a worker with nothing left exits at once
-                    free.pop().send(None)
-                # in cell order, so that of two workers found dead the first cell is named
-                for conn in sorted(multiprocessing.connection.wait(list(busy)), key=busy.get):
+                for conn in multiprocessing.connection.wait(list(busy)):
                     j = busy.pop(conn)
                     try:
                         done[j] = conn.recv()
@@ -369,13 +367,14 @@ def _cells(run_cell, specs, workers: int, progress):
                         procs[conn].join()
                         code = procs[conn].exitcode
                         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                        raise ChildProcessError(
-                            f"a worker died on cell {j + 1}, {specs[j]}: {how}") from None
-                    free.append(conn)
-            if isinstance(done[i], tuple):  # raised in grid order, as in one process
-                exc, text = done[i]
-                raise exc from RuntimeError(f"raised in a worker process:\n{text}")
-            yield done.pop(i)
+                        done[j] = ChildProcessError(
+                            f"a worker died on cell {j + 1}, {specs[j]}: {how}"), None
+                    else:
+                        hand_out(conn)
+            exc, value = done.pop(i)
+            if exc is not None:  # the first failure in grid order, as in one process
+                raise exc from (value and RuntimeError(f"raised in a worker process:\n{value}"))
+            yield value
     finally:
         for proc in procs.values():
             proc.kill()
@@ -415,11 +414,12 @@ def run_experiment(
         raise ValueError("the experiment grid has no cells")
     if not methods:
         raise ValueError("the method list is empty")
-    cells = [_cell_key(spec) for spec in specs]
-    for i, spec in enumerate(specs):
-        if cells[i] in cells[:i]:
+    seen = set()
+    for spec in specs:
+        if _cell_key(spec) in seen:
             raise ValueError(f"cell family={spec.family} h={spec.h} R={spec.R} "
                              f"R_tilde={spec.R_tilde} P={spec.P} is listed more than once")
+        seen.add(_cell_key(spec))
     n_reps = check_reps(n_reps, "n_reps", "replication")
     seed = as_integer(seed, "seed", 0)
     jobs = as_integer(jobs, "jobs", 1)

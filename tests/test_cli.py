@@ -69,7 +69,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_defaults(self, data_csv):
+    def test_defaults(self, data_csv, monkeypatch):
         args = build_parser().parse_args(["test", "--data", str(data_csv)] + BASE)
         assert args.method == "all" and args.h == 1 and args.cl == 0.05 and args.q is None
         args = build_parser().parse_args(
@@ -79,6 +79,9 @@ class TestParser:
         args = build_parser().parse_args(["mc", "--out", "x"])
         assert args.n_reps == 5000 and args.p_set == "25,75,125,175,1000"
         assert args.jobs == mc._default_jobs()
+        monkeypatch.setenv("COLUMNS", "200")  # wide enough that the list is not broken
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert ",".join(mc.DEFAULT_METHODS) in sub.choices["mc"].format_help()
 
     def test_bandwidth_flags_are_the_registry_params(self):
         parser = build_parser()

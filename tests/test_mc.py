@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -291,6 +292,9 @@ def _fail_on_cr_cells(spec, E):
     return _SIMULATE_ROWS(spec, E)
 
 
+_FOUR_CELLS = experiment_grid(("ucr",), (1,), (25, 75), (25, 75), (25,))
+
+
 class TestRunExperiment:
     def test_deterministic(self):
         specs = [DgpSpec("ucr", 1, 25, 25, 25)]
@@ -459,19 +463,53 @@ class TestRunExperiment:
         assert ", in _fail_on_cr_cells\n" in str(err.value.__cause__)
         assert multiprocessing.active_children() == []
 
-    def test_a_dead_worker_names_its_cell(self, monkeypatch):
-        simulate_rows = mc._simulate_rows
+    # Cell number: (seconds asleep, then an exit code or an exception); every other cell
+    # returns (i, "x") as a list or a tuple. The slow cell 2 fails after the fast cell 4:
+    # one process would report cell 2, and so must two.
+    @pytest.mark.parametrize("specs, actions, result, error, match", [
+        ([DgpSpec("ucr", 1, 25, 25, 25), DgpSpec("ucr", 1, 25, 75, 25)], {2: (0, 3)}, list,
+         ChildProcessError, r"^a worker died on cell 2, DgpSpec\(family='ucr', h=1, R=25, "
+         r"R_tilde=75, P=25, mu=.*\): exit code 3$"),
+        (_FOUR_CELLS, {2: (0.5, ValueError("cell 2 failed")), 4: (0, 4)}, list,
+         ValueError, r"^cell 2 failed$"),
+        (_FOUR_CELLS, {2: (0.5, 3), 4: (0, 4)}, list,
+         ChildProcessError, r"^a worker died on cell 2, DgpSpec\(.*R_tilde=75.*\): exit code 3$"),
+        (_FOUR_CELLS, {}, tuple, None, None),
+    ], ids=["exit", "slow-error-fast-exit", "slow-exit-fast-exit", "tuple-results"])
+    def test_a_dead_worker_names_its_cell(self, specs, actions, result, error, match):
+        def run_cell(i):
+            if i + 1 not in actions:
+                return result((i, "x"))
+            seconds, outcome = actions[i + 1]
+            time.sleep(seconds)
+            if isinstance(outcome, Exception):
+                raise outcome
+            os._exit(outcome)
 
-        def die(spec, E):
-            if spec.R_tilde == 75:
-                os._exit(3)
-            return simulate_rows(spec, E)
+        cells = mc._cells(run_cell, specs, 2, lambda *cell: None)
+        if error is None:
+            assert list(cells) == [(i, "x") for i in range(len(specs))]
+        else:
+            with pytest.raises(error, match=match) as err:
+                list(cells)
+            cause = err.value.__cause__  # a death has none; an exception its worker's traceback
+            assert cause is None if error is ChildProcessError else ", in run_cell\n" in str(cause)
+        assert multiprocessing.active_children() == []
 
-        monkeypatch.setattr(mc, "_simulate_rows", die)
-        spec = DgpSpec("ucr", 1, 25, 75, 25)
-        with pytest.raises(ChildProcessError, match=r"^a worker died on cell 2, DgpSpec\(family="
-                           r"'ucr', h=1, R=25, R_tilde=75, P=25, mu=.*\): exit code 3$"):
-            run_experiment([DgpSpec("ucr", 1, 25, 25, 25), spec], ("dm_r",), 100, jobs=2)
+    def test_every_worker_dead_names_the_first_cell(self):
+        def hung(signum, frame):  # a wait on no worker would block for good
+            raise TimeoutError("mc._cells still waits with every worker dead")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError, match=r"^a worker died on cell 1, "
+                               r"DgpSpec\(.*\): killed by signal 9$"):
+                list(mc._cells(lambda i: os.kill(os.getpid(), signal.SIGKILL), _FOUR_CELLS, 2,
+                               lambda *cell: None))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
     def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
