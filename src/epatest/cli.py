@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list of forecast window sizes R-tilde (default %(default)s)")
     p_mc.add_argument("--p-set", default=",".join(map(str, DEFAULT_P_SET)),
                       help="comma list of evaluation sample sizes P (default %(default)s)")
-    p_mc.add_argument("--methods", default=",".join(DEFAULT_METHODS),
+    p_mc.add_argument("--methods", default=", ".join(DEFAULT_METHODS),
                       help=f"comma list of tests, each at most once: {', '.join(METHODS)}, "
                       "or dm_im_q<q> for the block test with q blocks (default %(default)s)")
     p_mc.add_argument("--n-reps", type=int, default=5000,
@@ -319,19 +319,18 @@ def cmd_tradeoff(args) -> int:
     default_M = bandwidth(METHODS["dm_fb"].default, d.size)
 
     records = [asdict(p) for p in points]
-    files = {
-        "tradeoff.csv": _csv(records[0].keys(), [r.values() for r in records]),
-        "tradeoff.json": _manifest(
-            "tradeoff",
-            {**_options(args, *_DATA_OPTIONS), "grid": [p.M for p in points],
-             **_options(args, "n_sim", "alt_grid_size", "max_ar_order")},
-            seed=args.seed, n_obs=int(d.size), default_bandwidth=default_M, points=records),
-    }
+    files = {"tradeoff.csv": _csv(records[0].keys(), [r.values() for r in records])}
     if not args.no_svg:
         try:
             files["tradeoff.svg"] = _tradeoff_svg(points, default_M)
         except Exception as exc:  # plot failure must not invalidate the data files
             print(f"warning: SVG rendering failed: {exc}", file=sys.stderr)
+    # The manifest is written last, so that its presence marks a complete run.
+    files["tradeoff.json"] = _manifest(
+        "tradeoff",
+        {**_options(args, *_DATA_OPTIONS), "grid": [p.M for p in points],
+         **_options(args, "n_sim", "alt_grid_size", "max_ar_order")},
+        seed=args.seed, n_obs=int(d.size), default_bandwidth=default_M, points=records)
     for name, text in files.items():
         print(f"wrote {_write(Path(args.out) / name, text)}", file=sys.stderr)
     return 0

@@ -125,10 +125,10 @@ def load_csv(
         For a malformed row or a numeric cell that is neither a finite
         number nor a missing marker, naming the 1-based row and the column.
     ValueError
-        For a ``forecast_cols`` that is not two different names (before the
-        file is opened), a file that is not UTF-8 (naming its first bad
-        line), a missing column, a requested column the header names more
-        than once, an unknown policy, or a date range without a date column.
+        For a ``forecast_cols`` that is not two different names or that
+        holds ``realization_col`` (before the file is opened), a file that is
+        not UTF-8 (naming its first bad line), a missing or repeated requested
+        column, an unknown policy, or a date range without a date column.
     """
     if na_policy not in NA_POLICIES:
         raise ValueError(f"unknown na_policy {na_policy!r}; expected one of {NA_POLICIES}")
@@ -140,6 +140,8 @@ def load_csv(
     f1_col, f2_col = cols
     if f1_col == f2_col:
         raise ValueError(f"forecast_cols names the column {f1_col!r} twice")
+    if realization_col in cols:
+        raise ValueError(f"realization_col {realization_col!r} is also a forecast column")
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the first column name.
@@ -153,19 +155,15 @@ def load_csv(
         header = [name.strip() for name in next(reader)]
     except StopIteration:
         raise ValueError(f"{path}: file is empty") from None
-    positions = {}
-    wanted = [f1_col, f2_col, realization_col] + ([date_col] if date_col else [])
-    for name in wanted:
+    columns = (f1_col, f2_col, realization_col) + (() if date_col is None else (date_col,))
+    for name in columns:
         if name not in header:
             raise ValueError(f"{path}: column {name!r} not found; available: {', '.join(header)}")
         if header.count(name) > 1:
             raise ValueError(f"{path}: column {name!r} appears more than once in the header")
-        positions[name] = header.index(name)
-    i1, i2, ir = (positions[name] for name in (f1_col, f2_col, realization_col))
-    f1_vals: list[float] = []
-    f2_vals: list[float] = []
-    realiz_vals: list[float] = []
-    dates: list[str] = []
+    i1, i2, ir, *i_date = map(header.index, columns)  # i_date: [] without a date column
+    values: list[float] = []  # f1, f2, realization of each kept row in turn
+    dates: list[str | None] = []
     lo, hi = date_range if date_range is not None else (None, None)
     for row_num, row in enumerate(reader, start=2):
         if not row:
@@ -175,31 +173,19 @@ def load_csv(
                 row_num, header[min(len(row), len(header) - 1)],
                 f"expected {len(header)} fields, got {len(row)}",
             )
-        if date_col is not None:
-            date = row[positions[date_col]].strip()
-            if lo is not None and date < lo:
-                continue
-            if hi is not None and date > hi:
-                continue
+        date = row[i_date[0]].strip() if date_col is not None else None
+        if (lo is not None and date < lo) or (hi is not None and date > hi):
+            continue
         v1 = _parse_cell(row[i1], row_num, f1_col)
         v2 = _parse_cell(row[i2], row_num, f2_col)
         vr = _parse_cell(row[ir], row_num, realization_col)
         if na_policy == "drop" and (math.isnan(v1) or math.isnan(v2) or math.isnan(vr)):
             continue
-        f1_vals.append(v1)
-        f2_vals.append(v2)
-        realiz_vals.append(vr)
-        if date_col is not None:
-            dates.append(date)
-    return ForecastDataset(
-        f1=np.asarray(f1_vals, dtype=float),
-        f2=np.asarray(f2_vals, dtype=float),
-        realization=np.asarray(realiz_vals, dtype=float),
-        dates=tuple(dates) if date_col is not None else None,
-        forecast_cols=(f1_col, f2_col),
-        realization_col=realization_col,
-        na_policy=na_policy,
-    )
+        values += (v1, v2, vr)
+        dates.append(date)
+    f1, f2, realization = np.array(values, dtype=float).reshape(-1, 3).T.copy()
+    return ForecastDataset(f1, f2, realization, tuple(dates) if date_col is not None else None,
+                           (f1_col, f2_col), realization_col, na_policy)
 
 
 def forecast_errors(ds: ForecastDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -209,12 +195,10 @@ def forecast_errors(ds: ForecastDataset) -> tuple[np.ndarray, np.ndarray]:
     exactly 0.0, which keeps the row in the sample while contributing no
     loss for that forecast.
     """
-    e1 = ds.realization - ds.f1
-    e2 = ds.realization - ds.f2
+    errors = ds.realization - np.array((ds.f1, ds.f2))
     if ds.na_policy == "zero":
-        e1 = np.where(np.isnan(e1), 0.0, e1)
-        e2 = np.where(np.isnan(e2), 0.0, e2)
-    return e1, e2
+        errors[np.isnan(errors)] = 0.0
+    return errors[0], errors[1]
 
 
 def loss_series(ds: ForecastDataset, loss: str = "squared") -> np.ndarray:

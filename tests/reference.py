@@ -6,6 +6,7 @@ evidence of correctness rather than of consistency.
 """
 
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -190,3 +191,26 @@ def naive_fit_ar(d, max_order=None):
     if innovation_variance <= np.finfo(float).eps * np.var(d):
         raise ValueError("fitted innovation variance is zero; series is degenerate")
     return coefs, innovation_variance, float(d.mean())
+
+
+def naive_load_csv(path, forecast_cols, realization_col, na_policy, date_col=None,
+                   date_range=None):
+    """``load_csv`` on a valid file, one ``csv.DictReader`` record at a time.
+
+    Returns (f1, f2, realization, dates), with dates None without a date column.
+    """
+    lo, hi = date_range or (None, None)
+    kept, dates = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for record in csv.DictReader(fh):
+            date = record[date_col].strip() if date_col is not None else None
+            if (lo is not None and date < lo) or (hi is not None and date > hi):
+                continue
+            cells = [record[name].strip() for name in (*forecast_cols, realization_col)]
+            values = [math.nan if cell in ("", "NA", "#N/A") else float(cell) for cell in cells]
+            if na_policy == "drop" and any(math.isnan(v) for v in values):
+                continue
+            kept.append(values)
+            dates.append(date)
+    columns = [np.array([values[k] for values in kept], dtype=float) for k in range(3)]
+    return (*columns, tuple(dates) if date_col is not None else None)

@@ -79,9 +79,9 @@ class TestParser:
         args = build_parser().parse_args(["mc", "--out", "x"])
         assert args.n_reps == 5000 and args.p_set == "25,75,125,175,1000"
         assert args.jobs == mc._default_jobs()
-        monkeypatch.setenv("COLUMNS", "200")  # wide enough that the list is not broken
+        monkeypatch.setenv("COLUMNS", "80")  # the help wraps between names, not inside one
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert ",".join(mc.DEFAULT_METHODS) in sub.choices["mc"].format_help()
+        assert ", ".join(mc.DEFAULT_METHODS) in " ".join(sub.choices["mc"].format_help().split())
 
     def test_bandwidth_flags_are_the_registry_params(self):
         parser = build_parser()
@@ -354,6 +354,27 @@ class TestTestCommand:
         assert (code, out) == (1, "")
         assert err == "error: forecast_cols names the column 'A' twice\n"
         assert not out_dir.exists()
+
+    def test_realization_among_the_forecasts_exits_1(self, data_csv, tmp_path, capsys):
+        # It would score forecast A as perfect and test nothing.
+        out_dir = tmp_path / "res"
+        code, out, err = run(["test", "--data", str(data_csv), "--forecast-cols", "A,B",
+                              "--realization-col", "A", "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: realization_col 'A' is also a forecast column\n"
+        assert not out_dir.exists()
+
+    def test_empty_named_date_column(self, data_csv, tmp_path, capsys):
+        # pandas' to_csv writes its index column under an empty name.
+        path = tmp_path / "pandas.csv"
+        path.write_text(data_csv.read_text().replace("X1,", ",", 1))
+        firsts = []
+        for data, date_col in ((data_csv, "X1"), (path, "")):
+            code, out, err = run(["test", "--data", str(data)] + BASE
+                                 + ["--date-col", date_col, "--from", "1995:01"], capsys)
+            assert (code, err) == (0, "")
+            firsts.append(out.splitlines()[0])
+        assert firsts[0] == firsts[1] == "n = 28 loss-differential observations"
 
     def test_unsupported_level_exits_1(self, data_csv, capsys):
         code, _, err = run(
@@ -1084,6 +1105,9 @@ def test_a_failed_write_leaves_the_previous_file(command, target, previous, data
         "error: No space left on device"] == err.splitlines()[-1:]
     assert (tmp_path / target).read_bytes() == before[target]
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before)
+    # The manifest is written last: a failed write before it leaves the previous one.
+    manifest = {"test": "test_results.json", "tradeoff": "tradeoff.json", "mc": "manifest.json"}
+    assert (tmp_path / manifest[command]).read_bytes() == before[manifest[command]]
 
 
 @pytest.mark.parametrize("command", ["mc", "tradeoff"])

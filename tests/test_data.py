@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epatest.data import (
     MISSING_MARKERS,
@@ -10,6 +12,7 @@ from epatest.data import (
     load_csv,
     loss_series,
 )
+from reference import naive_load_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -140,6 +143,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="^forecast_cols names the column 'f1' twice$"):
             load_csv(tmp_path / "nope.csv", ("f1", "f1"), "y")
 
+    @pytest.mark.parametrize("cols", [("y", "f2"), ("f1", "y")])
+    def test_realization_among_the_forecasts_is_refused_before_opening(self, tmp_path, cols):
+        with pytest.raises(ValueError, match="^realization_col 'y' is also a forecast column$"):
+            load_csv(tmp_path / "nope.csv", cols, "y")
+
     @pytest.mark.parametrize("cols", ["f1", "AB", ("f1",), ("f1", "f2", "y"), ()])
     def test_forecast_cols_not_two_names_is_refused_before_opening(self, tmp_path, cols):
         # A bare string used to be read as its characters: "AB" as columns A and B.
@@ -193,6 +201,19 @@ class TestLoadCsv:
         )
         assert ds.dates == ("2000:01", "2000:04")
 
+    def test_empty_named_date_column(self, tmp_path):
+        # pandas' to_csv writes its index column under an empty name.
+        path = write(tmp_path, BASIC.replace("date,", ",", 1))
+        ds = load_csv(path, ("f1", "f2"), "y", date_col="", date_range=("2000:02", None))
+        assert ds.dates == ("2000:02", "2000:03", "2000:04")
+        np.testing.assert_array_equal(ds.f1, [2.0, 0.0, 3.0])
+        assert load_csv(path, ("f1", "f2"), "y", date_col="").dates[0] == "2000:01"
+
+    def test_empty_date_column_name_not_in_header(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            load_csv(write(tmp_path, BASIC), ("f1", "f2"), "y", date_col="")
+        assert str(exc.value).endswith("column '' not found; available: date, f1, f2, y")
+
     def test_date_range_requires_date_col(self, tmp_path):
         with pytest.raises(ValueError, match="requires date_col"):
             load_csv(write(tmp_path, BASIC), ("f1", "f2"), "y", date_range=("a", "b"))
@@ -208,6 +229,45 @@ class TestLoadCsv:
 
     def test_policies_registry(self):
         assert NA_POLICIES == ("drop", "zero")
+
+
+QUARTERS = [f"{year}:{quarter:02d}" for year in (1999, 2000) for quarter in range(1, 5)]
+NUMBER_CELL = st.tuples(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.sampled_from(sorted(MISSING_MARKERS))),
+    st.booleans(),
+).map(lambda cell: f" {cell[0]} " if cell[1] else cell[0])
+
+
+@st.composite
+def valid_files(draw):
+    """A valid file's text and the load_csv arguments that read it."""
+    date_col = draw(st.sampled_from([None, "", "date"]))
+    names = ["f1", "f2", "y"] + draw(st.sampled_from([[], ["extra"]]))
+    names = draw(st.permutations(names + ([] if date_col is None else [date_col])))
+    cells = [st.sampled_from(QUARTERS) if name == date_col
+             else st.sampled_from(["", "x", "1"]) if name == "extra" else NUMBER_CELL
+             for name in names]
+    rows = draw(st.lists(st.one_of(st.none(), st.tuples(*cells)), max_size=12))
+    text = "".join(",".join(row) + "\n" if row else "\n" for row in [names, *rows])
+    bounds = st.sampled_from([None, *QUARTERS])
+    date_range = None if date_col is None else (draw(bounds), draw(bounds))
+    kwargs = dict(na_policy=draw(st.sampled_from(NA_POLICIES)), date_col=date_col,
+                  date_range=date_range)
+    return text, kwargs
+
+
+@settings(max_examples=150)
+@given(drawn=valid_files())
+def test_load_csv_matches_the_naive_loader(tmp_path_factory, drawn):
+    text, kwargs = drawn
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_text(text)
+    got = load_csv(path, ("f1", "f2"), "y", **kwargs)
+    *want, want_dates = naive_load_csv(path, ("f1", "f2"), "y", **kwargs)
+    for column, expected in zip((got.f1, got.f2, got.realization), want):
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
+    assert got.dates == want_dates
 
 
 class TestForecastErrors:
