@@ -26,7 +26,6 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import load_csv, loss_series
+from .data import _check_columns, load_csv, loss_series
 from .dmtests import METHODS, DegenerateVarianceError, TestOutcome, outcomes, procedure
 from .lrv import bandwidth
 from .mc import (
@@ -58,6 +57,9 @@ _ENVIRONMENT = {
     "scipy": scipy.__version__,
     "system": platform.system(),
     "machine": platform.machine(),
+    # The LAPACK/BLAS build fixes the bits of every autoregressive filter.
+    "lapack": "{name} {version}".format(
+        **scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]),
 }
 
 # The data-loading options of ``test`` and ``tradeoff``, in manifest order, and
@@ -185,9 +187,8 @@ def _check_out(path: str) -> None:
 
 
 def _load_series(args) -> np.ndarray:
-    cols = _comma_list(args.forecast_cols)
-    if len(cols) != 2:
-        raise ValueError(f"--forecast-cols needs exactly two names, got {args.forecast_cols!r}")
+    cols = _check_columns(_comma_list(args.forecast_cols), args.realization_col,
+                          ("--forecast-cols", "--realization-col"))
     date_range = (args.date_from, args.date_to)
     if date_range == (None, None):
         date_range = None
@@ -318,7 +319,7 @@ def cmd_tradeoff(args) -> int:
     points = build_tradeoff_curve(d, config)
     default_M = bandwidth(METHODS["dm_fb"].default, d.size)
 
-    records = [asdict(p) for p in points]
+    records = [vars(p) for p in points]  # field order; no deep copy, as asdict makes
     files = {"tradeoff.csv": _csv(records[0].keys(), [r.values() for r in records])}
     if not args.no_svg:
         try:

@@ -89,6 +89,18 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
+def _check_columns(forecast_cols, realization_col, names=("forecast_cols", "realization_col")):
+    """:func:`load_csv`'s column-name checks, naming the arguments by ``names``."""
+    cols = () if isinstance(forecast_cols, str) else tuple(forecast_cols)
+    if len(cols) != 2:
+        raise ValueError(f"{names[0]} needs exactly two column names, got {forecast_cols!r}")
+    if cols[0] == cols[1]:
+        raise ValueError(f"{names[0]} names the column {cols[0]!r} twice")
+    if realization_col in cols:
+        raise ValueError(f"{names[1]} {realization_col!r} is also a forecast column")
+    return cols
+
+
 def load_csv(
     path,
     forecast_cols: tuple[str, str],
@@ -134,14 +146,7 @@ def load_csv(
         raise ValueError(f"unknown na_policy {na_policy!r}; expected one of {NA_POLICIES}")
     if date_range is not None and date_col is None:
         raise ValueError("date_range requires date_col")
-    cols = () if isinstance(forecast_cols, str) else tuple(forecast_cols)
-    if len(cols) != 2:
-        raise ValueError(f"forecast_cols needs exactly two column names, got {forecast_cols!r}")
-    f1_col, f2_col = cols
-    if f1_col == f2_col:
-        raise ValueError(f"forecast_cols names the column {f1_col!r} twice")
-    if realization_col in cols:
-        raise ValueError(f"realization_col {realization_col!r} is also a forecast column")
+    f1_col, f2_col = _check_columns(forecast_cols, realization_col)
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the first column name.

@@ -16,9 +16,8 @@ one-series ``lrv_*`` functions both call it.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +101,13 @@ class LrvEstimate:
         object.__setattr__(self, "nonpositive", bool(self.value <= 0.0))
 
 
-@functools.lru_cache(maxsize=256)  # bounded: a sweep over every M would keep O(P^2) doubles
-def _bartlett_weights(M: int) -> np.ndarray:
-    """The Bartlett weights 1 - j/M of lags j = 1..M-1, read-only and cached."""
-    weights = 1.0 - np.arange(1, M) / M
-    weights.flags.writeable = False
-    return weights
+def _bartlett_rows(gamma: np.ndarray, Ms) -> np.ndarray:
+    """The Bartlett estimates at the bandwidths ``Ms``, one row each. With prefix sums A_k of
+    gamma_j and C_k of j gamma_j over j = 1..k, the weighted sum is A_{M-1} - C_{M-1} / M."""
+    M, K = np.array(Ms), max(Ms)
+    weights = np.minimum(np.arange(K), [[1], [K]])[:, :, None]  # 0, 1, ..., 1 and 0, 1, ..., K - 1
+    A, C = np.cumsum(gamma[:, :K].T * weights, axis=1)[:, M - 1]
+    return np.maximum(gamma[:, 0] + 2.0 * (A - C / M[:, None]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,14 @@ class Estimator:
     """One long-run variance estimator, as an entry of :data:`ESTIMATORS`.
 
     ``check(bandwidth, P)`` returns an admissible bandwidth as an int and
-    raises ValueError for any other. ``maxlag(bandwidth)`` is the largest
-    autocovariance lag that ``rows(gamma, bandwidth)`` reads, or None when
-    ``rows(X, bandwidth)`` reads the series itself. ``rows`` does no
-    validation.
+    raises ValueError for any other. ``maxlag(bandwidth)`` is the largest lag
+    ``rows(gamma, bandwidths)`` reads at it, or None when ``rows(X, bandwidths)``
+    reads the series. ``rows`` gives one row per bandwidth and does no validation.
     """
 
     check: Callable[[int, int], int]
     maxlag: Callable[[int], int] | None
-    rows: Callable[[np.ndarray, int], np.ndarray]
+    rows: Callable[[np.ndarray, tuple[int, ...]], Sequence[np.ndarray]]
 
 
 # The estimators by kernel name. The rectangular bandwidth is its lag
@@ -132,23 +131,24 @@ ESTIMATORS = {
     "rectangular": Estimator(
         lambda lags, P: as_integer(lags + 1, "forecast horizon", 1, P - 1) - 1,
         lambda lags: lags,
-        lambda gamma, lags: gamma[:, 0] + 2.0 * np.sum(gamma[:, 1 : lags + 1], axis=1),
+        lambda gamma, ks: [gamma[:, 0] + 2.0 * np.sum(gamma[:, 1 : k + 1], axis=1) for k in ks],
     ),
     "bartlett": Estimator(
         lambda M, P: as_integer(M, "bandwidth", 1, P - 1),
         lambda M: M - 1,
-        lambda gamma, M: np.maximum(gamma[:, 0] + 2.0 * np.sum(
-            _bartlett_weights(M) * gamma[:, 1:M], axis=1), 0.0),
+        _bartlett_rows,
     ),
     "ewc": Estimator(
         lambda B, P: as_integer(B, "bandwidth", 1, P - 1),
         None,
-        lambda X, B: np.mean(cosine_coefficient_rows(X, range(1, B + 1)) ** 2, axis=1),
+        lambda X, Bs: [np.mean(cosine_coefficient_rows(X, range(1, B + 1)) ** 2, axis=1)
+                       for B in Bs],
     ),
     "wpe": Estimator(
         lambda m, P: as_integer(m, "bandwidth", 1, P // 2),
         None,
-        lambda X, m: (2.0 * np.pi / m) * np.sum(periodogram_rows(X, np.arange(1, m + 1)), axis=1),
+        lambda X, ms: [(2.0 * np.pi / m) * np.sum(periodogram_rows(X, np.arange(1, m + 1)), axis=1)
+                       for m in ms],
     ),
 }
 
@@ -158,16 +158,21 @@ def variance_rows(estimates, X: np.ndarray) -> list[np.ndarray]:
 
     ``X`` holds one validated series per row and the bandwidths are
     assumed admissible. The time-domain estimators share one
-    autocovariance array up to the largest lag any of them reads. A pair
-    listed more than once is evaluated once, and each listing gets the same
-    array.
+    autocovariance array up to the largest lag any of them reads. Each
+    kernel is called once, with its distinct bandwidths; a pair listed more
+    than once gets the same array at each listing.
     """
     estimates = [(kernel, bw) for kernel, bw in estimates]
-    distinct = {(kernel, bw): ESTIMATORS[kernel] for kernel, bw in estimates}
-    lags = [est.maxlag(bw) for (_, bw), est in distinct.items() if est.maxlag is not None]
+    grids = {}  # each kernel's distinct bandwidths, in order
+    for kernel, bw in estimates:
+        grids.setdefault(kernel, {})[bw] = None
+    lags = [ESTIMATORS[k].maxlag(max(bws)) for k, bws in grids.items() if ESTIMATORS[k].maxlag]
     gamma = autocovariance_rows(X, max(lags)) if lags else None
-    values = {(kernel, bw): est.rows(X if est.maxlag is None else gamma, bw)
-              for (kernel, bw), est in distinct.items()}
+    values = {}
+    for kernel, bws in grids.items():
+        est = ESTIMATORS[kernel]
+        rows = est.rows(X if est.maxlag is None else gamma, tuple(bws))
+        values.update(zip([(kernel, bw) for bw in bws], rows))
     return [values[pair] for pair in estimates]
 
 
@@ -196,6 +201,7 @@ def lrv_bartlett(d, M: int) -> LrvEstimate:
     lag M is zero, so the sum stops at M - 1; M = 1 reduces to gamma_0.
     Bartlett weights are positive semi-definite, hence the value is
     nonnegative up to rounding (tiny negative roundoff is clipped to zero).
+    In one :func:`variance_rows` call every bandwidth is read off two prefix sums.
     """
     return _estimate("bartlett", d, M)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._streams import check_reps, keyed_rows
 from .dmtests import procedure, size_corrected_critical_value, tally
-from .series import ar_filter_rows, as_integer
+from .series import ar_filter_rows, as_integer, filter_tail_rows, truncated_response
 
 __all__ = [
     "DgpSpec",
@@ -193,59 +193,23 @@ def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> np.ndarray:
     """The last ``keep`` values (default all) of the conditional-rolling
-    recursion run over each row of ``eps`` (or over a 1-D ``eps``) from zero
-    initial conditions.
-
-    The recursion is a linear time-invariant filter started at rest, so each
-    output is the convolution of the innovations with the filter's impulse
-    response g. Only the lags 0..S of g that carry all but 2^-53 of its mass
-    are used: each replication transforms just the innovations that reach a
-    returned value through those lags, the last keep + L of the T given
-    (L = min(S, T - keep)), by one real FFT of length n each way against
-    the cached spectrum of g's first S + 1 taps. At that n the circular
-    wrap-around reaches only the L leading outputs, which are dropped.
-    """
-    # scipy.fft is imported where it is used, so that only a process that
-    # simulates the cr family loads it: `epatest test` and ucr runs start
-    # without it.
-    from scipy import fft
-
+    recursion run from rest over each row of ``eps`` (or over a 1-D ``eps``),
+    through its cached truncated impulse response."""
     T = eps.shape[-1]
     keep = T if keep is None else keep
-    G, n, L = _cr_spectrum(h, R, T, keep)
-    return fft.irfft(fft.rfft(eps[..., T - keep - L :], n) * G, n)[..., L : L + keep]
+    return filter_tail_rows(eps, _cr_spectrum(h, R, T, keep), keep)
 
 
 @lru_cache(maxsize=1)
 def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int, int]:
-    """Read-only spectrum of the recursion's truncated impulse response, its
-    transform length n, and the count L of leading innovations a window needs.
-
-    The MA part's impulse response is its weights, so g over all T steps is
-    those weights, zero-padded to T, passed once through the autoregression
-    by :func:`epatest.series.ar_filter_rows`. Its support S < T is the
-    smallest lag with sum_{m>S} g[m] <= 2^-53 sum_m g[m]; since g is
-    positive (positive MA weights and AR coefficients), that bounds both the
-    innovations left out of the window and the taps left out of the filter.
-    With L = min(S, T - keep), n is the first fast length >= keep + S, which
-    keeps the circular wrap-around of S + 1 taps off the last ``keep``
-    outputs. When S = T - 1 this is the untruncated convolution over the
-    whole path.
-    """
-    from scipy import fft
-
+    """:func:`epatest.series.truncated_response` of the recursion over T steps: g is
+    the MA weights, zero-padded to T, passed once through the autoregression."""
     a = np.zeros(h + R)
     a[0] = 1.0
     a[h:] = -1.0 / (2.0 * R)
     b = np.zeros(T)
     b[:h] = ma_weights(h)
-    g = ar_filter_rows(a, b)
-    tail = np.cumsum(g[::-1])[::-1]  # tail[m] = sum of g[m:]
-    S = int(np.count_nonzero(tail[1:] > 2.0**-53 * tail[0]))
-    n = fft.next_fast_len(keep + S, real=True)
-    G = fft.rfft(g[: S + 1], n)
-    G.flags.writeable = False
-    return G, n, min(S, T - keep)
+    return truncated_response(ar_filter_rows(a, b), keep)
 
 
 def simulate(spec: DgpSpec, rng):

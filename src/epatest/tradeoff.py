@@ -8,7 +8,10 @@ loss differential, then simulates that fitted world to estimate, for every
 candidate M, (a) the null rejection rate minus the nominal 5% and (b) the
 worst-case gap to an oracle power envelope after size correction. Plotted
 against each other these trace the curve a practitioner uses to judge
-whether a rejection is an artifact of the bandwidth choice.
+whether a rejection is an artifact of the bandwidth choice. Every M reads
+one set of null paths, each its innovations convolved with the fitted
+model's truncated impulse response, and every shift's power is counted
+from each replication's two crossing shifts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import METHODS, outcomes, procedure, size_corrected_critical_value, tally
 from .lrv import bandwidth
-from .series import ar_filter_rows, as_integer, as_loss_series
+from .series import (ar_filter_rows, as_integer, as_loss_series, filter_tail_rows,
+                     truncated_response)
 
 __all__ = [
     "FittedArModel",
@@ -136,19 +140,26 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
     return model
 
 
-def _model_paths(model: FittedArModel, E: np.ndarray, shift: float) -> np.ndarray:
-    """The fitted autoregression driven by each row of standard normals ``E``.
-
-    The rows are scaled to the fitted innovation variance and passed
-    through the autoregression from zero initial conditions by the banded
-    triangular solve of :func:`epatest.series.ar_filter_rows`, which treats
-    every row alike, so a path simulated alone equals the same path in a
-    batch; the first ``SIMULATION_BURN_IN`` values of each path are dropped
-    and ``shift`` is added to the rest.
-    """
-    eps = E * math.sqrt(max(model.innovation_variance, 0.0))
+def _model_response(model: FittedArModel, P: int):
+    """The model's truncated impulse response, at its innovation scale, for the last P values."""
+    impulse = np.zeros(SIMULATION_BURN_IN + P)
+    impulse[0] = math.sqrt(max(model.innovation_variance, 0.0))
     a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-    return ar_filter_rows(a, eps)[:, SIMULATION_BURN_IN:] + shift
+    return truncated_response(ar_filter_rows(a, impulse), P)
+
+
+def _model_paths(model, E: np.ndarray, shift: float) -> np.ndarray:
+    """The fitted autoregression driven from rest by each row of standard normals ``E``.
+
+    ``model`` is a :class:`FittedArModel` or its :func:`_model_response`. Each path convolves
+    only its last P + L innovations with the truncated response, every row alike, so a path
+    alone equals the same path in a batch. The first ``SIMULATION_BURN_IN`` values of each
+    path are dropped and ``shift`` is added to the rest.
+    """
+    P = E.shape[1] - SIMULATION_BURN_IN
+    if isinstance(model, FittedArModel):
+        model = _model_response(model, P)
+    return filter_tail_rows(E, model, P) + shift
 
 
 def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.ndarray:
@@ -178,6 +189,26 @@ def _procedures(P: int, grid) -> list:
     return [procedure("dm_fb", P, 1, 0.05, M) for M in grid]
 
 
+def _crossing_counts(stat0: np.ndarray, sd: np.ndarray, crit: np.ndarray, t: np.ndarray):
+    """counts[b, i]: the replications r with |stat0[b, r] + t[i] / sd[b, r]| > crit[b, 0], t
+    increasing, NaN rows never. Rounded, v(i) = stat0 + t[i] / sd and -v(i) = -stat0 - t[i] / sd
+    are monotone, so each row has two crossings, which start from their closed form and
+    move until the comparisons on either side agree; one bincount then counts every shift."""
+    (B, R), G = stat0.shape, t.size
+    x0 = np.stack([stat0, -stat0])  # on layer 1, k walks the grid backwards: -t[G - 1 - k]
+    grid = np.array([[-np.inf, *t, np.inf], [-np.inf, *-t[::-1], np.inf]])
+    layer = np.arange(2)[:, None, None]
+    # fmin and fmax pass over NaN: a NaN row starts at G (never), where it stays.
+    j = np.fmax(np.fmin((crit - x0) * (sd * (G / t[-1])) + layer * (G + 1), G), 0).astype(int)
+    # A crossing moves back while v at j - 1 is past it, ahead while v at j is not.
+    while (move := (x0 + grid[layer, j + 1] / sd <= crit).astype(int)
+           - (x0 + grid[layer, j] / sd > crit)).any():
+        j += move
+    rows = np.arange(2 * B).reshape(2, B, 1) * (G + 1)
+    counts = np.bincount((j + rows).ravel(), minlength=2 * B * (G + 1)).reshape(2, B, G + 1)
+    return counts[0, :, :G].cumsum(axis=1) + counts[1, :, :G].cumsum(axis=1)[:, ::-1]
+
+
 def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: bool = True):
     """Size distortions and max power losses (None without ``with_power``) of ``procedures``,
     all read off one tally of ``config.n_sim`` null paths, drawn once as rows of a matrix; a
@@ -186,7 +217,8 @@ def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: 
     if with_power and model.implied_lrv <= 0.0:
         raise ValueError("fitted model has nonpositive long-run variance")
     paths = np.empty((config.n_sim, P))
-    keyed_rows(paths, [config.seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(model, E, 0.0))
+    g = _model_response(model, P)  # built once for every chunk
+    keyed_rows(paths, [config.seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(g, E, 0.0))
     tallies = tally(procedures, paths)
     sizes = []
     for proc, (*_, rejections, degenerate) in zip(procedures, tallies):
@@ -210,9 +242,7 @@ def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: 
     # Common random numbers: an alternative path is the null path plus the
     # shift, and the Bartlett variance estimate is shift-invariant (so a
     # path degenerate under the null stays NaN and never rejects).
-    power = np.column_stack([
-        np.mean(np.abs(stat0 + sqrt_p * s / sd) > crit, axis=1) for s in shifts
-    ])
+    power = _crossing_counts(stat0, sd, crit, sqrt_p * shifts) / config.n_sim
     return sizes, [float(max(0.0, np.max(envelope - row))) for row in power]
 
 
@@ -263,15 +293,14 @@ def max_power_loss(
 
     A grid of mean shifts runs from delta_max / grid_size up to
     delta_max = (z_{0.975} + z_{0.99}) sigma / sqrt(P), the shift at which
-    the oracle already rejects 99% of the time. For each shift the
-    simulated test's power is computed after an empirical 95th-percentile
-    size correction from the same replications' null statistics (common
-    random numbers: an alternative path is the null path plus the shift,
-    and the Bartlett variance estimate is shift-invariant). The reported
-    loss is the largest oracle-minus-test gap on the grid, floored at zero.
-    This is the one-bandwidth case of :func:`build_tradeoff_curve`, and
-    ``n_sim``, ``grid_size`` (as ``alternative_grid_size``) and ``seed``
-    follow :class:`TradeoffConfig`'s rules.
+    the oracle already rejects 99% of the time. An alternative path is the
+    null path plus the shift, and the Bartlett variance is shift-invariant, so
+    each replication rejects, after an empirical 95th-percentile size
+    correction, below and above two crossing shifts; one count of those
+    gives the power at every shift. The loss is the largest oracle-minus-test
+    gap on the grid, floored at zero. This is the one-bandwidth case of
+    :func:`build_tradeoff_curve`; ``n_sim``, ``grid_size`` (as
+    ``alternative_grid_size``) and ``seed`` follow :class:`TradeoffConfig`.
     """
     config = TradeoffConfig(n_sim=n_sim, alternative_grid_size=grid_size, seed=seed)
     return _null_summary(model, P, _procedures(P, (M,)), config)[1][0]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epatest import dmtests, lrv, mc
+from epatest import dmtests, mc
 from epatest.cli import build_parser
 from epatest.dmtests import (
     METHODS,
@@ -227,14 +227,11 @@ def test_stacked_pass_equals_one_procedure_calls(name):
 
 
 def test_cached_kernel_constants_are_read_only():
-    weights = lrv._bartlett_weights(7)
-    assert weights is lrv._bartlett_weights(7)
-    assert weights.tobytes() == (1.0 - np.arange(1, 7) / 7).tobytes()
     starts, sizes = dmtests._blocks(75, 10)
     assert dmtests._blocks(75, 10)[0] is starts
     assert starts.tolist() == [0, 8, 16, 24, 32, 40, 47, 54, 61, 68]
     assert sizes.tolist() == [8.0] * 5 + [7.0] * 5
-    for array in (weights, starts, sizes):
+    for array in (starts, sizes):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0

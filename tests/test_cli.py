@@ -61,6 +61,8 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "system": platform.system(),
         "machine": platform.machine(),
+        "lapack": "{name} {version}".format(
+            **scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]),
     }
 
 
@@ -352,7 +354,7 @@ class TestTestCommand:
         code, out, err = run(["test", "--data", str(data_csv), "--forecast-cols", "A,A",
                               "--realization-col", "Y", "--out", str(out_dir)], capsys)
         assert (code, out) == (1, "")
-        assert err == "error: forecast_cols names the column 'A' twice\n"
+        assert err == "error: --forecast-cols names the column 'A' twice\n"
         assert not out_dir.exists()
 
     def test_realization_among_the_forecasts_exits_1(self, data_csv, tmp_path, capsys):
@@ -361,7 +363,7 @@ class TestTestCommand:
         code, out, err = run(["test", "--data", str(data_csv), "--forecast-cols", "A,B",
                               "--realization-col", "A", "--out", str(out_dir)], capsys)
         assert (code, out) == (1, "")
-        assert err == "error: realization_col 'A' is also a forecast column\n"
+        assert err == "error: --realization-col 'A' is also a forecast column\n"
         assert not out_dir.exists()
 
     def test_empty_named_date_column(self, data_csv, tmp_path, capsys):
@@ -619,6 +621,18 @@ class TestTradeoffCommand:
         assert (out_dir / "tradeoff.csv").exists()
         assert (out_dir / "tradeoff.json").exists()
         assert (out_dir / "tradeoff.svg").exists()
+
+    @pytest.mark.parametrize("cols, realization, message", [
+        ("A,A", "Y", "--forecast-cols names the column 'A' twice"),
+        ("A,B", "A", "--realization-col 'A' is also a forecast column"),
+    ])
+    def test_bad_columns_name_the_flags(self, data_csv, tmp_path, capsys, cols, realization,
+                                        message):
+        out_dir = tmp_path / "t"
+        code, out, err = run(["tradeoff", "--data", str(data_csv), "--forecast-cols", cols,
+                              "--realization-col", realization, "--out", str(out_dir)], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_dir.exists()
 
     def test_csv_schema(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "t"

@@ -2,11 +2,12 @@
 
 Cold start is most of the wall time of a single ``epatest test`` call, and
 ``scipy.stats`` and ``scipy.signal`` (with what they import) were most of
-that. ``scipy.fft`` (the conditional-rolling simulator) and ``scipy.linalg``
-(the banded solve of both autoregressive filters) are imported inside the
-functions that use them, so importing the package, ``epatest test`` and an
-unconditional-rolling ``epatest mc`` never load them, ``epatest tradeoff``
-loads ``scipy.linalg`` only, and a conditional-rolling cell loads both.
+that. ``scipy.fft`` (the truncated impulse-response filter of the
+conditional-rolling simulator and of the tradeoff's null paths) and
+``scipy.linalg`` (the banded solve that computes both impulse responses) are
+imported inside the functions that use them, so importing the package,
+``epatest test`` and an unconditional-rolling ``epatest mc`` never load them,
+and ``epatest tradeoff`` and a conditional-rolling cell load both.
 Every check runs in a fresh interpreter, so nothing the test session has
 already imported can hide a regression.
 """
@@ -82,8 +83,8 @@ def test_each_command_loads_only_the_subpackages_it_uses(tmp_path):
     )
     assert _fresh_python(code) == [
         [0, []],
-        [0, ["scipy.linalg"]],
-        [0, ["scipy.linalg"]],
+        [0, ["scipy.fft", "scipy.linalg"]],
+        [0, ["scipy.fft", "scipy.linalg"]],
         [0, ["scipy.fft", "scipy.linalg"]],
     ]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epatest import lrv
+from epatest.dmtests import procedure, tally
 from epatest.lrv import (
     BANDWIDTH_RULES,
     LrvEstimate,
@@ -248,19 +249,58 @@ class TestIntegerBandwidths:
 class TestVarianceRows:
     def test_repeated_pairs_are_evaluated_once(self, monkeypatch):
         # The default mc battery asks twice for rectangular h - 1 (dm_r, dm_m)
-        # and twice for Bartlett at one bandwidth (dm_nw_l, dm_fb).
+        # and twice for Bartlett at one bandwidth (dm_nw_l, dm_fb). Each
+        # kernel is called once, with its distinct bandwidths in order.
         X = np.random.default_rng(4).standard_normal((5, 60))
         pairs = [("rectangular", 2), ("bartlett", 5), ("rectangular", 2), ("ewc", 4),
-                 ("bartlett", 5), ("wpe", 3)]
+                 ("bartlett", 5), ("wpe", 3), ("bartlett", 2), ("ewc", 4)]
         want = [lrv.variance_rows([pair], X)[0] for pair in pairs]
         calls = []
         for kernel, est in list(lrv.ESTIMATORS.items()):
-            def rows(data, bw, kernel=kernel, rows=est.rows):
-                calls.append((kernel, bw))
-                return rows(data, bw)
+            def rows(data, bws, kernel=kernel, rows=est.rows):
+                calls.append((kernel, bws))
+                return rows(data, bws)
             monkeypatch.setitem(lrv.ESTIMATORS, kernel, dataclasses.replace(est, rows=rows))
         got = lrv.variance_rows(pairs, X)
-        assert calls == [("rectangular", 2), ("bartlett", 5), ("ewc", 4), ("wpe", 3)]
-        assert got[0] is got[2] and got[1] is got[4]
+        assert calls == [("rectangular", (2,)), ("bartlett", (5, 2)), ("ewc", (4,)),
+                         ("wpe", (3,))]
+        assert got[0] is got[2] and got[1] is got[4] and got[3] is got[7]
         for values, want_values in zip(got, want):
             assert values.tobytes() == want_values.tobytes()
+
+
+class TestBartlettGrid:
+    """Every Bartlett bandwidth of a call comes from two prefix sums of one autocovariance array."""
+
+    P = 60
+
+    @staticmethod
+    def _series(P):
+        rng = np.random.default_rng(21)
+        e = rng.standard_normal(P + 1)
+        ar = np.zeros(P)
+        for t in range(1, P):
+            ar[t] = 0.6 * ar[t - 1] + e[t]
+        # white noise, persistent, negatively correlated and overdifferenced rows
+        return np.array([rng.standard_normal(P), ar, e[1:] - 0.5 * e[:-1], e[1:] - e[:-1]])
+
+    def test_matches_naive_at_every_bandwidth(self):
+        X = self._series(self.P)
+        grid = range(1, self.P)
+        values = lrv.variance_rows([("bartlett", M) for M in grid], X)
+        for M, row in zip(grid, values):
+            for d, value in zip(X, row):
+                assert value == pytest.approx(naive_lrv_bartlett(d, M), rel=1e-12), M
+        # each bandwidth's estimate is the one it gets alone, bit for bit
+        for M in (1, 7, self.P - 1):
+            alone = lrv.variance_rows([("bartlett", M)], X)[0]
+            assert alone.tobytes() == values[M - 1].tobytes()
+
+    def test_constant_and_round_off_rows_are_degenerate_at_every_bandwidth(self):
+        # rows at 1.0 give estimates of exactly zero, rows at 0.1 round-off
+        levels = (1.0, 0.1, -123.456, 1e6)
+        X = np.repeat(np.array(levels)[:, None], self.P, axis=1)
+        procedures = [procedure("dm_fb", self.P, 1, 0.05, M) for M in range(1, self.P)]
+        for p, (stat, _, abs_stat, rejections, degenerate) in zip(procedures, tally(procedures, X)):
+            assert np.isnan(stat).all() and not abs_stat.any(), p.bandwidth
+            assert (rejections, degenerate) == (0, len(levels)), p.bandwidth

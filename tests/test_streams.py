@@ -249,10 +249,16 @@ def test_cr_rows_equal_full_length_filter(h, R, R_tilde, P):
         np.testing.assert_allclose(D[rep], want, rtol=0, atol=1e-10 * np.abs(D[rep]).max())
 
 
-@pytest.mark.parametrize("order", [0, 1, 3])
+# AR coefficients by order, and two models whose impulse responses oscillate
+# or span the whole path (the near unit root).
+NULL_PATH_MODELS = {0: (), 1: (0.6,), 3: (0.6, -0.2, 0.1),
+                    10: (0.3, -0.1, 0.1, 0.05, -0.05, 0.05, 0.02, -0.02, 0.02, 0.01),
+                    "oscillating": (0.0, -0.5), "near_unit_root": (0.999,)}
+
+
+@pytest.mark.parametrize("order", NULL_PATH_MODELS)
 def test_null_paths_equal_one_path_simulator(order):
-    coefficients = (0.6, -0.2, 0.1)[:order]
-    model = tradeoff.FittedArModel(coefficients, 0.7, 0.0)
+    model = tradeoff.FittedArModel(NULL_PATH_MODELS[order], 0.7, 0.0)
     P, n_sim, seed = 48, 150, 2**33 + 1
     procedures = [procedure("dm_fb", P, 1, 0.05, M) for M in (1, 4, 13)]
     paths = np.stack([
@@ -260,8 +266,9 @@ def test_null_paths_equal_one_path_simulator(order):
         for rep in range(n_sim)
     ])
     keyed = np.empty((n_sim, P))  # the null paths as tradeoff._null_summary draws them
+    response = tradeoff._model_response(model, P)
     _streams.keyed_rows(keyed, [seed], tradeoff.SIMULATION_BURN_IN + P,
-                        lambda E: tradeoff._model_paths(model, E, 0.0))
+                        lambda E: tradeoff._model_paths(response, E, 0.0))
     got = tally(procedures, keyed)
     want = tally(procedures, paths)
     for (stat, variance, *_), (want_stat, want_variance, *_) in zip(got, want):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal, stats
 
 from epatest import tradeoff
@@ -12,6 +14,7 @@ from epatest._streams import keyed_rows
 from epatest.data import ForecastDataset
 from epatest.dmtests import METHODS, dm_test_bt_fb, procedure, tally
 from epatest.lrv import bandwidth
+from epatest.series import ar_filter_rows
 from epatest.tradeoff import (
     FittedArModel,
     TradeoffConfig,
@@ -323,6 +326,62 @@ class TestOraclePower:
     def test_requires_positive_variance(self):
         with pytest.raises(ValueError, match="positive"):
             oracle_power(0.0, 100, 0.1)
+
+
+class TestCrossingCounts:
+    """Power counted from two crossing shifts per replication equals the direct comparisons."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_equal_direct_counts(self, data):
+        B, R, G = (data.draw(st.integers(1, n)) for n in (4, 30, 25))
+
+        def floats(lo, hi, n):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+        # stat0 from -8 to 8 against crit up to 6, so some rows lie below -crit
+        stat0 = floats(-8.0, 8.0, B * R).reshape(B, R)
+        sd = floats(1e-3, 1e3, B * R).reshape(B, R)
+        nan = np.array(data.draw(st.lists(st.booleans(), min_size=B * R, max_size=B * R)))
+        stat0[nan.reshape(B, R)] = sd[nan.reshape(B, R)] = np.nan  # degenerate rows
+        crit = floats(0.0, 6.0, B)[:, None]
+        sqrt_p = math.sqrt(data.draw(st.integers(2, 1000)))
+        shifts = data.draw(st.floats(1e-3, 10.0)) * np.arange(1, G + 1) / G
+        if data.draw(st.booleans()) and not nan[0]:
+            # a critical value hit exactly by one statistic: the tie must not reject
+            crit[0, 0] = abs(stat0[0, 0] + sqrt_p * shifts[G // 2] / sd[0, 0])
+        want = np.column_stack([
+            np.count_nonzero(np.abs(stat0 + sqrt_p * s / sd) > crit, axis=1) for s in shifts])
+        got = tradeoff._crossing_counts(stat0, sd, crit, sqrt_p * shifts)
+        assert got.tolist() == want.tolist()
+
+
+def _order_coefficients(p):
+    """Random AR(p) coefficients with sum |phi| = 0.9, so the model is stationary."""
+    c = np.random.default_rng(p).uniform(-1.0, 1.0, p)
+    return tuple(0.9 * c / np.abs(c).sum()) if p else ()
+
+
+# Orders 0-10, two oscillating responses, and a near unit root whose
+# response spans the whole path.
+NULL_PATH_MODELS = {**{f"order{p}": _order_coefficients(p) for p in range(11)},
+                    "oscillating": (0.0, -0.5), "alternating": (-0.7,),
+                    "near_unit_root": (0.999,)}
+
+
+@pytest.mark.parametrize("name", NULL_PATH_MODELS)
+def test_null_paths_match_the_banded_solve(name):
+    coefficients, P = NULL_PATH_MODELS[name], 96
+    model = FittedArModel(coefficients, 0.7, 0.0)
+    E = np.random.default_rng(8).standard_normal((40, tradeoff.SIMULATION_BURN_IN + P))
+    a = np.concatenate(([1.0], -np.asarray(coefficients)))
+    want = ar_filter_rows(a, E * math.sqrt(0.7))[:, tradeoff.SIMULATION_BURN_IN :]
+    got = tradeoff._model_paths(model, E, 0.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    _, n, L = tradeoff._model_response(model, P)
+    # the near unit root keeps every innovation, the others a part of the burn-in
+    assert (L == tradeoff.SIMULATION_BURN_IN) is (name == "near_unit_root")
+    assert n >= P + L
 
 
 class TestMaxPowerLoss:
