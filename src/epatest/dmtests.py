@@ -12,6 +12,7 @@ Every test is two-sided.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -198,13 +199,16 @@ def procedure(
     else:
         bandwidth = ESTIMATORS[method.kernel].check(bandwidth, P)
     df = None
+    # The lower cl/2 quantile, negated: 1 - cl/2 would round to 1 at small levels.
     if method.reference == "normal":
-        crit = float(stats.norm.ppf(1.0 - cl / 2.0))
+        crit = -float(stats.norm.ppf(cl / 2.0))
     elif method.reference == "t":
         df = method.df(P, bandwidth)
-        crit = float(stats.t.ppf(1.0 - cl / 2.0, df))
+        crit = -float(stats.t.ppf(cl / 2.0, df))
     else:
         crit = fixed_b_critical_value(bandwidth / P)
+    if not math.isfinite(crit):
+        raise UnsupportedLevelError(f"no finite critical value at cl={cl}")
     return Procedure(label, method.kernel, bandwidth, cl, crit, method.reference, df, scale)
 
 

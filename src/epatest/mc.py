@@ -31,7 +31,7 @@ import numpy as np
 
 from ._streams import check_reps, keyed_rows
 from .dmtests import procedure, size_corrected_critical_value, tally
-from .series import ar_filter_rows, as_integer, filter_tail_rows, truncated_response
+from .series import arma_response, as_integer, filter_tail_rows
 
 __all__ = [
     "DgpSpec",
@@ -171,7 +171,8 @@ def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray
     product is exact. For h <= 15 this equals ``np.convolve(e, theta,
     "valid")`` bit for bit; from h = 16 on, ``np.convolve`` sums through a
     BLAS dot product that groups the terms differently, and the two differ
-    in the last bits.
+    in the last bits. A conditional-rolling row is filtered from rest, burn-in
+    included, by the cached :func:`_cr_spectrum`; its last T_tot values are kept.
     """
     Rt, P, h = spec.R_tilde, spec.P, spec.h
     T_tot = Rt + P + h - 1
@@ -184,32 +185,18 @@ def _simulate_rows(spec: DgpSpec, E: np.ndarray) -> tuple[np.ndarray, np.ndarray
             Y += E[:, j : j + T_tot] * theta[h - 1 - j]
         Y += spec.mu
     else:
-        Y = _cr_recursion(E, h, spec.R, T_tot)
+        Y = filter_tail_rows(E, _cr_spectrum(h, spec.R, E.shape[1], T_tot), T_tot)
     csum = np.zeros((Y.shape[0], T_tot + 1))
     np.cumsum(Y, axis=1, out=csum[:, 1:])
     rolling_mean = (csum[:, Rt : Rt + P] - csum[:, :P]) / Rt
     return Y[:, Rt + h - 1 : Rt + h - 1 + P], rolling_mean
 
 
-def _cr_recursion(eps: np.ndarray, h: int, R: int, keep: int | None = None) -> np.ndarray:
-    """The last ``keep`` values (default all) of the conditional-rolling
-    recursion run from rest over each row of ``eps`` (or over a 1-D ``eps``),
-    through its cached truncated impulse response."""
-    T = eps.shape[-1]
-    keep = T if keep is None else keep
-    return filter_tail_rows(eps, _cr_spectrum(h, R, T, keep), keep)
-
-
 @lru_cache(maxsize=1)
 def _cr_spectrum(h: int, R: int, T: int, keep: int) -> tuple[np.ndarray, int, int]:
-    """:func:`epatest.series.truncated_response` of the recursion over T steps: g is
-    the MA weights, zero-padded to T, passed once through the autoregression."""
-    a = np.zeros(h + R)
-    a[0] = 1.0
-    a[h:] = -1.0 / (2.0 * R)
-    b = np.zeros(T)
-    b[:h] = ma_weights(h)
-    return truncated_response(ar_filter_rows(a, b), keep)
+    """:func:`epatest.series.arma_response` of the conditional-rolling recursion over T
+    steps: the MA weights through the autoregression with 1/(2R) at lags h..h+R-1."""
+    return arma_response((0.0,) * (h - 1) + (1.0 / (2.0 * R),) * R, ma_weights(h), T, keep)
 
 
 def simulate(spec: DgpSpec, rng):

@@ -225,23 +225,27 @@ def ar_filter_rows(a, X) -> np.ndarray:
     return Y
 
 
-def truncated_response(g: np.ndarray, keep: int) -> tuple[np.ndarray, int, int]:
-    """Read-only spectrum of the impulse response ``g`` (T = g.size lags) cut to its
-    support S, the smallest lag with sum_{m>S} |g[m]| <= 2^-53 sum |g|; the FFT length
-    n >= keep + S, so no wrap-around reaches the last ``keep`` outputs; and the count
-    L = min(S, T - keep) of innovations before those outputs that reach them."""
+def arma_response(ar, ma, T: int, keep: int) -> tuple[np.ndarray, int, int]:
+    """Impulse response g over T lags of ma(L) / (1 - ar[0] L - ar[1] L^2 - ...), the ``ma``
+    taps zero-padded to T through :func:`ar_filter_rows`, as (G, n, L): the read-only
+    spectrum of g cut to its support S, the smallest lag with sum_{m>S} |g[m]| <= 2^-53
+    sum |g|; the FFT length n >= keep + S, so no wrap-around reaches the last ``keep``
+    outputs; and the count L = min(S, T - keep) of innovations before them that reach them."""
     from scipy import fft  # here, so that `epatest test` and ucr runs never load it
 
+    impulse = np.zeros(T)
+    impulse[: len(ma)] = ma
+    g = ar_filter_rows(np.concatenate(([1.0], -np.asarray(ar, dtype=float))), impulse)
     tail = np.cumsum(np.abs(g)[::-1])[::-1]  # tail[m] = sum of |g[m:]|
     S = int(np.count_nonzero(tail[1:] > 2.0**-53 * tail[0]))
     n = fft.next_fast_len(keep + S, real=True)
     G = fft.rfft(g[: S + 1], n)
     G.flags.writeable = False
-    return G, n, min(S, g.size - keep)
+    return G, n, min(S, T - keep)
 
 
 def filter_tail_rows(eps: np.ndarray, response, keep: int) -> np.ndarray:
-    """The last ``keep`` outputs of the filter of a :func:`truncated_response`
+    """The last ``keep`` outputs of the filter of an :func:`arma_response`
     run from rest over each row of ``eps`` (or a 1-D ``eps``), every row alike."""
     from scipy import fft
 

@@ -10,8 +10,8 @@ worst-case gap to an oracle power envelope after size correction. Plotted
 against each other these trace the curve a practitioner uses to judge
 whether a rejection is an artifact of the bandwidth choice. Every M reads
 one set of null paths, each its innovations convolved with the fitted
-model's truncated impulse response, and every shift's power is counted
-from each replication's two crossing shifts.
+model's :func:`epatest.series.arma_response`, and every shift's power is
+counted from each replication's two crossing shifts.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .data import ForecastDataset
 from .data import loss_series as data_loss_series
 from .dmtests import METHODS, outcomes, procedure, size_corrected_critical_value, tally
 from .lrv import bandwidth
-from .series import (ar_filter_rows, as_integer, as_loss_series, filter_tail_rows,
-                     truncated_response)
+from .series import arma_response, as_integer, as_loss_series, filter_tail_rows
 
 __all__ = [
     "FittedArModel",
@@ -141,25 +140,9 @@ def fit_ar(d, max_order: int | None = None) -> FittedArModel:
 
 
 def _model_response(model: FittedArModel, P: int):
-    """The model's truncated impulse response, at its innovation scale, for the last P values."""
-    impulse = np.zeros(SIMULATION_BURN_IN + P)
-    impulse[0] = math.sqrt(max(model.innovation_variance, 0.0))
-    a = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-    return truncated_response(ar_filter_rows(a, impulse), P)
-
-
-def _model_paths(model, E: np.ndarray, shift: float) -> np.ndarray:
-    """The fitted autoregression driven from rest by each row of standard normals ``E``.
-
-    ``model`` is a :class:`FittedArModel` or its :func:`_model_response`. Each path convolves
-    only its last P + L innovations with the truncated response, every row alike, so a path
-    alone equals the same path in a batch. The first ``SIMULATION_BURN_IN`` values of each
-    path are dropped and ``shift`` is added to the rest.
-    """
-    P = E.shape[1] - SIMULATION_BURN_IN
-    if isinstance(model, FittedArModel):
-        model = _model_response(model, P)
-    return filter_tail_rows(E, model, P) + shift
+    """The model's :func:`arma_response` at its innovation scale, for the last P values."""
+    sigma = math.sqrt(max(model.innovation_variance, 0.0))
+    return arma_response(model.coefficients, (sigma,), SIMULATION_BURN_IN + P, P)
 
 
 def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.ndarray:
@@ -167,18 +150,19 @@ def simulate_from_model(model: FittedArModel, P: int, shift: float, rng) -> np.n
 
     Gaussian innovations at the fitted variance drive the recursion from
     zero initial conditions; a 500-observation burn-in is discarded so the
-    retained path is effectively stationary. ``shift`` = 0 simulates the
-    null of zero mean, nonzero values simulate alternatives.
+    retained path is effectively stationary. Only its last P + L innovations
+    reach it, through :func:`_model_response`, as for every null path.
+    ``shift`` = 0 simulates the null, nonzero values simulate alternatives.
     """
     P = as_integer(P, "path length", 1)
     E = np.random.default_rng(rng).standard_normal((1, SIMULATION_BURN_IN + P))
-    return _model_paths(model, E, shift)[0]
+    return filter_tail_rows(E, _model_response(model, P), P)[0] + shift
 
 
 def _null_rng(seed: int, rep: int) -> np.random.Generator:
     """The generator of null path ``rep``: :func:`_null_summary` draws
     ``simulate_from_model(model, P, 0.0, _null_rng(seed, rep))`` as that
-    path, without constructing the generator."""
+    path, by the same filter, without constructing the generator."""
     return np.random.default_rng([seed, rep])
 
 
@@ -218,7 +202,7 @@ def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: 
         raise ValueError("fitted model has nonpositive long-run variance")
     paths = np.empty((config.n_sim, P))
     g = _model_response(model, P)  # built once for every chunk
-    keyed_rows(paths, [config.seed], SIMULATION_BURN_IN + P, lambda E: _model_paths(g, E, 0.0))
+    keyed_rows(paths, [config.seed], SIMULATION_BURN_IN + P, lambda E: filter_tail_rows(E, g, P))
     tallies = tally(procedures, paths)
     sizes = []
     for proc, (*_, rejections, degenerate) in zip(procedures, tallies):

@@ -99,6 +99,27 @@ def t_quantile(p, df):
     return _bisect(lambda x: t_cdf(x, df), p, -400.0, 400.0)
 
 
+def normal_tail(x):
+    """Standard normal upper tail P(Z > x) by quadrature of the density from x
+    on, to relative accuracy, so that tails far below 1e-16 are resolved."""
+    val, _ = integrate.quad(lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi),
+                            x, math.inf, epsabs=0.0, epsrel=1e-13)
+    return val
+
+
+def t_tail(x, df):
+    """Student-t upper tail P(T > x) by quadrature of the density from x on."""
+    c = math.exp(math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)) / math.sqrt(df * math.pi)
+    val, _ = integrate.quad(lambda u: c * (1.0 + u * u / df) ** (-(df + 1) / 2.0),
+                            x, math.inf, epsabs=0.0, epsrel=1e-13)
+    return val
+
+
+def upper_quantile(tail, p, hi):
+    """The x in (0, hi) with tail(x) = p, by bisection."""
+    return _bisect(lambda x: -tail(x), -p, 0.0, hi)
+
+
 def ar_lfilter(a, x):
     """``x`` (each row of a 2-D ``x``) passed through 1/a(L) from rest by SciPy's direct filter."""
     return signal.lfilter([1.0], a, x, axis=-1)

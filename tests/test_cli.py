@@ -257,6 +257,26 @@ class TestTestCommand:
         assert payload["parameters"]["q"] is None
         assert payload["results"] == pinned["results"]
 
+    @pytest.mark.parametrize("cl", ["1e-15", "1e-17"])
+    def test_small_level_gives_strict_json_and_agreeing_decisions(self, cl, tmp_path, capsys):
+        y, e = np.random.default_rng(0).standard_normal((2, 60))
+        path = tmp_path / "f.csv"
+        np.savetxt(path, np.c_[y + e, y - 0.5 * e, y], delimiter=",", header="A,B,Y",
+                   comments="")
+        code, _, err = run(["test", "--data", str(path)] + BASE
+                           + ["--cl", cl, "--out", str(tmp_path / "out")], capsys)
+        assert code == 3, err  # dm_fb is tabulated at 5% only
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        text = (tmp_path / "out" / "test_results.json").read_text()
+        results = json.loads(text, parse_constant=refuse)["results"]
+        tested = [r for r in results if r["pval"] is not None]
+        assert len(tested) == 7 and any(r["rej"] for r in tested)
+        for r in tested:
+            assert r["rej"] == (r["pval"] < float(cl)), r
+
     def test_unknown_label_exits_1_and_writes_nothing(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "res"
         code, out, err = run(["test", "--data", str(data_csv)] + BASE

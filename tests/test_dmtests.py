@@ -33,8 +33,11 @@ from reference import (
     naive_lrv_rectangular,
     normal_cdf,
     normal_quantile,
+    normal_tail,
     t_cdf,
     t_quantile,
+    t_tail,
+    upper_quantile,
 )
 
 
@@ -392,6 +395,31 @@ class TestOutcomeRecord:
         out = dm_test_r(_series(25), cl=0.10)
         assert out.cl == 0.10
         assert out.critical_value == pytest.approx(normal_quantile(0.95), abs=1e-8)
+
+
+class TestSmallLevels:
+    """Levels far below the spacing of doubles near 1, where 1 - cl/2 rounds away the level."""
+
+    @pytest.mark.parametrize("cl", [1e-15, 1e-17])
+    @pytest.mark.parametrize("label", ["dm_r", "dm_m", "dm_nw_l", "dm_ewc", "dm_im_q10"])
+    def test_decision_agrees_with_the_p_value(self, label, cl):
+        d0 = _series(40)
+        p = procedure(label, d0.size, 1, cl)
+        tail = normal_tail if p.df is None else (lambda x: t_tail(x, p.df))
+        q = upper_quantile(tail, cl / 2.0, 1e4)
+        assert p.critical_value == pytest.approx(q, rel=1e-12)
+        # a constant added to the series moves the statistic linearly
+        s0, s1 = (outcomes([p], d0 + c)[0].stat for c in (0.0, 1.0))
+        for target in (q * (1.0 - 1e-9), q * (1.0 + 1e-9)):
+            out = outcomes([p], d0 + (target - s0) / (s1 - s0))[0]
+            assert out.stat == pytest.approx(target, rel=1e-11)
+            assert out.rej == (out.pval < cl) == (target > q)
+
+    @pytest.mark.parametrize("label", ["dm_r", "dm_m", "dm_im"])
+    def test_level_without_a_finite_critical_value_is_refused(self, label):
+        # cl / 2 underflows to 0, whose quantile is infinite
+        with pytest.raises(UnsupportedLevelError, match="no finite critical value at cl=5e-324"):
+            procedure(label, 60, 1, 5e-324)
 
 
 class TestReferenceDistributions:

@@ -24,7 +24,6 @@ from epatest.mc import (
     DEFAULT_R_SET,
     DgpSpec,
     ExperimentResult,
-    _cr_recursion,
     calibrate_mu,
     experiment_grid,
     ma_autocovariances,
@@ -159,7 +158,8 @@ class TestSimulators:
             x[t] = sum(theta[k] * eps[t - k] for k in range(h) if t - k >= 0)
             feedback = sum(y[t - h - j] for j in range(R) if t - h - j >= 0)
             y[t] = x[t] + feedback / (2.0 * R)
-        np.testing.assert_allclose(_cr_recursion(eps, h, R), y, atol=1e-12)
+        got = series.filter_tail_rows(eps, mc._cr_spectrum(h, R, eps.size, eps.size), eps.size)
+        np.testing.assert_allclose(got, y, atol=1e-12)
 
     @pytest.mark.parametrize("h", [1, 3, 12])
     @pytest.mark.parametrize("R", DEFAULT_R_SET)
@@ -168,7 +168,7 @@ class TestSimulators:
         eps = np.random.default_rng([h, R]).standard_normal(CR_BURN_IN + T_tot)
         want = cr_recursion_lfilter(eps, h, R)
         for keep in (175 + 25 + h - 1, T_tot, eps.size):
-            got = _cr_recursion(eps, h, R, keep)
+            got = series.filter_tail_rows(eps, mc._cr_spectrum(h, R, eps.size, keep), keep)
             assert got.shape == (keep,)
             tail = want[eps.size - keep :]
             np.testing.assert_allclose(got, tail, rtol=0, atol=1e-12 * np.abs(tail).max())
@@ -201,13 +201,13 @@ class TestSimulators:
 
     def test_cr_filter_runs_once_per_cell_not_per_replication(self, monkeypatch):
         calls = []
-        ar_filter = mc.ar_filter_rows
+        response = mc.arma_response
 
-        def counting_ar_filter(*args, **kwargs):
+        def counting_response(*args, **kwargs):
             calls.append(1)
-            return ar_filter(*args, **kwargs)
+            return response(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "ar_filter_rows", counting_ar_filter)
+        monkeypatch.setattr(mc, "arma_response", counting_response)
         specs = [DgpSpec("cr", 3, 25, 25, 75), DgpSpec("cr", 3, 175, 25, 75)]
         run_experiment(specs, methods=("dm_r",), n_reps=100, seed=0)
         assert 1 <= len(calls) <= len(specs)
@@ -237,7 +237,8 @@ def _cr_polynomial(h, R):
 
 
 class TestArFilter:
-    """``series.ar_filter_rows``, the banded solve behind both autoregressive filters."""
+    """``series.ar_filter_rows``, the banded solve behind ``series.arma_response``
+    and so behind the impulse responses of both autoregressive simulators."""
 
     @pytest.mark.parametrize("K", range(1, 11))
     def test_matches_lfilter_across_block_boundaries(self, K):

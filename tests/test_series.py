@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
+from epatest import series
 from epatest.series import (
     LOSS_FUNCTIONS,
     as_loss_series,
@@ -13,6 +15,7 @@ from epatest.series import (
 )
 
 from reference import (
+    ar_lfilter,
     naive_autocovariance,
     naive_cosine_coefficient,
     naive_periodogram,
@@ -157,3 +160,74 @@ class TestCosineCoefficient:
             cosine_coefficient(d, 0)
         with pytest.raises(ValueError, match="basis index"):
             cosine_coefficient(d, 10)
+
+
+def _support(g):
+    """The smallest S with sum_{m>S} |g[m]| <= 2^-53 sum |g|, the tail summed
+    from the last lag back, one term at a time."""
+    tails, acc = [], 0.0
+    for x in np.abs(g)[::-1]:
+        acc += x
+        tails.append(acc)
+    tails.reverse()  # tails[m] = sum of |g[m:]|
+    return next(S for S in range(g.size) if S + 1 == g.size or tails[S + 1] <= 2.0**-53 * tails[0])
+
+
+def _random_ar(p):
+    """Stationary AR(p) coefficients, sum |phi| = 0.8 and signs mixed."""
+    rng = np.random.default_rng([32, p])
+    return tuple(0.8 * rng.dirichlet(np.ones(p)) * rng.choice([-1.0, 1.0], p))
+
+
+# Random AR(1..10) models, two responses that oscillate by construction and
+# two that stay positive, one of them persistent.
+ARMA_CASES = {**{f"ar{p}": _random_ar(p) for p in range(1, 11)},
+              "alternating": (-0.7,), "oscillating": (0.0, -0.5),
+              "persistent": (0.95,), "positive": (0.5, 0.3)}
+
+
+class TestArmaResponse:
+    """``series.arma_response``: the truncated impulse response both AR simulators filter by."""
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_order_zero_is_the_taps(self, q):
+        ma = np.random.default_rng([31, q]).standard_normal(q)
+        G, n, L = series.arma_response((), ma, 200, 50)
+        assert L == q - 1 and n >= 50 + L and G.size == n // 2 + 1
+        taps = fft.irfft(G, n)  # the taps whose spectrum G is
+        np.testing.assert_allclose(taps[:q], ma, rtol=0, atol=1e-15 * np.abs(ma).max())
+        np.testing.assert_allclose(taps[q:], 0.0, rtol=0, atol=1e-15 * np.abs(ma).max())
+
+    @pytest.mark.parametrize("name", ARMA_CASES)
+    def test_taps_support_and_window(self, name):
+        ar, index = ARMA_CASES[name], list(ARMA_CASES).index(name)
+        ma = np.random.default_rng([33, index]).standard_normal(index % 12 + 1)
+        T, keep = 3000, 40
+        padded = np.zeros(T)
+        padded[: ma.size] = ma
+        a = np.concatenate(([1.0], -np.asarray(ar)))
+        want = ar_lfilter(a, padded)
+        G, n, L = series.arma_response(ar, ma, T, keep)
+        assert L < T - keep  # the window is wide enough, so L is the support S
+        assert G.size == n // 2 + 1 and n >= keep + L
+        taps = fft.irfft(G, n)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(taps[: L + 1], want[: L + 1], rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(taps[L + 1 :], 0.0, rtol=0, atol=1e-13 * scale)
+        # the tail bound on the response the function cuts: it holds at S, not at S - 1
+        g = series.ar_filter_rows(a, padded)
+        total = np.abs(g).sum()
+        assert np.abs(g[L + 1 :]).sum() <= 2.0**-53 * total
+        assert L == 0 or np.abs(g[L:]).sum() > 2.0**-53 * total
+        # a window shorter than the support keeps only the innovations it has
+        for short in (keep + L // 2, keep + 1):
+            G, n, L_short = series.arma_response(ar, ma, short, keep)
+            S = _support(series.ar_filter_rows(a, padded[:short]))
+            assert L_short == min(S, short - keep) == short - keep
+            assert n >= keep + S
+
+    def test_cases_include_sign_changing_responses(self):
+        impulse = np.eye(1, 200)[0]
+        signs = [bool((ar_lfilter(np.concatenate(([1.0], -np.asarray(ar))), impulse) < 0).any())
+                 for ar in ARMA_CASES.values()]
+        assert any(signs) and not all(signs)

@@ -20,6 +20,7 @@ from reference import cr_loss_differential, ucr_loss_differential
 
 from epatest import _streams, mc, tradeoff
 from epatest.dmtests import procedure, tally
+from epatest.series import filter_tail_rows
 
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3, 20260818, 7_135_200_448_213)
 N_REPS = 5000
@@ -268,7 +269,7 @@ def test_null_paths_equal_one_path_simulator(order):
     keyed = np.empty((n_sim, P))  # the null paths as tradeoff._null_summary draws them
     response = tradeoff._model_response(model, P)
     _streams.keyed_rows(keyed, [seed], tradeoff.SIMULATION_BURN_IN + P,
-                        lambda E: tradeoff._model_paths(response, E, 0.0))
+                        lambda E: filter_tail_rows(E, response, P))
     got = tally(procedures, keyed)
     want = tally(procedures, paths)
     for (stat, variance, *_), (want_stat, want_variance, *_) in zip(got, want):

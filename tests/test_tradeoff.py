@@ -14,7 +14,7 @@ from epatest._streams import keyed_rows
 from epatest.data import ForecastDataset
 from epatest.dmtests import METHODS, dm_test_bt_fb, procedure, tally
 from epatest.lrv import bandwidth
-from epatest.series import ar_filter_rows
+from epatest.series import ar_filter_rows, filter_tail_rows
 from epatest.tradeoff import (
     FittedArModel,
     TradeoffConfig,
@@ -376,9 +376,10 @@ def test_null_paths_match_the_banded_solve(name):
     E = np.random.default_rng(8).standard_normal((40, tradeoff.SIMULATION_BURN_IN + P))
     a = np.concatenate(([1.0], -np.asarray(coefficients)))
     want = ar_filter_rows(a, E * math.sqrt(0.7))[:, tradeoff.SIMULATION_BURN_IN :]
-    got = tradeoff._model_paths(model, E, 0.0)
+    response = tradeoff._model_response(model, P)
+    got = filter_tail_rows(E, response, P)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    _, n, L = tradeoff._model_response(model, P)
+    _, n, L = response
     # the near unit root keeps every innovation, the others a part of the burn-in
     assert (L == tradeoff.SIMULATION_BURN_IN) is (name == "near_unit_root")
     assert n >= P + L
@@ -615,22 +616,23 @@ class TestDegeneratePaths:
         model = fit_ar(d)
         procedures = [procedure("dm_fb", self.P, 1, 0.05, M) for M in self.GRID]
         paths = np.empty((self.N_SIM, self.P))  # the null paths as _null_summary draws them
+        response = tradeoff._model_response(model, self.P)
         keyed_rows(paths, [0], tradeoff.SIMULATION_BURN_IN + self.P,
-                   lambda E: tradeoff._model_paths(model, E, 0.0))
+                   lambda E: filter_tail_rows(E, response, self.P))
         clean = tally(procedures, paths)
         live = np.arange(self.N_SIM) % 10 != 0
         want = [np.count_nonzero(np.abs(stat[live]) > p.critical_value) / self.N_SIM - 0.05
                 for p, (stat, *_) in zip(procedures, clean)]
         # the paths of replications 0, 10, 20, ... are constant
-        model_paths, first = tradeoff._model_paths, [0]
+        first = [0]
 
-        def every_tenth_path_constant(model, E, shift):
-            paths = model_paths(model, E, shift)
+        def every_tenth_path_constant(E, response, keep):
+            paths = filter_tail_rows(E, response, keep)
             paths[-first[0] % 10 :: 10] = level
             first[0] += len(paths)
             return paths
 
-        monkeypatch.setattr(tradeoff, "_model_paths", every_tenth_path_constant)
+        monkeypatch.setattr(tradeoff, "filter_tail_rows", every_tenth_path_constant)
         caplog.set_level(logging.DEBUG, logger="epatest.tradeoff")
         cfg = TradeoffConfig(bandwidth_grid=self.GRID, n_sim=self.N_SIM)
         curve = build_tradeoff_curve(d, cfg)
