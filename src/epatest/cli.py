@@ -280,17 +280,19 @@ def cmd_test(args) -> int:
     records = [_outcome_record(name, planned.get(name), results[name], args.cl)
                for name in names]
     print(f"n = {d.size} loss-differential observations")
-    header = (f"{'method':<8} {'statistic':>10} {'critical':>9} {'p-value':>8} "
-              f"{'bandwidth':>9} {'df':>4}  reject@{args.cl:g}")
-    print(header)
-    print("-" * len(header))
+    table = [("method", "statistic", "critical", "p-value", "bandwidth", "df", f"reject@{args.cl:g}")]
     for r in records:
         stat, crit, pval, bw, df = ("-" if r[k] is None else format(r[k], f) for k, f in zip(
             ("stat", "critical_value", "pval", "bandwidth", "df"), (".4f",) * 3 + ("d", ".0f")))
         if r["stat"] is None:  # no critical value: the method refused the arguments
             stat = "unsupported" if r["critical_value"] is None else "degenerate"
         rej = "-" if r["rej"] is None else ("yes" if r["rej"] else "no")
-        print(f"{r['method']:<8} {stat:>10} {crit:>9} {pval:>8} {bw:>9} {df:>4}  {rej}")
+        table.append((r["method"], stat, crit, pval, bw, df, rej))
+    # Each column is as wide as its widest cell, but no narrower than its fixed width.
+    widths = [max(w, *map(len, column)) for w, column in zip((8, 10, 9, 8, 9, 4), zip(*table))]
+    lines = [" ".join((row[0].ljust(widths[0]), *map(str.rjust, row[1:6], widths[1:])))
+             + "  " + row[6] for row in table]
+    print("\n".join([lines[0], "-" * len(lines[0]), *lines[1:]]))
     if args.out is not None:
         text = _manifest("test", _options(args, *_DATA_OPTIONS, "method", "h", "cl",
                                           *_BANDWIDTH_FLAGS),

@@ -184,58 +184,40 @@ def cosine_coefficient_rows(X: np.ndarray, js: range) -> np.ndarray:
     return np.sqrt(2.0 / P) * np.vecdot(X[:, None, :], _cosine_basis(P, js))
 
 
-# Doubles of band storage in one time block of ar_filter_rows' solve.
+# Doubles of band storage in one time block of arma_response's solve.
 _BAND_DOUBLES = 2**15
 
 
-def ar_filter_rows(a, X) -> np.ndarray:
-    """Each row of ``X`` (or a 1-D ``X``) passed through 1/a(L) from rest.
+def arma_response(ar, ma, T: int, keep: int) -> tuple[np.ndarray, int, int]:
+    """Impulse response g over T lags of ma(L) / (1 - ar[0] L - ar[1] L^2 - ...), as (G, n, L):
+    the read-only spectrum of g cut to its support S, the smallest lag with sum_{m>S} |g[m]|
+    <= 2^-53 sum |g|; the FFT length n >= keep + S, so no wrap-around reaches the last ``keep``
+    outputs; and the count L = min(S, T - keep) of innovations before them that reach them.
 
-    Row by row, y[t] + a[1] y[t-1] + ... + a[K] y[t-K] = x[t] with y = 0
-    before the first value; a[0] = 1 is assumed, not read. That is a
-    unit-diagonal lower-triangular banded system in each row, solved by
-    LAPACK's ``dtbtrs`` in time blocks of B = max(_BAND_DOUBLES // (K + 1), K)
-    values, so the band storage stays at (K + 1) x B whatever the length.
-    The K outputs before a block enter the right-hand sides of its first K
-    equations. Every row goes through the same operations whatever the
-    other rows are, so a row filtered alone equals the same row filtered
-    in a batch, bit for bit.
+    g solves g[t] - ar[0] g[t-1] - ... - ar[K-1] g[t-K] = ma[t] from rest, the ``ma`` taps
+    zero-padded to T: a unit-diagonal lower-triangular banded system, solved in place by
+    LAPACK's ``dtbtrs`` in time blocks of B = min(max(_BAND_DOUBLES // (K + 1), K), T) values,
+    so the band storage stays at (K + 1) x B whatever T is. The K values of g before a block
+    enter the right-hand sides of its first K equations.
     """
-    # Imported here so that only the simulators that filter load scipy.linalg.
+    # Imported here, so that `epatest test` and ucr runs never load them.
+    from scipy import fft
     from scipy.linalg import lapack
 
-    a = np.asarray(a, dtype=float)
+    a = np.concatenate(([1.0], -np.asarray(ar, dtype=float)))
     K = a.size - 1
-    Y = np.array(X, dtype=float, order="C")  # right-hand sides, overwritten by the solution
-    rows = Y.reshape(-1, Y.shape[-1])
-    T = rows.shape[1]
+    g = np.zeros(T)  # the padded taps, overwritten block by block by the response
+    g[: len(ma)] = ma
     B = min(max(_BAND_DOUBLES // (K + 1), K), T)
     band = np.repeat(a[:, None], B, axis=1)
-    # carry[t, m] is the weight of output s - K + m in equation s + t of a block at s.
+    # carry[t, m] is the weight of g[s - K + m] in equation s + t of a block at s.
     lag = K + np.arange(K)[:, None] - np.arange(K)
     carry = np.where(lag <= K, a[np.minimum(lag, K)], 0.0)
     for s in range(0, T, B):
-        rhs = rows[:, s : s + B].T
+        rhs = g[s : s + B, None]  # a contiguous column, which dtbtrs overwrites
         if s:
-            # one matrix-vector product per row, so no row sees another
-            rhs[:K] -= (carry[: rhs.shape[0]] @ rows[:, s - K : s, None])[..., 0].T
-        # in place when rhs is Fortran-contiguous (a single block), else into a copy
-        rhs[...] = lapack.dtbtrs(band[:, : rhs.shape[0]], rhs, uplo="L", diag="U",
-                                 overwrite_b=1)[0]
-    return Y
-
-
-def arma_response(ar, ma, T: int, keep: int) -> tuple[np.ndarray, int, int]:
-    """Impulse response g over T lags of ma(L) / (1 - ar[0] L - ar[1] L^2 - ...), the ``ma``
-    taps zero-padded to T through :func:`ar_filter_rows`, as (G, n, L): the read-only
-    spectrum of g cut to its support S, the smallest lag with sum_{m>S} |g[m]| <= 2^-53
-    sum |g|; the FFT length n >= keep + S, so no wrap-around reaches the last ``keep``
-    outputs; and the count L = min(S, T - keep) of innovations before them that reach them."""
-    from scipy import fft  # here, so that `epatest test` and ucr runs never load it
-
-    impulse = np.zeros(T)
-    impulse[: len(ma)] = ma
-    g = ar_filter_rows(np.concatenate(([1.0], -np.asarray(ar, dtype=float))), impulse)
+            rhs[:K] -= carry[: rhs.shape[0]] @ g[s - K : s, None]
+        lapack.dtbtrs(band[:, : rhs.shape[0]], rhs, uplo="L", diag="U", overwrite_b=1)
     tail = np.cumsum(np.abs(g)[::-1])[::-1]  # tail[m] = sum of |g[m:]|
     S = int(np.count_nonzero(tail[1:] > 2.0**-53 * tail[0]))
     n = fft.next_fast_len(keep + S, real=True)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,24 @@ def run(argv, capsys):
 
 
 BASE = ["--forecast-cols", "A,B", "--realization-col", "Y"]
+
+
+def _abY_csv(path, a, b, y):
+    """A forecast file with forecast columns A, B and realization Y, written as CI writes one."""
+    np.savetxt(path, np.c_[a, b, y], delimiter=",", header="A,B,Y", comments="")
+    return path
+
+
+def _ci_csv(path):
+    """The 60-row forecast file of the CI workflow's `Package install` step."""
+    y, e = np.random.default_rng(0).standard_normal((2, 60))
+    return _abY_csv(path, y + e, y - 0.5 * e, y)
+
+
+def _near_constant_csv(path):
+    """60 rows whose loss differential barely moves, so every statistic runs to 8-9 digits."""
+    a = 1.0 + 1e-7 * np.random.default_rng(1).standard_normal(60)
+    return _abY_csv(path, a, np.zeros(60), np.zeros(60))
 
 
 def _no_fit(*args, **kwargs):
@@ -259,10 +278,7 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("cl", ["1e-15", "1e-17"])
     def test_small_level_gives_strict_json_and_agreeing_decisions(self, cl, tmp_path, capsys):
-        y, e = np.random.default_rng(0).standard_normal((2, 60))
-        path = tmp_path / "f.csv"
-        np.savetxt(path, np.c_[y + e, y - 0.5 * e, y], delimiter=",", header="A,B,Y",
-                   comments="")
+        path = _ci_csv(tmp_path / "f.csv")
         code, _, err = run(["test", "--data", str(path)] + BASE
                            + ["--cl", cl, "--out", str(tmp_path / "out")], capsys)
         assert code == 3, err  # dm_fb is tabulated at 5% only
@@ -276,6 +292,32 @@ class TestTestCommand:
         assert len(tested) == 7 and any(r["rej"] for r in tested)
         for r in tested:
             assert r["rej"] == (r["pval"] < float(cl)), r
+
+    @pytest.mark.parametrize("data, argv, code", [
+        (_ci_csv, ["--method", "dm_im_q10"], 0),  # a 9-character label
+        (_ci_csv, ["--cl", "1e-17"], 3),  # a 22-character critical value
+        (_near_constant_csv, [], 0),  # statistics of 13 and 14 characters
+        (None, ["--method", "all", "--cl", "0.1", "--h", "3"], 3),  # TestPinnedOutput's battery
+    ], ids=["long_label", "long_critical_value", "long_statistics", "pinned_battery"])
+    def test_table_fields_line_up_with_the_header(self, data, argv, code, data_csv, tmp_path,
+                                                  capsys):
+        path = data_csv if data is None else data(tmp_path / "f.csv")
+        status, out, err = run(["test", "--data", str(path)] + BASE + argv, capsys)
+        assert status == code, err
+        header, rule, *rows = out.splitlines()[1:]
+        assert rule == "-" * len(header) and rows
+
+        def spans(line):
+            return [m.span() for m in re.finditer(r"\S+", line)]
+
+        # the method starts the line, the five numeric fields end where their
+        # headings end, and the decision starts under "reject@"
+        want = spans(header)
+        for row in rows:
+            got = spans(row)
+            assert len(got) == 7 and got[0][0] == 0, row
+            assert [end for _, end in got[1:6]] == [end for _, end in want[1:6]], row
+            assert got[6][0] == want[6][0], row
 
     def test_unknown_label_exits_1_and_writes_nothing(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "res"

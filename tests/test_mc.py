@@ -229,58 +229,46 @@ def _block_width(K):
     return max(series._BAND_DOUBLES // (K + 1), K)
 
 
-def _cr_polynomial(h, R):
-    a = np.zeros(h + R)
-    a[0] = 1.0
-    a[h:] = -1.0 / (2.0 * R)
-    return a
-
-
 class TestArFilter:
-    """``series.ar_filter_rows``, the banded solve behind ``series.arma_response``
-    and so behind the impulse responses of both autoregressive simulators."""
+    """The banded solve inside ``series.arma_response``, and so behind the impulse
+    responses of both autoregressive simulators, against SciPy's direct filter."""
 
     @pytest.mark.parametrize("K", range(1, 11))
     def test_matches_lfilter_across_block_boundaries(self, K):
         rng = np.random.default_rng([7, K])
-        # sum |phi| < 1 keeps the autoregression stationary
-        phi = 0.95 * rng.dirichlet(np.ones(K)) * rng.choice([-1.0, 1.0], K)
+        # sum phi = 0.9999: stationary, and so persistent that no lag is cut
+        phi = 0.9999 * rng.dirichlet(np.ones(K))
+        ma = rng.standard_normal(3)
         a = np.concatenate(([1.0], -phi))
         B = _block_width(K)
         for T in (B - 1, B, B + 1, 3 * B + 2):
-            for X in (rng.standard_normal(T), rng.standard_normal((3, T))):
-                got = series.ar_filter_rows(a, X)
-                want = ar_lfilter(a, X)
-                assert got.shape == X.shape
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            G, n, L = series.arma_response(phi, ma, T, 1)
+            assert L == T - 1
+            want = ar_lfilter(a, np.concatenate((ma, np.zeros(T - ma.size))))
+            got = fft.irfft(G, n)[:T]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("h", DEFAULT_H_SET)
     @pytest.mark.parametrize("R", DEFAULT_R_SET)
-    def test_cr_impulse_response_matches_lfilter(self, h, R):
+    def test_cr_impulse_response_matches_lfilter(self, h, R, monkeypatch):
         T = CR_BURN_IN + 175 + 1000 + h - 1
         impulse = np.zeros(T)
         impulse[0] = 1.0
         want = cr_recursion_lfilter(impulse, h, R)
-        weights = np.zeros(T)
-        weights[:h] = ma_weights(h)
-        got = series.ar_filter_rows(_cr_polynomial(h, R), weights)
-        assert T > _block_width(h + R - 1)
+        solved = []  # the response on its support, as the solve hands it to the FFT
+        rfft = fft.rfft
+        monkeypatch.setattr(fft, "rfft", lambda g, n: solved.append(g) or rfft(g, n))
+        mc._cr_spectrum.cache_clear()
+        G, n, L = mc._cr_spectrum(h, R, T, 1)
+        (g,) = solved
+        assert T > _block_width(h + R - 1) and g.size == L + 1
         assert np.all(want > 0.0)
-        assert np.all(np.abs(got - want) <= 1e-13 * want)
-
-    @pytest.mark.parametrize("a", [np.array([1.0, -0.5, 0.2, 0.1]), _cr_polynomial(3, 175)],
-                             ids=["ar3", "cr"])
-    def test_row_alone_equals_row_in_batch(self, a):
-        T = 3 * _block_width(a.size - 1) + 2
-        X = np.random.default_rng(11).standard_normal((5, T))
-        batch = series.ar_filter_rows(a, X)
-        for i in range(5):
-            assert series.ar_filter_rows(a, X[i]).tobytes() == batch[i].tobytes()
-        assert series.ar_filter_rows(a, X[1:4]).tobytes() == batch[1:4].tobytes()
-
-    def test_order_zero_is_the_identity(self):
-        X = np.random.default_rng(12).standard_normal((2, 50))
-        assert series.ar_filter_rows([1.0], X).tobytes() == X.tobytes()
+        assert np.all(np.abs(g - want[: L + 1]) <= 1e-13 * want[: L + 1])
+        # what the support leaves out is the oracle's tail too: below 2^-53 of the sum at S,
+        # not at S - 1
+        assert want[L + 1 :].sum() <= 2.0**-53 * want.sum() < want[L:].sum()
+        taps = fft.irfft(G, n)
+        np.testing.assert_allclose(taps[: L + 1], g, rtol=0, atol=1e-13 * want.max())
 
 
 _SIMULATE_ROWS = mc._simulate_rows
