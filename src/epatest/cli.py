@@ -67,6 +67,11 @@ _ENVIRONMENT = {
 _DATA_OPTIONS = ("data", "forecast_cols", "realization_col", "na_policy", "date_col",
                  "date_from", "date_to", "loss")
 _BANDWIDTH_FLAGS = tuple(dict.fromkeys(m.param for m in METHODS.values() if m.param))
+# The grid flags of ``mc``, in argument order: what each lists, and its default.
+_GRID_FLAGS = {"--h-set": ("horizons", DEFAULT_H_SET),
+               "--r-set": ("DGP window sizes R", DEFAULT_R_SET),
+               "--rt-set": ("forecast window sizes R-tilde", DEFAULT_R_SET),
+               "--p-set": ("evaluation sample sizes P", DEFAULT_P_SET)}
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
@@ -141,14 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo size and size-corrected power grids")
     p_mc.add_argument("--families", default="ucr,cr",
                       help="comma list of DGP families: ucr, cr (default both)")
-    p_mc.add_argument("--h-set", default=",".join(map(str, DEFAULT_H_SET)),
-                      help="comma list of horizons (default %(default)s)")
-    p_mc.add_argument("--r-set", default=",".join(map(str, DEFAULT_R_SET)),
-                      help="comma list of DGP window sizes R (default %(default)s)")
-    p_mc.add_argument("--rt-set", default=",".join(map(str, DEFAULT_R_SET)),
-                      help="comma list of forecast window sizes R-tilde (default %(default)s)")
-    p_mc.add_argument("--p-set", default=",".join(map(str, DEFAULT_P_SET)),
-                      help="comma list of evaluation sample sizes P (default %(default)s)")
+    for flag, (what, default) in _GRID_FLAGS.items():
+        p_mc.add_argument(flag, default=",".join(map(str, default)),
+                          help=f"comma list of {what} (default %(default)s)")
     p_mc.add_argument("--methods", default=", ".join(DEFAULT_METHODS),
                       help=f"comma list of tests, each at most once: {', '.join(METHODS)}, "
                       "or dm_im_q<q> for the block test with q blocks (default %(default)s)")
@@ -268,11 +268,8 @@ def cmd_test(args) -> int:
             planned[name] = procedure(name, d.size, args.h, args.cl,
                                       getattr(args, param) if param else None)
         except ValueError as exc:
-            # Under --method all a method that refuses the arguments gets an
-            # "unsupported" row; a named method, or a battery of which no
-            # method applies, is an error.
-            if args.method != "all":
-                raise
+            # A method that refuses the arguments gets an "unsupported" row; when none
+            # applies (a named method is a battery of one), the first refusal is raised.
             results[name] = exc
     if not planned:
         raise results[names[0]]
@@ -298,9 +295,9 @@ def cmd_test(args) -> int:
                                           *_BANDWIDTH_FLAGS),
                          seed=None, n_obs=int(d.size), results=records)
         print(f"wrote {_write(Path(args.out) / 'test_results.json', text)}", file=sys.stderr)
-    problems = [results[name] for name in names if not isinstance(results[name], TestOutcome)]
-    for exc in problems:
-        print(f"warning: {exc}", file=sys.stderr)
+    problems = [name for name in names if not isinstance(results[name], TestOutcome)]
+    for name in problems:
+        print(f"warning: {name}: {results[name]}", file=sys.stderr)
     return 3 if problems else 0
 
 
@@ -343,8 +340,9 @@ def _tradeoff_svg(points, default_M: int) -> str:
     """Scatter of size distortion against worst-case power loss, one point per bandwidth.
 
     Crosses mark bandwidths at which the test rejects on the observed data,
-    circles the rest; the automatic-bandwidth point is boxed. Standalone
-    SVG with no external references.
+    circles the rest; the automatic-bandwidth point is boxed. Each mark is
+    written once, by one function of its half-size that the legend calls
+    too. Standalone SVG with no external references.
     """
     width, height = 640, 480
     ml, mr, mt, mb = 78, 24, 46, 58
@@ -387,10 +385,9 @@ def _tradeoff_svg(points, default_M: int) -> str:
                      f'stroke="{axis}"/>')
         parts.append(f'<text x="{ml - 9}" y="{py + 4:.1f}" text-anchor="end" '
                      f'font-size="11" fill="#111">{ty:.3g}</text>')
-    if y_lo < 0.0 < y_hi:
-        py = sy(0.0)
-        parts.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + plot_w}" y2="{py:.1f}" '
-                     'stroke="#999" stroke-width="1" stroke-dasharray="5,4"/>')
+    py = sy(0.0)
+    parts.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + plot_w}" y2="{py:.1f}" '
+                 'stroke="#999" stroke-width="1" stroke-dasharray="5,4"/>')
     parts.append(f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" fill="none" '
                  f'stroke="{axis}" stroke-width="1"/>')
     parts.append(f'<text x="{ml + plot_w / 2:.1f}" y="{height - 14}" text-anchor="middle" '
@@ -399,35 +396,33 @@ def _tradeoff_svg(points, default_M: int) -> str:
                  f'fill="#111" transform="rotate(-90 20 {mt + plot_h / 2:.1f})">'
                  "size distortion (null rejection rate - 0.05)</text>")
 
-    reject_color, accept_color, default_color = "#c0392b", "#20618d", "#1a7f37"
+    def box(x: float, y: float, half: int) -> str:  # the automatic bandwidth
+        return (f'<rect x="{x - half:.1f}" y="{y - half:.1f}" width="{2 * half}" '
+                f'height="{2 * half}" fill="none" stroke="#1a7f37" stroke-width="1.6"/>')
+
+    def cross(x: float, y: float, half: int) -> str:  # rejects on the data
+        return (f'<path d="M {x - half:.1f} {y - half:.1f} L {x + half:.1f} {y + half:.1f} '
+                f'M {x - half:.1f} {y + half:.1f} L {x + half:.1f} {y - half:.1f}" '
+                f'stroke="#c0392b" stroke-width="2" fill="none"/>')
+
+    def circle(x: float, y: float, half: int) -> str:  # does not reject
+        return (f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{half}" fill="none" '
+                f'stroke="#20618d" stroke-width="2"/>')
+
     for p in points:
         px, py = sx(p.max_power_loss), sy(p.size_distortion)
         if p.M == default_M:
-            parts.append(f'<rect x="{px - 7:.1f}" y="{py - 7:.1f}" width="14" height="14" '
-                         f'fill="none" stroke="{default_color}" stroke-width="1.6"/>')
-        if p.rejected:
-            parts.append(f'<path d="M {px - 4:.1f} {py - 4:.1f} L {px + 4:.1f} {py + 4:.1f} '
-                         f'M {px - 4:.1f} {py + 4:.1f} L {px + 4:.1f} {py - 4:.1f}" '
-                         f'stroke="{reject_color}" stroke-width="2" fill="none"/>')
-        else:
-            parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="none" '
-                         f'stroke="{accept_color}" stroke-width="2"/>')
+            parts.append(box(px, py, 7))
+        parts.append((cross if p.rejected else circle)(px, py, 4))
         parts.append(f'<text x="{px:.1f}" y="{py - 9:.1f}" text-anchor="middle" '
                      f'font-size="9" fill="#555">{p.M}</text>')
 
     lx, ly = ml + 12, mt + 16
-    parts.append(f'<path d="M {lx - 4} {ly - 4} L {lx + 4} {ly + 4} M {lx - 4} {ly + 4} '
-                 f'L {lx + 4} {ly - 4}" stroke="{reject_color}" stroke-width="2"/>')
-    parts.append(f'<text x="{lx + 10}" y="{ly + 4}" font-size="11" fill="#111">'
-                 "rejects on the data</text>")
-    parts.append(f'<circle cx="{lx}" cy="{ly + 18}" r="4" fill="none" stroke="{accept_color}" '
-                 'stroke-width="2"/>')
-    parts.append(f'<text x="{lx + 10}" y="{ly + 22}" font-size="11" fill="#111">'
-                 "does not reject</text>")
-    parts.append(f'<rect x="{lx - 6}" y="{ly + 30}" width="12" height="12" fill="none" '
-                 f'stroke="{default_color}" stroke-width="1.6"/>')
-    parts.append(f'<text x="{lx + 10}" y="{ly + 40}" font-size="11" fill="#111">'
-                 f"automatic bandwidth (M = {default_M})</text>")
+    for k, (mark, label) in enumerate([
+            (cross(lx, ly, 4), "rejects on the data"), (circle(lx, ly + 18, 4), "does not reject"),
+            (box(lx, ly + 36, 6), f"automatic bandwidth (M = {default_M})")]):
+        parts += [mark, f'<text x="{lx + 10}" y="{ly + 4 + 18 * k}" font-size="11" '
+                        f'fill="#111">{label}</text>']
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -435,10 +430,8 @@ def _tradeoff_svg(points, default_M: int) -> str:
 def cmd_mc(args) -> int:
     families = _comma_list(args.families)
     h_set, r_set, rt_set, p_set = (
-        _integers(flag, _comma_list(text)) for flag, text in (
-            ("--h-set", args.h_set), ("--r-set", args.r_set), ("--rt-set", args.rt_set),
-            ("--p-set", args.p_set))
-    )
+        _integers(flag, _comma_list(getattr(args, flag[2:].replace("-", "_"))))
+        for flag in _GRID_FLAGS)
     methods = _comma_list(args.methods)
     specs = experiment_grid(families, h_set, r_set, rt_set, p_set)
 

@@ -249,16 +249,16 @@ def _block_means_rows(X: np.ndarray, q: int, floor: np.ndarray) -> tuple[np.ndar
     return stat, s2
 
 
-def tally(procedures, X: np.ndarray) -> list[tuple]:
+def tally(procedures, X: np.ndarray) -> tuple:
     """Every procedure on every row of ``X``, one validated series of the procedures' length each.
 
-    Per procedure: the statistic, variance estimate and |statistic| of every
-    row, then the counts of rows that reject at the critical value and of
-    degenerate rows, whose variance estimate is at most the round-off floor
-    (P eps)^2 mean(x^2). The floor is zero for a row of zeros, so every
-    nonpositive estimate is degenerate too. A degenerate row's statistic is
-    NaN and its |statistic| 0.0, which never rejects. This is the one
-    degenerate rule; :func:`outcomes` and :func:`dm_statistic` read it.
+    Returns ``(stat, variance, abs_stat, rejections, degenerate)``: three
+    ``(len(procedures), rows)`` arrays, then per procedure the counts of rows
+    that reject (|statistic| above the critical value) and of degenerate rows,
+    whose variance estimate is at most the round-off floor (P eps)^2 mean(x^2),
+    zero for a row of zeros; their statistic is NaN, their |statistic| 0.0. These
+    are the one rejection and degenerate rules: :func:`outcomes` reads both, and
+    :func:`dm_statistic` the floor. Per procedure: ``zip(procedures, *tally(...))``.
     """
     stat = np.empty((len(procedures), X.shape[0]))
     variance = np.empty_like(stat)
@@ -275,9 +275,8 @@ def tally(procedures, X: np.ndarray) -> list[tuple]:
     degenerate = np.isnan(stat)
     abs_stat = np.where(degenerate, 0.0, np.abs(stat))
     crit = np.array([[p.critical_value] for p in procedures])
-    return list(zip(stat, variance, abs_stat,
-                    np.count_nonzero(abs_stat > crit, axis=1).tolist(),
-                    np.count_nonzero(degenerate, axis=1).tolist()))
+    return (stat, variance, abs_stat, np.count_nonzero(abs_stat > crit, axis=1).tolist(),
+            np.count_nonzero(degenerate, axis=1).tolist())
 
 
 def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float | np.ndarray:
@@ -303,15 +302,15 @@ def size_corrected_critical_value(abs_stats, cl: float = 0.05) -> float | np.nda
 def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
     """Every procedure on the single validated series ``d``: the one-row case of :func:`tally`.
 
-    A degenerate variance estimate (nonpositive or round-off, by
-    :func:`tally`'s rule) raises :class:`DegenerateVarianceError`; with
-    ``strict=False`` the error stands unraised in that procedure's place
-    instead, so one degenerate estimator leaves the other outcomes intact.
+    ``rej`` and degeneracy are :func:`tally`'s decisions. A degenerate variance
+    estimate raises :class:`DegenerateVarianceError`; with ``strict=False`` the
+    error stands unraised in that procedure's place instead, so one degenerate
+    estimator leaves the other outcomes intact.
     """
     results = []
-    for p, (stat, variance, *_) in zip(procedures, tally(procedures, d[None, :])):
+    for p, stat, variance, _, rej, degenerate in zip(procedures, *tally(procedures, d[None, :])):
         stat, variance = stat.item(), variance.item()
-        if np.isnan(stat):
+        if degenerate:
             error = DegenerateVarianceError(p.kernel, p.bandwidth, variance)
             if strict:
                 raise error
@@ -322,10 +321,8 @@ def outcomes(procedures, d: np.ndarray, strict: bool = True) -> list:
             pval = float(2.0 * stats.norm.sf(abs(stat)))
         elif p.reference == "t":
             pval = float(2.0 * stats.t.sf(abs(stat), p.df))
-        rej = abs(stat) > p.critical_value
-        results.append(
-            TestOutcome(p.method, stat, rej, p.cl, p.critical_value, pval, p.bandwidth, p.df)
-        )
+        results.append(TestOutcome(p.method, stat, bool(rej), p.cl, p.critical_value,
+                                   pval, p.bandwidth, p.df))
     return results
 
 

@@ -350,8 +350,9 @@ def run_experiment(
     run's numbers exactly.
 
     Every argument is checked before anything is simulated: ``dmtests.procedure``
-    plans each label of ``methods`` at ``cl`` for every distinct (P, h), and two
-    labels that plan one test (``dm_im`` and ``dm_im_q2``) are refused.
+    plans each label of ``methods`` at ``cl`` for every distinct (P, h), its refusal raised
+    again prefixed ``<label> at P=<P>, h=<h>: ``, and two labels that plan one test
+    (``dm_im`` and ``dm_im_q2``) are refused.
     ``progress``, if given, is called as ``progress(i, n_cells, spec)``
     as the i-th cell (1-based) is handed out, before its work starts. The
     cells run in ``min(jobs, n_cells)`` worker processes: this one, or forked
@@ -377,10 +378,13 @@ def run_experiment(
     if jobs > 1 and not hasattr(os, "fork"):
         raise ValueError("jobs above 1 need the fork start method, which this platform lacks")
     # Reference distributions depend on the cell only through (P, h).
-    plans = {}
-    for spec in specs:
-        if (spec.P, spec.h) not in plans:
-            plans[spec.P, spec.h] = [procedure(m, spec.P, spec.h, cl) for m in methods]
+    plans = {(spec.P, spec.h): [] for spec in specs}
+    for (P, h), battery in plans.items():
+        for m in methods:
+            try:
+                battery.append(procedure(m, P, h, cl))
+            except ValueError as exc:
+                raise type(exc)(f"{m} at P={P}, h={h}: {exc}") from None
     plan = plans[specs[0].P, specs[0].h]  # equal here means equal at every (P, h)
     for i, m in enumerate(methods):
         if plan[i] in plan[:i]:
@@ -391,13 +395,13 @@ def run_experiment(
         n_reps=n_reps, cl=cl, seed=seed, methods=methods, specs=specs
     )
 
-    def run_cell(i: int) -> list:  # (abs_stat, rejections, degenerate) per method
+    def run_cell(i: int) -> tuple:  # tally's abs_stat, rejections and degenerate
         D = _loss_differentials(specs[i], n_reps, seed)
-        return [t[2:] for t in tally(plans[specs[i].P, specs[i].h], D)]
+        return tally(plans[specs[i].P, specs[i].h], D)[2:]
 
     cells = _cells(run_cell, specs, min(jobs, len(specs)), progress or (lambda *cell: None))
     for tallies, spec in zip(cells, specs):
-        for m, (abs_stat, rejections, degenerate) in zip(methods, tallies):
+        for m, abs_stat, rejections, degenerate in zip(methods, *tallies):
             key = (m,) + _cell_key(spec)
             result.rejection_rates[key] = rejections / n_reps
             result.archives[key] = abs_stat

@@ -203,13 +203,12 @@ def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: 
     paths = np.empty((config.n_sim, P))
     g = _model_response(model, P)  # built once for every chunk
     keyed_rows(paths, [config.seed], SIMULATION_BURN_IN + P, lambda E: filter_tail_rows(E, g, P))
-    tallies = tally(procedures, paths)
-    sizes = []
-    for proc, (*_, rejections, degenerate) in zip(procedures, tallies):
-        if degenerate:
+    stat0, variance, null_abs, rejections, degenerate = tally(procedures, paths)
+    for proc, count in zip(procedures, degenerate):
+        if count:
             logger.debug("fixed-b null statistics (P=%d, M=%d): %d of %d replications degenerate",
-                         P, proc.bandwidth, degenerate, config.n_sim)
-        sizes.append(rejections / config.n_sim - proc.cl)
+                         P, proc.bandwidth, count, config.n_sim)
+    sizes = [count / config.n_sim - proc.cl for proc, count in zip(procedures, rejections)]
     if not with_power:
         return sizes, None
     sqrt_p = math.sqrt(P)
@@ -218,8 +217,6 @@ def _null_summary(model: FittedArModel, P: int, procedures, config, with_power: 
     grid_size = config.alternative_grid_size
     shifts = delta_max * np.arange(1, grid_size + 1) / grid_size
     envelope = oracle_power(model.implied_lrv, P, shifts)
-    # Rows are bandwidths, columns replications.
-    stat0, variance, null_abs, _, _ = map(np.array, zip(*tallies))
     sd = np.sqrt(np.where(np.isnan(stat0), np.nan, variance))
     # dm_fb is tabulated at one level only, so every procedure here has the same cl.
     crit = size_corrected_critical_value(null_abs, procedures[0].cl)[:, None]

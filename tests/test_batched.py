@@ -78,7 +78,7 @@ def check_battery(X, h, cl=0.05):
                     one_row(d, h, cl)
                 assert str(exc.value) == str(planned)
             continue
-        ((stat, variance, *_),) = tally([proc], X)
+        (stat,), (variance,), *_ = tally([proc], X)
         assert stat.shape == variance.shape == (n_rows,)
         for i, d in enumerate(X):
             if np.isnan(stat[i]):
@@ -127,8 +127,8 @@ def test_one_shared_autocovariance_array_changes_nothing(n_rows, P, h, seed):
             procedures.append(procedure(label, P, h, 0.05))
         except ValueError:
             pass
-    for proc, (stat, variance, *_) in zip(procedures, tally(procedures, X)):
-        ((alone_stat, alone_variance, *_),) = tally([proc], X)
+    for proc, stat, variance, *_ in zip(procedures, *tally(procedures, X)):
+        (alone_stat,), (alone_variance,), *_ = tally([proc], X)
         assert stat.tobytes() == alone_stat.tobytes(), proc
         assert variance.tobytes() == alone_variance.tobytes(), proc
 
@@ -155,15 +155,15 @@ def test_tally_counts_constant_rows_as_degenerate_non_rejections():
               "dm_im_q2", "dm_im_q5", "dm_im_q10"]
     procedures = [procedure(label, P, 1, 0.05) for label in labels]
     live = np.delete(np.arange(8), constant)
-    for p, (stat, variance, abs_stat, rejections, degenerate) in zip(
-        procedures, tally(procedures, X)
+    for p, stat, variance, abs_stat, rejections, degenerate in zip(
+        procedures, *tally(procedures, X)
     ):
         assert np.isnan(stat[constant]).all() and (variance[constant] <= 0.0).all(), p
         assert abs_stat[constant].tolist() == [0.0, 0.0, 0.0], p
         assert abs_stat[live].tobytes() == np.abs(stat[live]).tobytes(), p
         assert degenerate == 3, p
         assert rejections == np.count_nonzero(np.abs(stat[live]) > p.critical_value), p
-    ((stat, _, abs_stat, _, degenerate),) = tally([procedure("dm_ewc", P, 1, 0.05)], X[:2])
+    (stat,), _, (abs_stat,), _, (degenerate,) = tally([procedure("dm_ewc", P, 1, 0.05)], X[:2])
     assert np.isnan(stat[1]) and abs_stat[1] == 0.0 and degenerate == 1
 
 
@@ -208,11 +208,12 @@ def test_stacked_pass_equals_one_procedure_calls(name):
     X[5] = 0.1   # every estimate is round-off
     X[7] = -2.5
     X[11] *= 1e-150  # tiny, not round-off
-    stacked, tallies = tally(procedures, X), tally(procedures, X)
+    # one tuple per procedure, as tally's callers zip it
+    stacked, tallies = list(zip(*tally(procedures, X))), list(zip(*tally(procedures, X)))
     assert len(stacked) == len(tallies) == len(procedures)
     for proc, (stat, variance, *_), counts in zip(procedures, stacked, tallies):
-        ((alone_stat, alone_variance, *_),) = tally([proc], X)
-        ((*alone_arrays, alone_rejections, alone_degenerate),) = tally([proc], X)
+        (alone_stat,), (alone_variance,), *_ = tally([proc], X)
+        ((*alone_arrays, alone_rejections, alone_degenerate),) = zip(*tally([proc], X))
         assert stat.tobytes() == alone_stat.tobytes(), proc
         assert variance.tobytes() == alone_variance.tobytes(), proc
         for got, want in zip(counts[:3], alone_arrays):

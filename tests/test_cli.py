@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import scipy
@@ -488,9 +489,9 @@ class TestDegenerateMethod:
             assert (row.split()[1] == "degenerate") == (name in ("dm_r", "dm_m"))
         warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
         assert warnings == [
-            "warning: nonpositive variance estimate -0.0590446 "
-            "(rectangular kernel, bandwidth 3); statistic undefined"
-        ] * 2
+            f"warning: {name}: nonpositive variance estimate -0.0590446 "
+            "(rectangular kernel, bandwidth 3); statistic undefined" for name in ("dm_r", "dm_m")
+        ]
         payload = json.loads((out_dir / "test_results.json").read_text())
         assert [r["method"] for r in payload["results"]] == list(rows)
         for rec in payload["results"]:
@@ -526,7 +527,7 @@ class TestRoundOffVariance:
         assert len(warnings) == 8
         # the cosine and periodogram estimates are positive round-off, not zero
         for kernel in ("ewc", "wpe"):
-            assert any(w.startswith("warning: round-off variance estimate ")
+            assert any(w.startswith(f"warning: dm_{kernel}: round-off variance estimate ")
                        and f"({kernel} kernel," in w for w in warnings), kernel
         payload = json.loads((out_dir / "test_results.json").read_text())
         assert [r["stat"] for r in payload["results"]] == [None] * 8
@@ -550,7 +551,7 @@ class TestUnsupportedMethod:
         assert list(rows) == self.ORDER
         for method, reason in unsupported.items():
             assert rows.pop(method)[1:] == ["unsupported", "-", "-", "-", "-", "-"]
-            assert f"warning: {reason}" in err.splitlines()
+            assert f"warning: {method}: {reason}" in err.splitlines()
         payload = json.loads((out_dir / "test_results.json").read_text())
         assert [r["method"] for r in payload["results"]] == self.ORDER
         for rec in payload["results"]:
@@ -593,6 +594,16 @@ class TestUnsupportedMethod:
         # the lag-window tests with their own bandwidths are defined
         for name in ("dm_nw", "dm_nw_l", "dm_fb", "dm_ewc", "dm_wpe", "dm_im"):
             float(rows[name][1])
+
+    def test_bandwidth_two_methods_refuse_alike(self, tmp_path, capsys):
+        # --M sets the bandwidth of dm_nw and dm_fb, which refuse it in the same words;
+        # each warning line names its method
+        reason = "bandwidth must lie in [1, 59], got 1000"
+        rows = self._check(["test", "--data", str(_ci_csv(tmp_path / "f.csv"))] + BASE
+                           + ["--M", "1000"], {"dm_nw": reason, "dm_fb": reason},
+                           tmp_path, capsys)
+        for fields in rows.values():
+            float(fields[1])
 
     def test_named_method_still_exits_1(self, short_csv, capsys):
         code, out, err = run(
@@ -877,6 +888,71 @@ print(json.dumps({"code": code, "seconds": time.perf_counter() - start,
         assert svg.startswith("<svg")
         assert "<circle" in svg or "<line" in svg  # non-rejection / rejection markers
 
+    def test_svg_draws_each_point_where_the_csv_puts_it(self, tmp_path, capsys):
+        """The SVG read as a picture: every bandwidth's label sits over a cross where the
+        test rejects on the data and over a circle where it does not, at the plot's scale;
+        one 14-pixel box surrounds the automatic bandwidth; the legend shows the three marks."""
+        rng = np.random.default_rng(100)
+        y = rng.standard_normal(48)
+        # data_csv's recipe with a smaller gap between the forecasts: both decisions occur
+        data = _abY_csv(tmp_path / "f.csv", y + rng.standard_normal(48),
+                        y + 0.8 * rng.standard_normal(48), y)
+        out_dir = tmp_path / "t"
+        argv = ["tradeoff", "--data", str(data)] + BASE + ["--n-sim", "200", "--out", str(out_dir)]
+        assert run(argv, capsys)[0] == 0
+        with (out_dir / "tradeoff.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["rejected"] for row in rows} == {"true", "false"}
+        auto = json.loads((out_dir / "tradeoff.json").read_text())["default_bandwidth"]
+        root = ElementTree.parse(out_dir / "tradeoff.svg").getroot()
+
+        def each(tag):
+            return list(root.iter("{http://www.w3.org/2000/svg}" + tag))
+
+        def near(a, b):  # coordinates are printed to one decimal
+            return abs(a[0] - b[0]) <= 0.051 and abs(a[1] - b[1]) <= 0.051
+
+        crosses = []
+        for path in each("path"):
+            x1, y1, x2, y2, x3, y3, x4, y4 = (
+                float(v) for v in path.get("d").split() if v not in ("M", "L"))
+            assert (x3, y3, x4, y4) == (x1, y2, x2, y1) and x2 - x1 == y2 - y1 > 0
+            crosses.append(((x1 + x2) / 2, (y1 + y2) / 2))
+        circles = [(float(c.get("cx")), float(c.get("cy"))) for c in each("circle")]
+        boxes = {}
+        for rect in each("rect"):
+            if rect.get("stroke-width") == "1.6":
+                half = float(rect.get("width")) / 2
+                boxes.setdefault(half, []).append(
+                    (float(rect.get("x")) + half, float(rect.get("y")) + half))
+        # the plot's frame, and its axes as _tradeoff_svg scales them
+        (frame,) = [r for r in each("rect") if r.get("stroke-width") == "1"]
+        left, top, width, height = (float(frame.get(k)) for k in ("x", "y", "width", "height"))
+        xs = [float(row["max_power_loss"]) for row in rows]
+        ys = [float(row["size_distortion"]) for row in rows]
+        x_hi = max(max(xs) * 1.15, 0.02)
+        pad = max((max(ys + [0.0]) - min(ys + [0.0])) * 0.15, 0.01)
+        y_lo, y_hi = min(ys + [0.0]) - pad, max(ys + [0.0]) + pad
+        labels = {t.text: (float(t.get("x")), float(t.get("y"))) for t in each("text")
+                  if t.get("font-size") == "9"}
+        assert sorted(labels, key=int) == [row["M"] for row in rows]
+        for row, x, y in zip(rows, xs, ys):
+            point = (left + x / x_hi * width, top + (y_hi - y) / (y_hi - y_lo) * height)
+            label = labels[row["M"]]
+            assert near((label[0], label[1] + 9), point), row
+            marks = crosses if row["rejected"] == "true" else circles
+            assert any(near(mark, point) for mark in marks), row
+            if int(row["M"]) == auto:
+                assert len(boxes[7.0]) == 1 and near(boxes[7.0][0], point), row
+        assert len(crosses) + len(circles) == len(rows) + 2  # and one of each in the legend
+        legend = {t.text: (float(t.get("x")) - 10, float(t.get("y")) - 4) for t in each("text")
+                  if t.get("font-size") == "11" and t.get("text-anchor") is None}
+        assert list(legend) == ["rejects on the data", "does not reject",
+                                f"automatic bandwidth (M = {auto})"]
+        mark_of = dict(zip(legend, (crosses, circles, boxes[6.0])))
+        for text, centre in legend.items():
+            assert any(near(mark, centre) for mark in mark_of[text]), text
+
 
 class TestMcCommand:
     ARGS = [
@@ -968,21 +1044,26 @@ class TestMcCommand:
         assert all((out_dir / name).exists() for name in names)
         assert list(manifest["degenerate_counts"]) == ["dm_wpe", "dm_im_q3"]
 
-    @pytest.mark.parametrize("methods, p_set, message", [
-        ("dm_r,dm_wpe,dm_r", "25", "method 'dm_r' is listed more than once"),
+    # A planning refusal is prefixed with the label and the cell it refers to (``where``).
+    @pytest.mark.parametrize("methods, p_set, message, where", [
+        ("dm_r,dm_wpe,dm_r", "25", "method 'dm_r' is listed more than once", ""),
         ("dm_im_q02", "25", "unknown method 'dm_im_q02'; expected one of: dm_r, dm_m, dm_nw, "
-                            "dm_nw_l, dm_fb, dm_ewc, dm_wpe, dm_im"),
-        ("dm_im_q30", "75,25", "bandwidth must lie in [2, 25], got 30"),
-        ("dm_im,dm_im_q2", "25", "methods 'dm_im' and 'dm_im_q2' are the same test"),
+                            "dm_nw_l, dm_fb, dm_ewc, dm_wpe, dm_im", "dm_im_q02 at P=25, h=1: "),
+        ("dm_im_q30", "75,25", "bandwidth must lie in [2, 25], got 30", "dm_im_q30 at P=25, h=1: "),
+        ("dm_im,dm_im_q2", "25", "methods 'dm_im' and 'dm_im_q2' are the same test", ""),
+        # the default battery's dm_im_q5 cannot split P = 2
+        (", ".join(mc.DEFAULT_METHODS), "2", "bandwidth must lie in [2, 2], got 5",
+         "dm_im_q5 at P=2, h=1: "),
     ])
-    def test_bad_label_fails_before_any_cell(self, methods, p_set, message, tmp_path, capsys):
+    def test_bad_label_fails_before_any_cell(self, methods, p_set, message, where, tmp_path,
+                                             capsys):
         out_dir = tmp_path / "x"
         code, out, err = run(
             ["mc", "--families", "ucr", "--h-set", "1", "--r-set", "25", "--rt-set", "25",
              "--p-set", p_set, "--methods", methods, "--n-reps", "100", "--out", str(out_dir)],
             capsys,
         )
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (1, "", f"error: {where}{message}\n")
         assert not out_dir.exists()
 
     def test_unsupported_level_fails_before_any_cell(self, tmp_path, capsys):

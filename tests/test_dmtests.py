@@ -79,7 +79,7 @@ class TestRoundOffVariance:
         for c, d in zip(self.LEVELS, X):
             results = outcomes(procedures, d, strict=False)
             assert all(isinstance(r, DegenerateVarianceError) for r in results), (P, c)
-        tallies = tally(procedures, X)
+        tallies = list(zip(*tally(procedures, X)))  # one tuple per procedure
         for p, (stat, variance, abs_stat, rejections, degenerate) in zip(procedures, tallies):
             assert np.isnan(stat).all() and not abs_stat.any(), p.method
             assert (rejections, degenerate) == (0, len(self.LEVELS)), p.method

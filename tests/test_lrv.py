@@ -301,6 +301,6 @@ class TestBartlettGrid:
         levels = (1.0, 0.1, -123.456, 1e6)
         X = np.repeat(np.array(levels)[:, None], self.P, axis=1)
         procedures = [procedure("dm_fb", self.P, 1, 0.05, M) for M in range(1, self.P)]
-        for p, (stat, _, abs_stat, rejections, degenerate) in zip(procedures, tally(procedures, X)):
+        for p, stat, _, abs_stat, rejections, degenerate in zip(procedures, *tally(procedures, X)):
             assert np.isnan(stat).all() and not abs_stat.any(), p.bandwidth
             assert (rejections, degenerate) == (0, len(levels)), p.bandwidth

@@ -347,10 +347,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
             run(n_reps=100, seed=1.5)
         # only the last cell's horizon is too long for its sample
-        with pytest.raises(ValueError, match=r"^forecast horizon must lie in \[1, 24\], got 30$"):
+        with pytest.raises(ValueError,
+                           match=r"^dm_r at P=25, h=30: "
+                                 r"forecast horizon must lie in \[1, 24\], got 30$"):
             run(good + [DgpSpec("ucr", 30, 30, 30, 25)], methods=("dm_r",), n_reps=100)
         # 30 blocks fit the P = 75 cell but not the P = 25 one
-        with pytest.raises(ValueError, match=r"^bandwidth must lie in \[2, 25\], got 30$"):
+        with pytest.raises(ValueError,
+                           match=r"^dm_im_q30 at P=25, h=1: "
+                                 r"bandwidth must lie in \[2, 25\], got 30$"):
             run(methods=("dm_r", "dm_im_q30"), n_reps=100)
         for jobs in (0, -1):
             with pytest.raises(ValueError, match=f"^jobs must be a positive integer, got {jobs}$"):
@@ -376,7 +380,7 @@ class TestRunExperiment:
             assert wide.rejection_rates[key] == alone.rejection_rates[key]
             assert wide.degenerate_counts[key] == alone.degenerate_counts[key]
             D = mc._loss_differentials(spec, 150, 9)
-            (_, _, abs_stat, rejections, degenerate), = tally(
+            _, _, (abs_stat,), (rejections,), (degenerate,) = tally(
                 [procedure("dm_wpe", spec.P, spec.h, 0.05)], D)
             key = ("dm_wpe",) + cell
             np.testing.assert_array_equal(wide.archives[key], abs_stat)

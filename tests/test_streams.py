@@ -270,8 +270,8 @@ def test_null_paths_equal_one_path_simulator(order):
     response = tradeoff._model_response(model, P)
     _streams.keyed_rows(keyed, [seed], tradeoff.SIMULATION_BURN_IN + P,
                         lambda E: filter_tail_rows(E, response, P))
-    got = tally(procedures, keyed)
-    want = tally(procedures, paths)
+    got = zip(*tally(procedures, keyed))  # one tuple per procedure
+    want = zip(*tally(procedures, paths))
     for (stat, variance, *_), (want_stat, want_variance, *_) in zip(got, want):
         assert stat.tobytes() == want_stat.tobytes()
         assert variance.tobytes() == want_variance.tobytes()

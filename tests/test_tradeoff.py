@@ -621,10 +621,10 @@ class TestDegeneratePaths:
         response = tradeoff._model_response(model, self.P)
         keyed_rows(paths, [0], tradeoff.SIMULATION_BURN_IN + self.P,
                    lambda E: filter_tail_rows(E, response, self.P))
-        clean = tally(procedures, paths)
+        clean = tally(procedures, paths)[0]  # the statistics
         live = np.arange(self.N_SIM) % 10 != 0
         want = [np.count_nonzero(np.abs(stat[live]) > p.critical_value) / self.N_SIM - 0.05
-                for p, (stat, *_) in zip(procedures, clean)]
+                for p, stat in zip(procedures, clean)]
         # the paths of replications 0, 10, 20, ... are constant
         first = [0]
 
